@@ -308,19 +308,14 @@ def gradation(series_or_spec) -> Gradation:
     else:
         raise StructuralError("gradation expects a NilpotentAlgebraSpec")
 
-    dim, r = spec.dim, series.step
-    reduced = []
-    pivot_sets = []
-    for term in series.terms:
-        rows, pivots = ratlin.rref(term)
-        reduced.append(rows)
-        pivot_sets.append(set(pivots))
+    dim = spec.dim
+    echelons = [ratlin.rref(term) for term in series.terms]
+    pivot_sets = [set(pivots) for _, pivots in echelons]
     pivot_sets.append(set())  # g^{r+1} = 0
 
     adapted_rows: list[Vec] = []
     degrees: list[int] = []
-    for layer in range(r):
-        rows, pivots = ratlin.rref(series.terms[layer])
+    for layer, (rows, pivots) in enumerate(echelons):
         for row, p in zip(rows, pivots):
             if p not in pivot_sets[layer + 1]:
                 adapted_rows.append(row)

@@ -123,22 +123,6 @@ def bch_polynomials(tensor: Tensor, dim: int, step: int) -> list[Poly]:
     return out
 
 
-def _eval_polys(polys: list[Poly], dim: int, a, b):
-    vals = tuple(a) + tuple(b)
-    out = []
-    for k in range(dim):
-        acc = 0
-        for mono, c in polys[k].items():
-            term = c
-            for v, e in mono:
-                base = vals[v]
-                for _ in range(e):
-                    term = term * base
-            acc = acc + term
-        out.append(acc)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GroupLaw:
     """Multiplication, inverse, powers for one algebra and one bracket.
@@ -226,10 +210,6 @@ class GroupLaw:
 
     def comm(self, a, b) -> tuple:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
-
-    def conjugate(self, a, b) -> tuple:
-        """b^{-1} a b."""
-        return self.mul(self.mul(self.inv(b), a), b)
 
     def bind_right(self, b):
         """Partially evaluated x -> x * b, for hot exact loops (BFS)."""

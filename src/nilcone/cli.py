@@ -172,13 +172,14 @@ def _emit_plan(args, **extra) -> bool:
     return False
 
 
-def _add_common(p, seed: bool = False):
+def _add_common(p, seed: bool = False, workers: bool = True):
     p.add_argument("--dry-run", action="store_true",
                    help="print the resolved plan and exit")
     p.add_argument("--out", default=None,
                    help="artifact directory (default $NILCONE_OUT or ./out)")
-    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
-                   help="worker streams shaping the sample split")
+    if workers:
+        p.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
+                       help="worker streams shaping the sample split")
     if seed:
         p.add_argument("--seed", type=int, required=True,
                        help="root seed (required, no implicit entropy)")
@@ -344,8 +345,7 @@ def _cmd_derivative_recurrence(args) -> int:
     grp = cp.ambient()
     box = _parse_box(args.box, grp.dim)
     rep = recurrence_search(cp, _parse_point(grp, args.g), args.delta, box,
-                            args.horizon, args.samples, args.seed,
-                            args.workers)
+                            args.horizon, args.samples, args.seed)
     header, rows = rep.csv_rows()
     path = reports.write_csv(
         _out_dir(args) / f"recurrence_{cp.name}_seed{args.seed}.csv",
@@ -575,7 +575,8 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, default=256)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--min-success", type=float, default=0.0)
-    _add_common(p, seed=True)
+    # recurrence_search draws every sample from one stream
+    _add_common(p, seed=True, workers=False)
     p.set_defaults(func=_cmd_derivative_recurrence)
 
     p_ex = sub.add_parser("experiment")

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import ratlin
 from .algebra import StructuralError
-from .bch import GroupLaw, GroupPoint, NilpotentGroup, get_group
+from .bch import GroupPoint, NilpotentGroup, get_group
 from .kernels import (
-    bch_batch,
     fold_digits,
     law_table,
     reduce_batch,
@@ -30,6 +30,7 @@ from .wordmetric import (
     LatticeSpec,
     builtin_lattice,
     digits_to_point,
+    fraction_coords,
     left_peel,
     member,
     right_peel,
@@ -47,6 +48,12 @@ class AutomorphismSpec:
         return ratlin.mat_vec(self.matrix, tuple(Fraction(c) for c in coords))
 
     def inverse(self) -> "AutomorphismSpec":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "AutomorphismSpec":
+        # computed once per spec: reduction and the lattice action use it
+        # on every call
         return AutomorphismSpec(
             name=f"{self.name}-inverse", matrix=ratlin.mat_inv(self.matrix)
         )
@@ -197,59 +204,46 @@ def reduce_to_domain(coupling: CouplingSpec, omega) -> tuple[GroupPoint, GroupPo
     rational input.
     """
     grp = coupling.ambient()
-    coords = omega.coords if isinstance(omega, GroupPoint) else tuple(omega)
-    coords = tuple(Fraction(c) for c in coords)
-    theta = coupling.twist_or_identity()
-    w = theta.apply(coords) if coupling.twist is not None else coords
+    coords = fraction_coords(omega)
+    twist = coupling.twist
+    w = twist.apply(coords) if twist is not None else coords
     digits, u = right_peel(coupling.lambda_lattice, w)
-    if coupling.twist is not None:
-        x = theta.inverse().apply(u)
-    else:
-        x = u
+    x = twist.inverse().apply(u) if twist is not None else u
     lam = digits_to_point(coupling.lambda_lattice, digits)
     return GroupPoint(tuple(x), "group", grp.name), lam
 
 
 def lambda_action(coupling: CouplingSpec, lam, omega) -> tuple:
     """Apply the right-lattice action of lam to a point (exact)."""
-    grp = coupling.ambient()
-    law = grp.law_group
-    lam_coords = lam.coords if isinstance(lam, GroupPoint) else tuple(lam)
-    om = omega.coords if isinstance(omega, GroupPoint) else tuple(omega)
-    om = tuple(Fraction(c) for c in om)
-    lam_coords = tuple(Fraction(c) for c in lam_coords)
+    law = coupling.ambient().law_group
+    lam_coords = fraction_coords(lam)
     if coupling.twist is not None:
         lam_coords = coupling.twist.inverse().apply(lam_coords)
-    return law.mul(om, law.inv(lam_coords))
+    return law.mul(fraction_coords(omega), law.inv(lam_coords))
 
 
 def in_domain(coupling: CouplingSpec, coords) -> bool:
-    theta = coupling.twist_or_identity()
-    c = tuple(Fraction(v) for v in coords)
-    w = theta.apply(c) if coupling.twist is not None else c
+    c = fraction_coords(coords)
+    w = coupling.twist.apply(c) if coupling.twist is not None else c
     leads = coupling.lambda_lattice.leads()
     return all(0 <= w[i] < leads[i] for i in range(len(w)))
 
 
+def _act(coupling: CouplingSpec, gamma, x) -> tuple[GroupPoint, GroupPoint]:
+    """reduce_to_domain of gamma * x: the image point and its cocycle."""
+    law = coupling.ambient().law_group
+    return reduce_to_domain(
+        coupling, law.mul(fraction_coords(gamma), fraction_coords(x)))
+
+
 def alpha(coupling: CouplingSpec, gamma, x) -> GroupPoint:
     """The right-lattice element returning gamma * x to the domain."""
-    grp = coupling.ambient()
-    law = grp.law_group
-    gc = gamma.coords if isinstance(gamma, GroupPoint) else tuple(gamma)
-    xc = x.coords if isinstance(x, GroupPoint) else tuple(x)
-    moved = law.mul(tuple(Fraction(c) for c in gc), tuple(Fraction(c) for c in xc))
-    _, lam = reduce_to_domain(coupling, moved)
-    return lam
+    return _act(coupling, gamma, x)[1]
+
 
 def induced_action(coupling: CouplingSpec, gamma, x) -> GroupPoint:
     """Domain representative of gamma * x."""
-    grp = coupling.ambient()
-    law = grp.law_group
-    gc = gamma.coords if isinstance(gamma, GroupPoint) else tuple(gamma)
-    xc = x.coords if isinstance(x, GroupPoint) else tuple(x)
-    moved = law.mul(tuple(Fraction(c) for c in gc), tuple(Fraction(c) for c in xc))
-    x2, _ = reduce_to_domain(coupling, moved)
-    return x2
+    return _act(coupling, gamma, x)[0]
 
 
 def beta(coupling: CouplingSpec, lam, y) -> GroupPoint:
@@ -260,12 +254,6 @@ def beta(coupling: CouplingSpec, lam, y) -> GroupPoint:
     hat = digits_to_point(coupling.gamma_lattice, digits, order="asc")
     law = grp.law_group
     return GroupPoint(law.inv(hat.coords), "group", grp.name)
-
-
-def beta_induced(coupling: CouplingSpec, lam, y) -> GroupPoint:
-    moved = lambda_action(coupling, lam, y)
-    _, rem = left_peel(coupling.gamma_lattice, moved)
-    return GroupPoint(rem, "group", coupling.group)
 
 
 # ------------------------------------------------------------ float layer
@@ -285,10 +273,6 @@ class CouplingKernels:
         self.theta = theta.float_matrix()
         self.theta_inv = theta.inverse().float_matrix()
         self.twisted = coupling.twist is not None
-
-    def box_low_high(self):
-        leads = self.lambda_leads
-        return np.zeros_like(leads), leads.copy()
 
     def reduce(self, omega: np.ndarray):
         """Batch reduce_to_domain: returns (digits, x)."""
@@ -346,36 +330,27 @@ def _chunk_sizes(n: int, workers: int) -> list[int]:
 
 
 def domain_samples(coupling: CouplingSpec, n: int, seed: int,
-                   workers: int = 4, *tags: int) -> np.ndarray:
-    """Uniform samples of the right-action fundamental domain.
+                   workers: int = 4, *tags: int, side: str = "alpha") -> np.ndarray:
+    """Uniform samples of the fundamental domain of one lattice action.
 
-    Per-worker streams come from the documented seed split; chunks are
-    concatenated in worker order, so output is a pure function of
-    (seed, workers, tags).  Workers shape the stream only; execution is
-    sequential.
+    side "alpha" samples the right-action domain (the lambda box pulled
+    back through the twist), side "beta" the left-action domain (the
+    plain gamma box).  Per-worker streams come from the documented seed
+    split; chunks are concatenated in worker order, so output is a pure
+    function of (seed, workers, tags).  Workers shape the stream only;
+    execution is sequential.
     """
     if n < 1:
         raise StructuralError("need at least one sample")
+    if workers < 1:
+        raise StructuralError("workers must be >= 1")
     ck = coupling_kernels(coupling)
-    low, high = ck.box_low_high()
-    chunks = []
-    for w, size in enumerate(_chunk_sizes(n, workers)):
-        if size == 0:
-            continue
-        rng = np.random.Generator(np.random.PCG64(seed_lineage(seed, *tags, w)))
-        u = rng.uniform(low, high, size=(size, len(high)))
-        chunks.append(u)
-    u = np.concatenate(chunks, axis=0)
-    if ck.twisted:
-        return u @ ck.theta_inv.T
-    return u
-
-
-def box_samples(coupling: CouplingSpec, n: int, seed: int,
-                workers: int = 4, *tags: int) -> np.ndarray:
-    """Uniform samples of the left-action domain (the plain box)."""
-    ck = coupling_kernels(coupling)
-    leads = ck.gamma_leads
+    if side == "alpha":
+        leads = ck.lambda_leads
+    elif side == "beta":
+        leads = ck.gamma_leads
+    else:
+        raise StructuralError(f"unknown cocycle side {side!r}")
     chunks = []
     for w, size in enumerate(_chunk_sizes(n, workers)):
         if size == 0:
@@ -383,15 +358,18 @@ def box_samples(coupling: CouplingSpec, n: int, seed: int,
         rng = np.random.Generator(np.random.PCG64(seed_lineage(seed, *tags, w)))
         chunks.append(rng.uniform(np.zeros_like(leads), leads,
                                   size=(size, len(leads))))
-    return np.concatenate(chunks, axis=0)
+    u = np.concatenate(chunks, axis=0)
+    if side == "alpha" and ck.twisted:
+        return u @ ck.theta_inv.T
+    return u
 
 
 def sample_domain(coupling: CouplingSpec, rng: np.random.Generator,
                   lineage: tuple = ()) -> CocycleSample:
     """One uniform domain point from a caller-seeded generator."""
     ck = coupling_kernels(coupling)
-    low, high = ck.box_low_high()
-    u = rng.uniform(low, high)
+    leads = ck.lambda_leads
+    u = rng.uniform(np.zeros_like(leads), leads)
     if ck.twisted:
         u = u @ ck.theta_inv.T
     x = GroupPoint(tuple(float(v) for v in u), "group", coupling.group)

@@ -25,7 +25,6 @@ from .bch import GroupPoint, NilpotentGroup, get_group
 from .coupling import (
     CouplingSpec,
     alpha,
-    box_samples,
     coupling_kernels,
     domain_samples,
     seed_lineage,
@@ -40,7 +39,7 @@ from .kernels import (
     reduce_batch,
     translate_batch,
 )
-from .wordmetric import digits_to_point
+from .wordmetric import ball_points, digits_to_point
 
 DEFAULT_WORKERS = 4
 
@@ -121,28 +120,31 @@ def _cocycle_coords_batch(coupling: CouplingSpec, gamma_coords, x: np.ndarray,
     raise StructuralError(f"unknown cocycle side {side!r}")
 
 
+def _abelian_mean_ci(coupling: CouplingSpec, gamma_coords, x: np.ndarray,
+                     side: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Sample mean and 95% normal half-width of the abelian cocycle coords."""
+    grp = coupling.ambient()
+    samples = x.shape[0]
+    lam = _cocycle_coords_batch(coupling, gamma_coords, x, side)
+    vec = [0.0] * grp.dim
+    ci = [0.0] * grp.dim
+    for i in _abelian_indices(grp):
+        col = lam[:, i]
+        vec[i] = float(col.mean())
+        sd = float(col.std(ddof=1)) if samples > 1 else 0.0
+        ci[i] = 1.96 * sd / math.sqrt(samples)
+    return tuple(vec), tuple(ci)
+
+
 def mean_abelianization(coupling: CouplingSpec, gamma, samples: int, seed: int,
                         workers: int = DEFAULT_WORKERS,
                         side: str = "alpha") -> MeanAbelianization:
     """Average of the abelian coordinates of the cocycle at gamma."""
     if samples < 1:
         raise StructuralError("samples must be >= 1")
-    grp = coupling.ambient()
-    if side == "alpha":
-        x = domain_samples(coupling, samples, seed, workers, _TAG_MEAN_AB)
-    else:
-        x = box_samples(coupling, samples, seed, workers, _TAG_MEAN_AB)
-    lam = _cocycle_coords_batch(coupling, _coords_of(gamma), x, side)
-    ab = _abelian_indices(grp)
-    vec = [0.0] * grp.dim
-    ci = [0.0] * grp.dim
-    for i in ab:
-        col = lam[:, i]
-        vec[i] = float(col.mean())
-        sd = float(col.std(ddof=1)) if samples > 1 else 0.0
-        ci[i] = 1.96 * sd / math.sqrt(samples)
-    return MeanAbelianization(vector=tuple(vec), ci=tuple(ci),
-                              samples=samples, seed=seed)
+    x = domain_samples(coupling, samples, seed, workers, _TAG_MEAN_AB, side=side)
+    vec, ci = _abelian_mean_ci(coupling, _coords_of(gamma), x, side)
+    return MeanAbelianization(vector=vec, ci=ci, samples=samples, seed=seed)
 
 
 def cocycle_ergodic_average(coupling: CouplingSpec, gamma, x, n: int) -> tuple:
@@ -199,25 +201,11 @@ def build_phi(coupling: CouplingSpec, samples: int, seed: int,
               side: str = "alpha") -> PansuDerivative:
     """Estimate generator images and wrap them as the derivative map."""
     grp = coupling.ambient()
-    gens = generating_set(grp)
-    if side == "alpha":
-        x = domain_samples(coupling, samples, seed, workers, _TAG_MEAN_AB)
-    else:
-        x = box_samples(coupling, samples, seed, workers, _TAG_MEAN_AB)
-    ab = _abelian_indices(grp)
-    entries = []
-    cis = []
-    for s in gens:
-        lam = _cocycle_coords_batch(coupling, s.coords, x, side)
-        vec = [0.0] * grp.dim
-        ci = [0.0] * grp.dim
-        for i in ab:
-            col = lam[:, i]
-            vec[i] = float(col.mean())
-            sd = float(col.std(ddof=1)) if samples > 1 else 0.0
-            ci[i] = 1.96 * sd / math.sqrt(samples)
-        entries.append(tuple(vec))
-        cis.append(tuple(ci))
+    x = domain_samples(coupling, samples, seed, workers, _TAG_MEAN_AB, side=side)
+    images = [_abelian_mean_ci(coupling, s.coords, x, side)
+              for s in generating_set(grp)]
+    entries = [vec for vec, _ in images]
+    cis = [ci for _, ci in images]
     table = GeneratorImageTable(
         coupling=coupling.name, side=side, entries=tuple(entries),
         cis=tuple(cis), samples=samples, seed=seed,
@@ -252,21 +240,13 @@ class ConvergenceRow:
     seed: int
 
 
-@dataclass
-class ConvergenceReport:
-    """Per-depth acceptance fractions and medians for one experiment."""
+class _ConvergenceRows:
+    """Acceptance checks and CSV rows shared by reports of ConvergenceRows."""
 
-    experiment: str
     rows: tuple[ConvergenceRow, ...]
-    seed: int
-    eps: float
-    meta: dict = field(default_factory=dict)
 
     def fractions(self):
         return [r.fraction_within_eps for r in self.rows]
-
-    def medians(self):
-        return [r.median_proxy_dist for r in self.rows]
 
     def threshold_ok(self, threshold: float = 0.9) -> bool:
         return bool(self.rows) and self.rows[-1].fraction_within_eps >= threshold
@@ -281,6 +261,20 @@ class ConvergenceReport:
             [r.n, r.samples, r.fraction_within_eps, r.median_proxy_dist, r.seed]
             for r in self.rows
         ]
+
+
+@dataclass
+class ConvergenceReport(_ConvergenceRows):
+    """Per-depth acceptance fractions and medians for one experiment."""
+
+    experiment: str
+    rows: tuple[ConvergenceRow, ...]
+    seed: int
+    eps: float
+    meta: dict = field(default_factory=dict)
+
+    def medians(self):
+        return [r.median_proxy_dist for r in self.rows]
 
     def summary(self) -> dict:
         return {
@@ -554,7 +548,7 @@ def inverse_check(phi: PansuDerivative, psi: PansuDerivative, points,
 # ----------------------------------------------------------------- kappa map
 
 @dataclass
-class KappaReport:
+class KappaReport(_ConvergenceRows):
     """Sup-distance convergence of the rounded-dilation cocycle map."""
 
     coupling: str
@@ -564,23 +558,6 @@ class KappaReport:
     eps: float
     rows: tuple[ConvergenceRow, ...]
     seed: int
-
-    def fractions(self):
-        return [r.fraction_within_eps for r in self.rows]
-
-    def threshold_ok(self, threshold: float = 0.9) -> bool:
-        return bool(self.rows) and self.rows[-1].fraction_within_eps >= threshold
-
-    def monotone_ok(self, tol: float = 1e-9) -> bool:
-        return nondecreasing(median3_smooth(self.fractions()), tol)
-
-    def csv_rows(self):
-        header = ["n", "samples", "fraction_within_eps",
-                  "median_proxy_dist", "seed"]
-        return header, [
-            [r.n, r.samples, r.fraction_within_eps, r.median_proxy_dist, r.seed]
-            for r in self.rows
-        ]
 
 
 def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float,
@@ -664,29 +641,8 @@ class RecurrenceReport:
         return header, [[i, d] for i, d in enumerate(self.first_depths)]
 
 
-def _perturbation_words(lattice, max_len: int):
-    grp = get_group(lattice.group)
-    law = grp.law_group
-    gens = [g.coords for g in lattice.generators]
-    seen = {law.identity(): True}
-    frontier = [law.identity()]
-    out = [law.identity()]
-    for _ in range(max_len):
-        nxt = []
-        for p in frontier:
-            for s in gens:
-                q = law.mul(p, s)
-                if q not in seen:
-                    seen[q] = True
-                    nxt.append(q)
-                    out.append(q)
-        frontier = nxt
-    return out
-
-
 def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
                       horizon: int, samples: int, seed: int,
-                      workers: int = DEFAULT_WORKERS,
                       max_word_len: int = 3) -> RecurrenceReport:
     """Return-time search: lattice words close to g in the cone that send
     each sample back into the target sub-box.
@@ -710,7 +666,7 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
         raise StructuralError("box is not inside the fundamental domain")
     target = _float_coords(g)
     perts = np.asarray(
-        [[float(c) for c in p] for p in _perturbation_words(coupling.gamma_lattice, max_word_len)],
+        [[float(c) for c in p] for p in ball_points(coupling.gamma_lattice, max_word_len)],
         dtype=np.float64,
     )
     law = grp.law_group

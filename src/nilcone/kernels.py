@@ -2,32 +2,16 @@
 
 The exact Fraction layer is the reference implementation; these kernels
 run the same polynomial tables over float64 arrays for Monte Carlo
-work.  Two interchangeable backends are provided:
-
-* "numba": jit-compiled loops (preferred when numba imports cleanly)
-* "numpy": vectorised fallback with identical semantics
-
-The default is chosen at import time from the NILCONE_BACKEND
-environment variable ("numba", "numpy", or unset for auto).  Both
-backends stay importable so tests and benchmarks can compare them
-in-process regardless of the default.
+work.  Every kernel is vectorised over rows with numpy: a loop over the
+terms of the law, each term formed by repeated multiplication of whole
+columns, so every row sees the same sequence of float operations.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .bch import GroupLaw
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment dependent
-    numba = None
-    _HAVE_NUMBA = False
 
 
 class KernelTable:
@@ -71,7 +55,7 @@ def law_table(law: GroupLaw) -> KernelTable:
     return tab
 
 
-# ---------------------------------------------------------------- numpy
+# ---------------------------------------------------------------- kernels
 
 def _bch_numpy(tab: KernelTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     z = x + y
@@ -87,153 +71,30 @@ def _bch_numpy(tab: KernelTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return z
 
 
-def _reduce_numpy(tab, gen_logs, leads, omega, side, mode):
-    n, m = omega.shape
-    p = omega.astype(np.float64, copy=True)
-    digits = np.zeros((n, m), dtype=np.int64)
-    for i in range(m):
-        q = p[:, i] / leads[i]
-        c = np.floor(q) if mode == 0 else np.rint(q)
-        digits[:, i] = c.astype(np.int64)
-        step = (-c)[:, None] * gen_logs[i][None, :]
-        if side == 0:
-            p = _bch_numpy(tab, p, step)
-        else:
-            p = _bch_numpy(tab, step, p)
-    return digits, p
-
-
-# ---------------------------------------------------------------- numba
-
-def _bch_loop(x, y, out_idx, coeff, ptr, var_idx, var_pow, z):
-    n, m = x.shape
-    for r in range(n):
-        for k in range(m):
-            z[r, k] = x[r, k] + y[r, k]
-        for t in range(out_idx.shape[0]):
-            term = coeff[t]
-            for s in range(ptr[t], ptr[t + 1]):
-                v = var_idx[s]
-                base = x[r, v] if v < m else y[r, v - m]
-                for _ in range(var_pow[s]):
-                    term = term * base
-            z[r, out_idx[t]] += term
-
-
-def _reduce_loop(omega, gen_logs, leads, side, mode,
-                 out_idx, coeff, ptr, var_idx, var_pow, digits, rem):
-    n, m = omega.shape
-    p = np.empty(m, dtype=np.float64)
-    step = np.empty(m, dtype=np.float64)
-    z = np.empty(m, dtype=np.float64)
-    for r in range(n):
-        for k in range(m):
-            p[k] = omega[r, k]
-        for i in range(m):
-            q = p[i] / leads[i]
-            c = np.floor(q) if mode == 0 else np.rint(q)
-            digits[r, i] = np.int64(c)
-            if c != 0.0:
-                for k in range(m):
-                    step[k] = -c * gen_logs[i, k]
-                    z[k] = p[k] + step[k]
-                for t in range(out_idx.shape[0]):
-                    term = coeff[t]
-                    for s in range(ptr[t], ptr[t + 1]):
-                        v = var_idx[s]
-                        if side == 0:
-                            base = p[v] if v < m else step[v - m]
-                        else:
-                            base = step[v] if v < m else p[v - m]
-                        for _ in range(var_pow[s]):
-                            term = term * base
-                    z[out_idx[t]] += term
-                for k in range(m):
-                    p[k] = z[k]
-        for k in range(m):
-            rem[r, k] = p[k]
-
-
-_NUMBA_FUNCS: dict[str, object] = {}
-
-
-def _numba_funcs():
-    if not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if not _NUMBA_FUNCS:
-        jit = numba.njit(cache=True, fastmath=False)
-        _NUMBA_FUNCS["bch"] = jit(_bch_loop)
-        _NUMBA_FUNCS["reduce"] = jit(_reduce_loop)
-    return _NUMBA_FUNCS
-
-
-# -------------------------------------------------------------- dispatch
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def _default_backend() -> str:
-    env = os.environ.get("NILCONE_BACKEND", "").strip().lower()
-    if env in ("numba", "numpy"):
-        if env == "numba" and not _HAVE_NUMBA:
-            raise RuntimeError("NILCONE_BACKEND=numba but numba is not importable")
-        return env
-    if env not in ("", "auto"):
-        raise RuntimeError(f"unknown NILCONE_BACKEND value {env!r}")
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_ACTIVE = _default_backend()
-
-
-def active_backend() -> str:
-    return _ACTIVE
-
-
-def set_backend(name: str) -> None:
-    global _ACTIVE
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _ACTIVE = name
-
-
-def _resolve(backend: str | None) -> str:
-    return _ACTIVE if backend is None else backend
-
-
-def bch_batch(tab: KernelTable, x: np.ndarray, y: np.ndarray,
-              backend: str | None = None) -> np.ndarray:
+def bch_batch(tab: KernelTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise group product of two (n, m) coordinate arrays."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 2 or x.shape[1] != tab.dim:
         raise ValueError("bch_batch expects matching (n, dim) arrays")
-    if _resolve(backend) == "numba":
-        z = np.empty_like(x)
-        _numba_funcs()["bch"](x, y, tab.out_idx, tab.coeff, tab.ptr,
-                              tab.var_idx, tab.var_pow, z)
-        return z
     return _bch_numpy(tab, x, y)
 
 
 def translate_batch(tab: KernelTable, g: np.ndarray, x: np.ndarray,
-                    side: str = "left", backend: str | None = None) -> np.ndarray:
+                    side: str = "left") -> np.ndarray:
     """Multiply every row of x by the single point g on the given side."""
     g = np.ascontiguousarray(g, dtype=np.float64).reshape(1, -1)
     gb = np.broadcast_to(g, x.shape).copy()
     if side == "left":
-        return bch_batch(tab, gb, x, backend=backend)
+        return bch_batch(tab, gb, x)
     if side == "right":
-        return bch_batch(tab, x, gb, backend=backend)
+        return bch_batch(tab, x, gb)
     raise ValueError(f"unknown side {side!r}")
 
 
 def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
-                 omega: np.ndarray, side: str = "right", mode: str = "floor",
-                 backend: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 omega: np.ndarray, side: str = "right",
+                 mode: str = "floor") -> tuple[np.ndarray, np.ndarray]:
     """Peel Mal'cev digits off each row of omega.
 
     side "right" factors omega = y * u(digits) with y in the box (the
@@ -247,22 +108,22 @@ def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
         raise ValueError("reduce_batch expects an (n, dim) array")
     gen_logs = np.ascontiguousarray(gen_logs, dtype=np.float64)
     leads = np.ascontiguousarray(leads, dtype=np.float64)
-    side_i = {"right": 0, "left": 1}[side]
-    mode_i = {"floor": 0, "round": 1}[mode]
-    if _resolve(backend) == "numba":
-        n, m = omega.shape
-        digits = np.zeros((n, m), dtype=np.int64)
-        rem = np.empty((n, m), dtype=np.float64)
-        _numba_funcs()["reduce"](omega, gen_logs, leads, side_i, mode_i,
-                                 tab.out_idx, tab.coeff, tab.ptr,
-                                 tab.var_idx, tab.var_pow, digits, rem)
-        return digits, rem
-    return _reduce_numpy(tab, gen_logs, leads, omega, side_i, mode_i)
+    right = {"right": True, "left": False}[side]
+    floor = {"floor": True, "round": False}[mode]
+    n, m = omega.shape
+    p = omega.astype(np.float64, copy=True)
+    digits = np.zeros((n, m), dtype=np.int64)
+    for i in range(m):
+        q = p[:, i] / leads[i]
+        c = np.floor(q) if floor else np.rint(q)
+        digits[:, i] = c.astype(np.int64)
+        step = (-c)[:, None] * gen_logs[i][None, :]
+        p = _bch_numpy(tab, p, step) if right else _bch_numpy(tab, step, p)
+    return digits, p
 
 
 def fold_digits(tab: KernelTable, gen_logs: np.ndarray, digits: np.ndarray,
-                order: str = "asc", sign: int = 1,
-                backend: str | None = None) -> np.ndarray:
+                order: str = "asc", sign: int = 1) -> np.ndarray:
     """Evaluate prod_i u_i^(sign * digits_i) over rows, in index order."""
     digits = np.asarray(digits, dtype=np.float64)
     n, m = digits.shape
@@ -270,7 +131,7 @@ def fold_digits(tab: KernelTable, gen_logs: np.ndarray, digits: np.ndarray,
     idx = range(m) if order == "asc" else range(m - 1, -1, -1)
     for i in idx:
         step = (sign * digits[:, i])[:, None] * gen_logs[i][None, :]
-        p = bch_batch(tab, p, step, backend=backend)
+        p = bch_batch(tab, p, step)
     return p
 
 

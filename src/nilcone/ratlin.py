@@ -37,12 +37,6 @@ def identity(n: int) -> Mat:
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-def vec_scale(a: Vec, c: Fraction) -> Vec:
-    return tuple(c * x for x in a)
-
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
@@ -94,12 +88,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Mat, tuple[int, ...]]:
         if r == n_rows:
             break
     return as_mat(m[: len(pivots)]), tuple(pivots)
-
-
-def in_span(basis: Mat, v: Vec) -> bool:
-    augmented = list(basis) + [v]
-    reduced, _ = rref(augmented)
-    return len(reduced) == len(rref(basis)[0])
 
 
 def mat_inv(m: Mat) -> Mat:

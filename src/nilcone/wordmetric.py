@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 import numpy as np
 
 from .algebra import StructuralError
-from .bch import GroupPoint, NilpotentGroup, get_group
+from .bch import GroupPoint, get_group
 from .geometry import quasi_norm_m
 
 
@@ -132,10 +133,14 @@ def standard_lattice(group, divisors=None, name: str | None = None) -> LatticeSp
     )
 
 
-def _as_fraction_coords(lat: LatticeSpec, g) -> tuple[Fraction, ...]:
+def fraction_coords(g, dim: int | None = None) -> tuple[Fraction, ...]:
+    """Coordinates of a GroupPoint or sequence as Fractions.
+
+    With dim given, a point of any other length is a StructuralError.
+    """
     coords = g.coords if isinstance(g, GroupPoint) else tuple(g)
-    if len(coords) != lat.dim:
-        raise StructuralError(f"expected {lat.dim} coordinates")
+    if dim is not None and len(coords) != dim:
+        raise StructuralError(f"expected {dim} coordinates")
     return tuple(Fraction(c) for c in coords)
 
 
@@ -147,15 +152,10 @@ def _round_half_even(q: Fraction) -> int:
     return n
 
 
-def right_peel(lat: LatticeSpec, coords, mode: str = "floor"):
-    """Digits and remainder, peeling lattice factors off the right.
-
-    Reconstruction is remainder * u_m^{c_m} * ... * u_1^{c_1}: the peel
-    divides off u_1 first, so basis factors stack in descending order.
-    """
+def _peel(lat: LatticeSpec, coords, mode: str, side: str):
     grp = get_group(lat.group)
     law = grp.law_group
-    p = _as_fraction_coords(lat, coords)
+    p = fraction_coords(coords, lat.dim)
     leads = lat.leads()
     digits = []
     for i in range(lat.dim):
@@ -163,8 +163,18 @@ def right_peel(lat: LatticeSpec, coords, mode: str = "floor"):
         c = q.numerator // q.denominator if mode == "floor" else _round_half_even(q)
         digits.append(c)
         if c != 0:
-            p = law.mul(p, law.pow(lat.basis[i], -c))
+            step = law.pow(lat.basis[i], -c)
+            p = law.mul(p, step) if side == "right" else law.mul(step, p)
     return tuple(digits), tuple(p)
+
+
+def right_peel(lat: LatticeSpec, coords, mode: str = "floor"):
+    """Digits and remainder, peeling lattice factors off the right.
+
+    Reconstruction is remainder * u_m^{c_m} * ... * u_1^{c_1}: the peel
+    divides off u_1 first, so basis factors stack in descending order.
+    """
+    return _peel(lat, coords, mode, "right")
 
 
 def left_peel(lat: LatticeSpec, coords, mode: str = "floor"):
@@ -173,18 +183,7 @@ def left_peel(lat: LatticeSpec, coords, mode: str = "floor"):
     Reconstruction is u_1^{c_1} * ... * u_m^{c_m} * remainder, the
     mirror of right_peel with ascending basis order.
     """
-    grp = get_group(lat.group)
-    law = grp.law_group
-    p = _as_fraction_coords(lat, coords)
-    leads = lat.leads()
-    digits = []
-    for i in range(lat.dim):
-        q = p[i] / leads[i]
-        c = q.numerator // q.denominator if mode == "floor" else _round_half_even(q)
-        digits.append(c)
-        if c != 0:
-            p = law.mul(law.pow(lat.basis[i], -c), p)
-    return tuple(digits), tuple(p)
+    return _peel(lat, coords, mode, "left")
 
 
 def digits_to_point(lat: LatticeSpec, digits, order: str = "desc") -> GroupPoint:
@@ -278,10 +277,23 @@ def _ball_cache(lat: LatticeSpec) -> _BallCache:
     return cache
 
 
+def ball_points(lat: LatticeSpec, radius: int) -> list[tuple]:
+    """Lattice points of word length <= radius, identity first.
+
+    Points come in breadth-first order, each layer multiplying the
+    previous one by every generator on the right in generator order.
+    """
+    cache = _ball_cache(lat)
+    cache.ensure_radius(radius)
+    # dist is filled in breadth-first order: stop at the first farther point
+    inside = takewhile(lambda kd: kd[1] <= radius, cache.dist.items())
+    return [cache.coords[k] for k, _ in inside]
+
+
 def word_norm_bfs(lat: LatticeSpec, g, radius_cap: int = DEFAULT_RADIUS_CAP,
                   state_cap: int = DEFAULT_STATE_CAP) -> int | None:
     """Exact word length of a lattice point, or None beyond radius_cap."""
-    coords = _as_fraction_coords(lat, g)
+    coords = fraction_coords(g, lat.dim)
     if not member(lat, coords):
         raise StructuralError("word_norm_bfs: point is not in the lattice")
     cache = _ball_cache(lat)
@@ -409,8 +421,8 @@ def approx_cc_distance(grad, lat: LatticeSpec, g, h, n: int = 1,
         raise StructuralError("scaling depth must be >= 1")
     grp = get_group(lat.group)
     law = grp.law_group
-    a = _as_fraction_coords(lat, g)
-    b = _as_fraction_coords(lat, h)
+    a = fraction_coords(g, lat.dim)
+    b = fraction_coords(h, lat.dim)
     diff = law.mul(law.inv(a), b)
     if mode == "quasi":
         return ApproxDistance(quasi_norm_m(grad, diff), "quasi", None)

@@ -218,6 +218,10 @@ def test_recurrence_command(tmp_path):
     ).read_text().splitlines()
     assert lines[0] == "sample,first_depth"
     assert len(lines) == 41
+    # the search draws from one stream, so the command takes no --workers
+    assert main(["derivative", "recurrence", "--coupling",
+                 "heisenberg-identity", "--seed", "19", "--workers", "4",
+                 "--out", str(tmp_path)]) == 1
 
 
 def test_kappa_command(tmp_path):
@@ -244,3 +248,14 @@ def test_arbitrary_word_command(tmp_path):
 def test_usage_error_returns_one(capsys):
     assert main(["group", "mul", "--group", "heisenberg3", "--x", "1,0,0"]) == 1
     assert main(["nosuchcommand"]) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_nonpositive_workers_is_structural_error(tmp_path, capsys, workers):
+    rc = main(["derivative", "phi", "--coupling", "heisenberg-identity",
+               "--samples", "64", "--seed", "1", "--workers", workers,
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "workers must be >= 1" in err
+    assert "Traceback" not in err

@@ -233,6 +233,30 @@ def test_domain_samples_reproducible():
     assert a.min() >= 0.0 and a.max() < 1.0
 
 
+def test_domain_samples_beta_side_is_the_gamma_box():
+    c = builtin_coupling("heisenberg-identity")
+    a = domain_samples(c, 512, 21, 4, 3)
+    b = domain_samples(c, 512, 21, 4, 3, side="beta")
+    assert a.tobytes() == b.tobytes()
+    c = builtin_coupling("heisenberg-scale2")
+    a = domain_samples(c, 512, 21, 4, 3)
+    b = domain_samples(c, 512, 21, 4, 3, side="beta")
+    leads = [float(v) for v in c.gamma_lattice.leads()]
+    assert all(0.0 <= v < lead for row in b for v, lead in zip(row, leads))
+    theta_inv = c.twist.inverse().float_matrix()
+    assert a.tobytes() == (b @ theta_inv.T).tobytes()
+    with pytest.raises(StructuralError):
+        domain_samples(c, 16, 21, side="gamma")
+    with pytest.raises(StructuralError):
+        domain_samples(c, 16, 21, 0)
+
+
+def test_twist_inverse_computed_once():
+    tw = builtin_twist("shear")
+    assert tw.inverse() is tw.inverse()
+    assert tw.inverse().apply(tw.apply((1, 2, 3))) == (1, 2, 3)
+
+
 def test_domain_marginals_uniform():
     c = builtin_coupling("heisenberg-identity")
     xs = domain_samples(c, 20000, 55)

@@ -1,14 +1,13 @@
-"""Vectorized kernels against the exact group law, across backends."""
+"""Vectorized kernels against the exact group law."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nilcone import available_backends, builtin_lattice, get_group, set_backend
+from nilcone import builtin_lattice, get_group
 from nilcone.geometry import quasi_norm_m
 from nilcone.kernels import (
-    active_backend,
     bch_batch,
     dilate_batch,
     fold_digits,
@@ -20,10 +19,6 @@ from nilcone.kernels import (
 from nilcone.wordmetric import digits_to_point, left_peel, right_peel
 
 GROUPS = ("abelian2", "heisenberg3", "engel4", "heisenberg5", "free_nilpotent_2_3")
-
-HAVE_NUMBA = "numba" in available_backends()
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
 
 
 def dyadic_rows(rng, n, dim, span=4, denom=16):
@@ -48,7 +43,7 @@ def test_bch_batch_matches_exact_law(name):
     rng = np.random.default_rng(11)
     x = dyadic_rows(rng, 80, grp.dim)
     y = dyadic_rows(rng, 80, grp.dim)
-    got = bch_batch(tab, x, y, backend="numpy")
+    got = bch_batch(tab, x, y)
     want = exact_mul_rows(grp.law_group, x, y)
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -60,74 +55,9 @@ def test_graded_table_matches_exact_law(name):
     rng = np.random.default_rng(12)
     x = dyadic_rows(rng, 60, grp.dim)
     y = dyadic_rows(rng, 60, grp.dim)
-    got = bch_batch(tab, x, y, backend="numpy")
+    got = bch_batch(tab, x, y)
     want = exact_mul_rows(grp.law_graded, x, y)
     assert np.max(np.abs(got - want)) <= 1e-12
-
-
-@needs_numba
-@pytest.mark.parametrize("name", GROUPS)
-def test_backends_bitwise_identical_bch(name):
-    grp = get_group(name)
-    tab = law_table(grp.law_group)
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=(200, grp.dim))
-    y = rng.normal(size=(200, grp.dim))
-    a = bch_batch(tab, x, y, backend="numpy")
-    b = bch_batch(tab, x, y, backend="numba")
-    assert a.tobytes() == b.tobytes()
-
-
-@needs_numba
-def test_backends_bitwise_identical_reduce():
-    lat = builtin_lattice("heisenberg3")
-    grp = get_group(lat.group)
-    tab = law_table(grp.law_group)
-    gen_logs, leads = lat.float_basis()
-    rng = np.random.default_rng(14)
-    omega = rng.normal(scale=5.0, size=(150, grp.dim))
-    for side in ("right", "left"):
-        for mode in ("floor", "round"):
-            d1, r1 = reduce_batch(tab, gen_logs, leads, omega, side=side,
-                                  mode=mode, backend="numpy")
-            d2, r2 = reduce_batch(tab, gen_logs, leads, omega, side=side,
-                                  mode=mode, backend="numba")
-            assert np.array_equal(d1, d2)
-            assert r1.tobytes() == r2.tobytes()
-
-
-@needs_numba
-def test_backends_bitwise_identical_translate_and_fold():
-    lat = builtin_lattice("engel4")
-    grp = get_group(lat.group)
-    tab = law_table(grp.law_group)
-    gen_logs, _ = lat.float_basis()
-    rng = np.random.default_rng(15)
-    g = rng.normal(size=grp.dim)
-    x = rng.normal(size=(120, grp.dim))
-    digits = rng.integers(-3, 4, size=(60, grp.dim)).astype(np.float64)
-    for side in ("left", "right"):
-        a = translate_batch(tab, g, x, side=side, backend="numpy")
-        b = translate_batch(tab, g, x, side=side, backend="numba")
-        assert a.tobytes() == b.tobytes()
-    for order in ("asc", "desc"):
-        a = fold_digits(tab, gen_logs, digits, order=order, backend="numpy")
-        b = fold_digits(tab, gen_logs, digits, order=order, backend="numba")
-        assert a.tobytes() == b.tobytes()
-
-
-def test_set_backend_controls_default():
-    prev = active_backend()
-    try:
-        set_backend("numpy")
-        assert active_backend() == "numpy"
-        if HAVE_NUMBA:
-            set_backend("numba")
-            assert active_backend() == "numba"
-    finally:
-        set_backend(prev)
-    with pytest.raises(ValueError):
-        set_backend("gpu")
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -139,8 +69,7 @@ def test_reduce_batch_matches_exact_peel(side, mode):
     gen_logs, leads = lat.float_basis()
     rng = np.random.default_rng(16)
     omega = dyadic_rows(rng, 50, grp.dim, span=3, denom=8)
-    digits, rem = reduce_batch(tab, gen_logs, leads, omega, side=side,
-                               mode=mode, backend="numpy")
+    digits, rem = reduce_batch(tab, gen_logs, leads, omega, side=side, mode=mode)
     peel = right_peel if side == "right" else left_peel
     for i in range(omega.shape[0]):
         coords = tuple(Fraction(v).limit_denominator(1 << 20) for v in omega[i])

@@ -16,6 +16,7 @@ from nilcone.geometry import quasi_norm_m
 from nilcone.wordmetric import (
     CapExceeded,
     approx_cc_distance,
+    ball_points,
     ball_profile,
     digits_to_point,
     guivarch_constants,
@@ -81,6 +82,19 @@ def test_peel_reconstruction_identity(name):
         for i in range(lat.dim - 1, -1, -1):
             back = law.mul(law.pow(lat.basis[i], d[i]), back)
         assert back == coords
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "engel4"])
+def test_ball_points_radius_three(name):
+    lat = builtin_lattice(name)
+    pts = ball_points(lat, 3)
+    assert len(pts) == 53
+    assert len(set(pts)) == 53
+    assert pts[0] == tuple(Fraction(0) for _ in range(lat.dim))
+    assert all(word_norm_bfs(lat, p) <= 3 for p in pts)
+    # a cache already grown further gives the same prefix
+    assert len(ball_points(lat, 5)) > 53
+    assert ball_points(lat, 3) == pts
 
 
 def test_member_closed_under_products():
