@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import ratlin
-from .ratlin import Fraction as Q  # noqa: F401  (re-export convenience)
 from .ratlin import Mat, Vec
 
 # Structure constants: canonical form keeps only i < j (0-based), each

@@ -14,16 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from hashlib import sha256
 from math import factorial, lcm
 
 from . import ratlin
 from .algebra import (
+    BUILTIN_ALGEBRAS,
     Gradation,
     NilpotentAlgebraSpec,
     StructuralError,
     Tensor,
     builtin_algebra,
     gradation,
+    lower_central_series,
 )
 
 MAX_STEP = 6
@@ -132,7 +135,6 @@ class GroupLaw:
     the adapted basis; scalars may be Fractions (exact) or floats.
     """
 
-    algebra_id: str
     law: str
     dim: int
     degrees: tuple[int, ...]
@@ -211,48 +213,6 @@ class GroupLaw:
     def comm(self, a, b) -> tuple:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
-    def bind_right(self, b):
-        """Partially evaluated x -> x * b, for hot exact loops (BFS)."""
-        m = self.dim
-        collected: list[dict[Mono, Fraction]] = [dict() for _ in range(m)]
-        for k, terms in enumerate(self.polys):
-            for mono, c in terms:
-                xs = []
-                scale = c
-                for v, e in mono:
-                    if v < m:
-                        xs.append((v, e))
-                    else:
-                        base = b[v - m]
-                        for _ in range(e):
-                            scale = scale * base
-                        if scale == 0:
-                            break
-                if scale == 0:
-                    continue
-                key = tuple(xs)
-                collected[k][key] = collected[k].get(key, Fraction(0)) + scale
-        compiled = [
-            tuple((mono, c) for mono, c in sorted(col.items()) if c != 0)
-            for col in collected
-        ]
-
-        def mul_right(a, _compiled=tuple(compiled), _b=tuple(b), _m=m):
-            out = list(a)
-            for k in range(_m):
-                acc = out[k] + _b[k]
-                for mono, c in _compiled[k]:
-                    term = c
-                    for v, e in mono:
-                        base = a[v]
-                        for _ in range(e):
-                            term = term * base
-                    acc = acc + term
-                out[k] = acc
-            return tuple(out)
-
-        return mul_right
-
 
 def _freeze_polys(polys: list[Poly], dim: int) -> tuple:
     """Drop the linear part (handled additively) and sort terms."""
@@ -281,10 +241,10 @@ class NilpotentGroup:
     everything downstream are with respect to the adapted basis.
     """
 
-    def __init__(self, spec: NilpotentAlgebraSpec, name: str | None = None):
+    def __init__(self, spec: NilpotentAlgebraSpec, name: str):
         self.input_spec = spec
         self.grad: Gradation = gradation(spec)
-        self.name = name or spec.name or f"algebra{spec.dim}"
+        self.name = name
         self.dim = spec.dim
         self.step = self.grad.step
         self.degrees = self.grad.degrees
@@ -294,14 +254,12 @@ class NilpotentGroup:
         group_polys = bch_polynomials(self.grad.adapted_tensor, self.dim, self.step)
         graded_polys = bch_polynomials(self.grad.graded_tensor, self.dim, self.step)
         self.law_group = GroupLaw(
-            algebra_id=self.name,
             law="group",
             dim=self.dim,
             degrees=self.degrees,
             polys=_freeze_polys(group_polys, self.dim),
         )
         self.law_graded = GroupLaw(
-            algebra_id=self.name,
             law="graded",
             dim=self.dim,
             degrees=self.degrees,
@@ -322,23 +280,48 @@ class NilpotentGroup:
         return f"NilpotentGroup({self.name}, dim={self.dim}, step={self.step})"
 
 
-_GROUP_CACHE: dict[str, NilpotentGroup] = {}
+# The one group registry: groups by canonical structure constants, and
+# every name a group was asked for bound to its group.
+_GROUPS: dict[tuple, NilpotentGroup] = {}
+_GROUPS_BY_NAME: dict[str, NilpotentGroup] = {}
+
+
+def _structure_key(spec: NilpotentAlgebraSpec) -> tuple:
+    return (spec.dim, tuple(sorted(
+        (pair, tuple(sorted(coeffs.items()))) for pair, coeffs in spec.tensor().items()
+    )))
 
 
 def get_group(name_or_spec) -> NilpotentGroup:
-    """Group for a built-in name or a custom NilpotentAlgebraSpec."""
+    """The group of a name or an algebra spec, identified by content.
+
+    Equal structure constants give one NilpotentGroup under every name.
+    A name stays bound to its first constants (a built-in name to the
+    built-in ones), and reusing it for others raises StructuralError.
+    An unnamed spec is named "algebra<dim>-<digest of its constants>".
+    """
+    if isinstance(name_or_spec, str):
+        grp = _GROUPS_BY_NAME.get(name_or_spec)
+        return grp if grp is not None else get_group(builtin_algebra(name_or_spec))
     if isinstance(name_or_spec, NilpotentGroup):
         return name_or_spec
-    if isinstance(name_or_spec, NilpotentAlgebraSpec):
-        spec = name_or_spec
-        key = spec.name or spec.to_json()
-        if key not in _GROUP_CACHE:
-            _GROUP_CACHE[key] = NilpotentGroup(spec)
-        return _GROUP_CACHE[key]
-    name = str(name_or_spec)
-    if name not in _GROUP_CACHE:
-        _GROUP_CACHE[name] = NilpotentGroup(builtin_algebra(name))
-    return _GROUP_CACHE[name]
+    if not isinstance(name_or_spec, NilpotentAlgebraSpec):
+        return get_group(str(name_or_spec))
+    spec = name_or_spec
+    key = _structure_key(spec)
+    name = spec.name or f"algebra{spec.dim}-{sha256(repr(key).encode()).hexdigest()[:12]}"
+    bound = _GROUPS_BY_NAME.get(name)
+    first = bound.input_spec if bound is not None else BUILTIN_ALGEBRAS.get(name)
+    if first is not None and _structure_key(first) != key:
+        raise StructuralError(f"algebra name {name!r} is bound to other structure constants")
+    grp = _GROUPS.get(key)
+    if grp is None:
+        grp = _GROUPS[key] = NilpotentGroup(spec, name)  # validates the spec
+    elif spec != grp.input_spec:
+        # an invalid presentation can share its tensor with a valid one
+        lower_central_series(spec)
+    _GROUPS_BY_NAME[name] = grp
+    return grp
 
 
 @dataclass(frozen=True)

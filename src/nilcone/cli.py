@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,12 +86,15 @@ def _parse_scalar(tok: str):
     try:
         return Fraction(tok)
     except ValueError:
-        return float(tok)
+        val = float(tok)
+    if not math.isfinite(val):
+        raise StructuralError(f"coordinate {tok.strip()!r} is not finite")
+    return val
 
 
 def _parse_point(group, text: str) -> tuple:
     """Point syntax: 'e2', 'e1*e2', or comma-separated coordinates."""
-    grp = get_group(group) if not hasattr(group, "law_group") else group
+    grp = get_group(group)
     law = grp.law_group
     text = text.strip()
     if "," in text:
@@ -638,7 +641,7 @@ def main(argv=None) -> int:
     except (StructuralError, FactorizationError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

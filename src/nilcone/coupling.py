@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -163,18 +163,14 @@ _BUILTIN_COUPLINGS = {
     "engel-identity": ("engel4", None),
 }
 
-_COUPLING_CACHE: dict[str, CouplingSpec] = {}
-
-
+@cache
 def builtin_coupling(name: str) -> CouplingSpec:
     if name not in _BUILTIN_COUPLINGS:
         raise StructuralError(
             f"unknown coupling {name!r}; known: {sorted(_BUILTIN_COUPLINGS)}"
         )
-    if name not in _COUPLING_CACHE:
-        group, twist = _BUILTIN_COUPLINGS[name]
-        _COUPLING_CACHE[name] = make_coupling(group, twist, name=name)
-    return _COUPLING_CACHE[name]
+    group, twist = _BUILTIN_COUPLINGS[name]
+    return make_coupling(group, twist, name=name)
 
 
 def coupling_from_json(obj: dict) -> CouplingSpec:
@@ -262,11 +258,7 @@ class CouplingKernels:
     """Float batch evaluation of the cocycles for Monte Carlo work."""
 
     def __init__(self, coupling: CouplingSpec):
-        grp = coupling.ambient()
-        self.coupling = coupling
-        self.group = grp
-        self.table = law_table(grp.law_group)
-        self.graded_table = law_table(grp.law_graded)
+        self.table = law_table(coupling.ambient().law_group)
         self.gamma_logs, self.gamma_leads = coupling.gamma_lattice.float_basis()
         self.lambda_logs, self.lambda_leads = coupling.lambda_lattice.float_basis()
         theta = coupling.twist_or_identity()
@@ -305,15 +297,7 @@ class CouplingKernels:
         return fold_digits(self.table, self.gamma_logs, digits, order="asc")
 
 
-_KERNEL_CACHE: dict[str, CouplingKernels] = {}
-
-
-def coupling_kernels(coupling: CouplingSpec) -> CouplingKernels:
-    ck = _KERNEL_CACHE.get(coupling.name)
-    if ck is None or ck.coupling is not coupling:
-        ck = CouplingKernels(coupling)
-        _KERNEL_CACHE[coupling.name] = ck
-    return ck
+coupling_kernels = cache(CouplingKernels)  # CouplingSpec is frozen: keyed by content
 
 
 # --------------------------------------------------------------- sampling

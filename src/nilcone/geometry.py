@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebra import Gradation, StructuralError
-from .bch import GroupLaw, GroupPoint, NilpotentGroup, get_group
+from .bch import GroupPoint, NilpotentGroup, get_group
 from .ratlin import rref, solve_in_basis
 
 
@@ -210,7 +211,6 @@ class _GadgetBasis:
     """Per-degree commutator gadget words spanning each graded level."""
 
     def __init__(self, group: NilpotentGroup):
-        self.group = group
         self.levels: dict[int, tuple[list[tuple], list[tuple]]] = {}
         d = group.abelian_dim
         idx_by_level: dict[int, list[int]] = {}
@@ -257,15 +257,7 @@ def _lex_sequences(d: int, length: int):
         seq[i] += 1
 
 
-_GADGET_CACHE: dict[str, _GadgetBasis] = {}
-
-
-def _gadgets(group: NilpotentGroup) -> _GadgetBasis:
-    gb = _GADGET_CACHE.get(group.name)
-    if gb is None:
-        gb = _GadgetBasis(group)
-        _GADGET_CACHE[group.name] = gb
-    return gb
+_gadgets = cache(_GadgetBasis)  # get_group: one group object per content
 
 
 def _root(value: float, k: int) -> float:
@@ -289,8 +281,7 @@ def horizontal_factorization(group, g, order: str = "asc",
     (floats); style "exact" puts the full coefficient on the gadget's
     outermost letter, which keeps Fraction inputs exact.
     """
-    if isinstance(group, (str,)) or not isinstance(group, NilpotentGroup):
-        group = get_group(group)
+    group = get_group(group)
     if isinstance(g, GroupPoint):
         coords = g.coords
     else:

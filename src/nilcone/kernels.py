@@ -9,8 +9,11 @@ columns, so every row sees the same sequence of float operations.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
+from .algebra import StructuralError
 from .bch import GroupLaw
 
 
@@ -43,16 +46,7 @@ class KernelTable:
         self.var_pow = np.asarray(var_pow, dtype=np.int64)
 
 
-_TABLE_CACHE: dict[int, KernelTable] = {}
-
-
-def law_table(law: GroupLaw) -> KernelTable:
-    key = id(law)
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        tab = KernelTable(law)
-        _TABLE_CACHE[key] = tab
-    return tab
+law_table = cache(KernelTable)  # GroupLaw is frozen: keyed by content
 
 
 # ---------------------------------------------------------------- kernels
@@ -101,7 +95,8 @@ def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
     remainder rem), peeling divisor-sized digits coordinate by
     coordinate; side "left" factors omega = u(digits) * y.  mode
     "floor" lands remainders in [0, lead); "round" (half to even)
-    centres them in [-lead/2, lead/2].
+    centres them in [-lead/2, lead/2].  A digit that is not finite or
+    does not fit in int64 raises StructuralError.
     """
     omega = np.ascontiguousarray(omega, dtype=np.float64)
     if omega.ndim != 2 or omega.shape[1] != tab.dim:
@@ -116,6 +111,10 @@ def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
     for i in range(m):
         q = p[:, i] / leads[i]
         c = np.floor(q) if floor else np.rint(q)
+        # NaN fails the comparison too; past 2^63 the int64 cast is garbage
+        if not np.all(np.abs(c) < 2.0 ** 63):
+            raise StructuralError(
+                f"digit {i} is not finite or does not fit in int64")
         digits[:, i] = c.astype(np.int64)
         step = (-c)[:, None] * gen_logs[i][None, :]
         p = _bch_numpy(tab, p, step) if right else _bch_numpy(tab, step, p)

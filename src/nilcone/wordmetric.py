@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import takewhile
 
 import numpy as np
@@ -228,11 +229,9 @@ class _BallCache:
     """Incrementally expanded Cayley ball shared by metric queries."""
 
     def __init__(self, lat: LatticeSpec):
-        grp = get_group(lat.group)
-        law = grp.law_group
         self.lat = lat
-        self.muls = [law.bind_right(s.coords) for s in lat.generators]
-        ident = law.identity()
+        self.law = get_group(lat.group).law_group
+        ident = self.law.identity()
         self.dist: dict[tuple, int] = {self._key(ident): 0}
         self.coords: dict[tuple, tuple] = {self._key(ident): ident}
         self.frontier: list[tuple] = [ident]
@@ -247,8 +246,8 @@ class _BallCache:
             nxt = []
             r = self.radius + 1
             for g in self.frontier:
-                for mul in self.muls:
-                    h = mul(g)
+                for s in self.lat.generators:
+                    h = self.law.mul(g, s.coords)
                     k = self._key(h)
                     if k not in self.dist:
                         self.dist[k] = r
@@ -439,13 +438,10 @@ def approx_cc_distance(grad, lat: LatticeSpec, g, h, n: int = 1,
     return ApproxDistance(w / n, "bfs", n)
 
 
-_LATTICE_CACHE: dict[tuple, LatticeSpec] = {}
+# A name stays bound to one set of structure constants (bch.get_group),
+# so names and divisors key the lattice.
+_builtin_lattice = cache(standard_lattice)
 
 
 def builtin_lattice(group_name: str, divisors=None) -> LatticeSpec:
-    key = (group_name, tuple(divisors) if divisors else None)
-    lat = _LATTICE_CACHE.get(key)
-    if lat is None:
-        lat = standard_lattice(group_name, divisors)
-        _LATTICE_CACHE[key] = lat
-    return lat
+    return _builtin_lattice(group_name, tuple(divisors) if divisors else None)

@@ -148,17 +148,6 @@ def test_heisenberg_graded_equals_group():
         assert grp.law_group.mul(a, b) == grp.law_graded.mul(a, b)
 
 
-def test_bind_right_matches_mul():
-    grp = get_group("engel4")
-    law = grp.law_group
-    rng = random.Random(4)
-    b = rand_pt(rng, 4)
-    f = law.bind_right(b)
-    for _ in range(50):
-        a = rand_pt(rng, 4)
-        assert f(a) == law.mul(a, b)
-
-
 def test_point_wrappers():
     g = point((1, 0, 0), "group", "heisenberg3")
     h = point((0, 1, 0), "group", "heisenberg3")

@@ -259,3 +259,16 @@ def test_nonpositive_workers_is_structural_error(tmp_path, capsys, workers):
     assert rc == 1
     assert "workers must be >= 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("g", ["1e300,0,0", "1e20,0,0", "1e300,1e300,0", "nan,0,0"])
+def test_recurrence_refuses_overflowed_or_nonfinite_point(tmp_path, capsys, g):
+    # digits past int64, an overflowing float conversion and NaN used to
+    # report success or end in a traceback
+    rc = main(["derivative", "recurrence", "--coupling", "heisenberg-identity",
+               "--g", g, "--horizon", "8", "--samples", "10", "--seed", "19",
+               "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "success fraction" not in captured.out
+    assert "Traceback" not in captured.err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nilcone import builtin_lattice, get_group
+from nilcone.algebra import StructuralError
 from nilcone.geometry import quasi_norm_m
 from nilcone.kernels import (
     bch_batch,
@@ -102,6 +103,18 @@ def test_fold_digits_sign_flips_exponents():
     plus = fold_digits(tab, gen_logs, digits, order="asc", sign=1)
     minus = fold_digits(tab, gen_logs, -digits, order="asc", sign=-1)
     assert plus.tobytes() == minus.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e20, 2.0 ** 63])
+def test_reduce_batch_refuses_digits_outside_int64(bad):
+    lat = builtin_lattice("heisenberg3")
+    tab = law_table(get_group(lat.group).law_group)
+    gen_logs, leads = lat.float_basis()
+    omega = np.asarray([[0.5, 0.5, 0.5], [bad, 0.0, 0.0]])
+    with pytest.raises(StructuralError, match="int64"):
+        reduce_batch(tab, gen_logs, leads, omega)
+    ok, _ = reduce_batch(tab, gen_logs, leads, np.asarray([[2.0 ** 62, 0.0, 0.0]]))
+    assert ok[0, 0] == 2 ** 62
 
 
 @pytest.mark.parametrize("name", GROUPS)
