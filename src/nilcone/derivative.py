@@ -23,13 +23,20 @@ import numpy as np
 from .algebra import StructuralError
 from .bch import GroupPoint, NilpotentGroup, get_group
 from .coupling import (
+    CouplingKernels,
     CouplingSpec,
     alpha,
     coupling_kernels,
     domain_samples,
     seed_lineage,
 )
-from .geometry import generating_set, horizontal_factorization, quasi_norm_m
+from .geometry import (
+    Factorization,
+    factorization_batch,
+    generating_set,
+    horizontal_factorization,
+    quasi_norm_m,
+)
 from .kernels import (
     bch_batch,
     dilate_batch,
@@ -51,6 +58,8 @@ _TAG_KAPPA = 3
 _TAG_RECUR = 4
 _TAG_PROBE = 5
 _TAG_WORD = 6
+
+_PHI_BLOCK = 1024  # grid rows per factorization in phi_batch
 
 
 def median3_smooth(values):
@@ -108,9 +117,8 @@ class MeanAbelianization:
     seed: int
 
 
-def _cocycle_coords_batch(coupling: CouplingSpec, gamma_coords, x: np.ndarray,
+def _cocycle_coords_batch(ck: CouplingKernels, gamma_coords, x: np.ndarray,
                           side: str = "alpha") -> np.ndarray:
-    ck = coupling_kernels(coupling)
     if side == "alpha":
         digits, _ = ck.alpha_digits(gamma_coords, x)
         return ck.lambda_coords(digits)
@@ -120,12 +128,12 @@ def _cocycle_coords_batch(coupling: CouplingSpec, gamma_coords, x: np.ndarray,
     raise StructuralError(f"unknown cocycle side {side!r}")
 
 
-def _abelian_mean_ci(coupling: CouplingSpec, gamma_coords, x: np.ndarray,
-                     side: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _abelian_mean_ci(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
+                     x: np.ndarray, side: str
+                     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Sample mean and 95% normal half-width of the abelian cocycle coords."""
-    grp = coupling.ambient()
     samples = x.shape[0]
-    lam = _cocycle_coords_batch(coupling, gamma_coords, x, side)
+    lam = _cocycle_coords_batch(ck, gamma_coords, x, side)
     vec = [0.0] * grp.dim
     ci = [0.0] * grp.dim
     for i in _abelian_indices(grp):
@@ -143,7 +151,8 @@ def mean_abelianization(coupling: CouplingSpec, gamma, samples: int, seed: int,
     if samples < 1:
         raise StructuralError("samples must be >= 1")
     x = domain_samples(coupling, samples, seed, workers, _TAG_MEAN_AB, side=side)
-    vec, ci = _abelian_mean_ci(coupling, _coords_of(gamma), x, side)
+    vec, ci = _abelian_mean_ci(coupling_kernels(coupling), coupling.ambient(),
+                               _coords_of(gamma), x, side)
     return MeanAbelianization(vector=vec, ci=ci, samples=samples, seed=seed)
 
 
@@ -174,9 +183,6 @@ class GeneratorImageTable:
     samples: int
     seed: int
 
-    def image(self, idx: int) -> tuple[float, ...]:
-        return self.entries[idx]
-
 
 @dataclass(frozen=True)
 class PansuDerivative:
@@ -190,7 +196,6 @@ class PansuDerivative:
     table: GeneratorImageTable
     source: str
     target: str
-    style: str = "uniform"
 
     def apply(self, g, order: str = "asc") -> GroupPoint:
         return phi_apply(self, g, order=order)
@@ -202,7 +207,8 @@ def build_phi(coupling: CouplingSpec, samples: int, seed: int,
     """Estimate generator images and wrap them as the derivative map."""
     grp = coupling.ambient()
     x = domain_samples(coupling, samples, seed, workers, _TAG_MEAN_AB, side=side)
-    images = [_abelian_mean_ci(coupling, s.coords, x, side)
+    ck = coupling_kernels(coupling)
+    images = [_abelian_mean_ci(ck, grp, s.coords, x, side)
               for s in generating_set(grp)]
     entries = [vec for vec, _ in images]
     cis = [ci for _, ci in images]
@@ -213,20 +219,34 @@ def build_phi(coupling: CouplingSpec, samples: int, seed: int,
     return PansuDerivative(table=table, source=grp.name, target=grp.name)
 
 
+def phi_batch(deriv: PansuDerivative, points, order: str = "asc") -> np.ndarray:
+    """Images of the rows of an (n, m) array under the derivative map.
+
+    Each row's factorization word, with every generator replaced by its
+    image dilated by the same exponent, multiplied out in the target
+    graded group.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    tgt = get_group(deriv.target)
+    images = np.asarray(deriv.table.entries, dtype=np.float64)
+    tab = law_table(tgt.law_graded)
+    out = np.empty((points.shape[0], tgt.dim))
+    # row blocks bound the (rows, slots) letter arrays of the factorization
+    for lo in range(0, points.shape[0], _PHI_BLOCK):
+        letters, exps = factorization_batch(
+            deriv.source, points[lo:lo + _PHI_BLOCK], order=order)
+        acc = np.zeros((letters.shape[0], tgt.dim))
+        for s in range(letters.shape[1]):
+            # a skipped slot (exponent 0) is a zero letter: its rows stay put
+            acc = bch_batch(tab, acc, exps[:, s, None] * images[letters[:, s]])
+        out[lo:lo + _PHI_BLOCK] = acc
+    return out
+
+
 def phi_apply(deriv: PansuDerivative, g, order: str = "asc") -> GroupPoint:
     """Image of a graded-group point under the derivative map."""
-    src = get_group(deriv.source)
-    tgt = get_group(deriv.target)
-    coords = tuple(float(c) for c in _coords_of(g))
-    fact = horizontal_factorization(src, coords, order=order,
-                                    style=deriv.style)
-    law = tgt.law_graded
-    acc = tuple(0.0 for _ in range(tgt.dim))
-    for idx, a in fact.terms:
-        img = deriv.table.image(idx)
-        letter = tuple(float(a) * v for v in img)
-        acc = law.mul(acc, letter)
-    return GroupPoint(acc, "graded", tgt.name)
+    img = phi_batch(deriv, _float_coords(g)[None, :], order=order)[0]
+    return GroupPoint(tuple(img.tolist()), "graded", get_group(deriv.target).name)
 
 
 # ---------------------------------------------------------------- reports
@@ -348,9 +368,10 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     com_mask = np.ones(grp.dim, dtype=bool)
     com_mask[ab] = False
     rows = []
+    ck = coupling_kernels(coupling)
     for i, n in enumerate(n_list):
         x = domain_samples(coupling, samples, seed, workers, _TAG_ITERATES, i)
-        lam = _cocycle_coords_batch(coupling, tuple(n * gcoords), x)
+        lam = _cocycle_coords_batch(ck, tuple(n * gcoords), x)
         avg = lam[:, ab] / n
         a_dev = np.sqrt(((avg - target[ab]) ** 2).sum(axis=1))
         com = lam.copy()
@@ -409,10 +430,11 @@ def subadditive_growth_probe(coupling: CouplingSpec, gamma, n_list,
     """Tail probabilities of the cocycle quasi-norm against linear scales."""
     gcoords = _float_coords(gamma)
     grp = coupling.ambient()
+    ck = coupling_kernels(coupling)
     rows = []
     for i, n in enumerate(n_list):
         x = domain_samples(coupling, samples, seed, workers, _TAG_PROBE, i)
-        lam = _cocycle_coords_batch(coupling, tuple(n * gcoords), x)
+        lam = _cocycle_coords_batch(ck, tuple(n * gcoords), x)
         norms = quasi_norm_batch(grp.degrees, lam)
         for m in bounds:
             rows.append(TailRow(n=int(n), bound=float(m),
@@ -428,8 +450,13 @@ def subadditive_growth_probe(coupling: CouplingSpec, gamma, n_list,
 def gamma_sequence(grad, lattice, g, n: int,
                    order: str = "asc") -> GroupPoint:
     """The depth-n lattice approximant: floor-scaled factorization word."""
+    fact = horizontal_factorization(lattice.group, _coords_of(g), order=order)
+    return _gamma_word(lattice, fact, n)
+
+
+def _gamma_word(lattice, fact: Factorization, n: int) -> GroupPoint:
+    """gamma_sequence of the point that fact factors."""
     grp = get_group(lattice.group)
-    fact = horizontal_factorization(grp, _coords_of(g), order=order)
     law = grp.law_group
     d = grp.abelian_dim
     acc = law.identity()
@@ -466,15 +493,17 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
     else:
         target_coords = _float_coords(target)
     law = grp.law_group
+    ck = coupling_kernels(coupling)
+    fact = horizontal_factorization(coupling.gamma_lattice.group, _coords_of(g),
+                                    order=order)
     rows = []
     for i, n in enumerate(n_list):
-        gam = gamma_sequence(grp.grad, coupling.gamma_lattice, g, int(n), order)
-        gam_coords = gam.coords
+        gam_coords = _gamma_word(coupling.gamma_lattice, fact, int(n)).coords
         if perturb_digits is not None:
             pert = digits_to_point(coupling.gamma_lattice, perturb_digits)
             gam_coords = law.mul(pert.coords, gam_coords)
         x = domain_samples(coupling, samples, seed, workers, _TAG_MAIN, i)
-        lam = _cocycle_coords_batch(coupling, gam_coords, x)
+        lam = _cocycle_coords_batch(ck, gam_coords, x)
         scaled = dilate_batch(grp.degrees, 1.0 / float(n), lam)
         dist = _graded_dist(grp, scaled, target_coords)
         rows.append(ConvergenceRow(
@@ -509,40 +538,29 @@ def homomorphism_check(deriv: PansuDerivative, pairs, tolerance: float = 0.1,
     """Compare the image of a product with the product of images."""
     src = get_group(deriv.source)
     tgt = get_group(deriv.target)
-    src_law = src.law_graded
-    tgt_law = tgt.law_graded
-    worst = 0.0
-    count = 0
-    for g, h in pairs:
-        gc = tuple(float(c) for c in _coords_of(g))
-        hc = tuple(float(c) for c in _coords_of(h))
-        lhs = _float_coords(phi_apply(deriv, src_law.mul(gc, hc), order=order))
-        fg = _float_coords(phi_apply(deriv, gc, order=order))
-        fh = _float_coords(phi_apply(deriv, hc, order=order))
-        rhs = np.asarray(tgt_law.mul(tuple(fg), tuple(fh)), dtype=np.float64)
-        d = quasi_norm_m(tgt.grad, tgt_law.mul(tuple(-lhs), tuple(rhs)))
-        worst = max(worst, d)
-        count += 1
+    tgt_tab = law_table(tgt.law_graded)
+    gh = np.asarray([(_float_coords(g), _float_coords(h)) for g, h in pairs])
+    k = gh.shape[0]
+    g, h = gh.reshape(k, 2, src.dim).transpose(1, 0, 2)
+    gh_prod = bch_batch(law_table(src.law_graded), g, h)
+    imgs = phi_batch(deriv, np.concatenate([gh_prod, g, h]), order=order)
+    lhs, fg, fh = imgs[:k], imgs[k:2 * k], imgs[2 * k:]
+    diff = bch_batch(tgt_tab, -lhs, bch_batch(tgt_tab, fg, fh))
+    worst = max([0.0] + [quasi_norm_m(tgt.grad, row) for row in diff.tolist()])
     return DefectReport(kind="homomorphism", max_defect=worst,
-                        tolerance=tolerance, count=count)
+                        tolerance=tolerance, count=k)
 
 
 def inverse_check(phi: PansuDerivative, psi: PansuDerivative, points,
                   tolerance: float = 0.1) -> DefectReport:
     """Round-trip defect of the two derivative maps."""
     src = get_group(phi.source)
-    worst = 0.0
-    count = 0
-    for g in points:
-        gc = tuple(float(c) for c in _coords_of(g))
-        img = phi_apply(phi, gc)
-        back = _float_coords(phi_apply(psi, img.coords))
-        law = src.law_graded
-        d = quasi_norm_m(src.grad, law.mul(tuple(-back), gc))
-        worst = max(worst, d)
-        count += 1
+    pts = np.asarray([_float_coords(g) for g in points]).reshape(-1, src.dim)
+    back = phi_batch(psi, phi_batch(phi, pts))
+    diff = bch_batch(law_table(src.law_graded), -back, pts)
+    worst = max([0.0] + [quasi_norm_m(src.grad, row) for row in diff.tolist()])
     return DefectReport(kind="inverse", max_defect=worst,
-                        tolerance=tolerance, count=count)
+                        tolerance=tolerance, count=pts.shape[0])
 
 
 # ----------------------------------------------------------------- kappa map
@@ -589,9 +607,7 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     grp = coupling.ambient()
     ck = coupling_kernels(coupling)
     grid = _quasi_ball_grid(grp, radius, grid_step)
-    phi_vals = np.stack([
-        _float_coords(phi_apply(deriv, tuple(p))) for p in grid
-    ])
+    phi_vals = phi_batch(deriv, grid)
     tab = ck.table
     graded_tab = law_table(grp.law_graded)
     rows = []
@@ -669,12 +685,12 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
         [[float(c) for c in p] for p in ball_points(coupling.gamma_lattice, max_word_len)],
         dtype=np.float64,
     )
-    law = grp.law_group
+    fact = horizontal_factorization(coupling.gamma_lattice.group, _coords_of(g))
     tab = ck.table
     first = np.full(samples, -1, dtype=np.int64)
     active = np.arange(samples)
     for n in range(1, horizon + 1):
-        gam = gamma_sequence(grp.grad, coupling.gamma_lattice, g, n)
+        gam = _gamma_word(coupling.gamma_lattice, fact, n)
         base = np.asarray([float(c) for c in gam.coords])
         cands = translate_batch(tab, base, perts, side="left")
         scaled = dilate_batch(grp.degrees, 1.0 / n, cands)
@@ -748,6 +764,7 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
         parsed.append((idx, parse_schedule(sched)))
     deriv = build_phi(coupling, abar_samples, seed, workers)
     images = deriv.table.entries
+    ck = coupling_kernels(coupling)
     rows = []
     for i, n in enumerate(n_list):
         n = int(n)
@@ -763,7 +780,7 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
             gam = law.mul(gam, law.pow(base, e))
             tgt = graded.mul(tgt, tuple(e * v for v in images[idx]))
         x = domain_samples(coupling, samples, seed, workers, _TAG_WORD, i)
-        lam = _cocycle_coords_batch(coupling, gam, x)
+        lam = _cocycle_coords_batch(ck, gam, x)
         scaled = dilate_batch(grp.degrees, 1.0 / big, lam)
         tgt_scaled = np.asarray(
             [float(c) * (1.0 / big) ** deg for c, deg in zip(tgt, grp.degrees)]

@@ -12,9 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from .algebra import Gradation, StructuralError
 from .bch import GroupPoint, NilpotentGroup, get_group
-from .ratlin import rref, solve_in_basis
+from .kernels import bch_batch, law_table
+from .ratlin import mat_inv, mat_vec, rref
 
 
 def _degrees_of(grad_or_group) -> tuple[int, ...]:
@@ -208,10 +211,16 @@ def _word_eval(group: NilpotentGroup, letters, outer_exp, unit_exp):
 
 
 class _GadgetBasis:
-    """Per-degree commutator gadget words spanning each graded level."""
+    """Per-degree commutator gadget words spanning each graded level.
+
+    Each level keeps its words and the exact inverse of the matrix whose
+    columns are the words' level vectors, so a solve is one rational
+    matrix-vector product.
+    """
 
     def __init__(self, group: NilpotentGroup):
-        self.levels: dict[int, tuple[list[tuple], list[tuple]]] = {}
+        self.words: dict[int, list[tuple]] = {}
+        self.inverses: dict[int, tuple] = {}
         d = group.abelian_dim
         idx_by_level: dict[int, list[int]] = {}
         for k, deg in enumerate(group.degrees):
@@ -236,12 +245,12 @@ class _GadgetBasis:
                 raise StructuralError(
                     f"gadget words do not span degree-{level} layer of {group.name}"
                 )
-            self.levels[level] = (words, vectors)
+            self.words[level] = words
+            self.inverses[level] = mat_inv(tuple(zip(*vectors)))
 
-    def solve(self, level: int, target_vec):
-        words, vectors = self.levels[level]
-        coeffs = solve_in_basis(tuple(vectors), tuple(target_vec))
-        return words, coeffs
+    def solve(self, level: int, target_vec) -> tuple:
+        """Exact coefficients of target_vec over the level's words."""
+        return mat_vec(self.inverses[level], tuple(target_vec))
 
 
 def _lex_sequences(d: int, length: int):
@@ -260,8 +269,104 @@ def _lex_sequences(d: int, length: int):
 _gadgets = cache(_GadgetBasis)  # get_group: one group object per content
 
 
-def _root(value: float, k: int) -> float:
-    return value ** (1.0 / k)
+def _abelian_order(group: NilpotentGroup, order: str) -> list[int]:
+    ab_indices = [k for k, deg in enumerate(group.degrees) if deg == 1]
+    if order == "asc":
+        return ab_indices
+    if order == "desc":
+        return ab_indices[::-1]
+    raise StructuralError(f"unknown factorization order {order!r}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite residuals raise below
+def factorization_batch(group, points, order: str = "asc",
+                        max_passes: int = 50,
+                        tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Float factorization of every row of an (n, m) array of points.
+
+    Runs the peel of horizontal_factorization on all rows at once, each
+    row with the same float operations as on its own: in every pass a
+    row peels its lowest degree whose residual coordinates are not all
+    within ``tol``.  Abelian coordinates become single dilated
+    generators; a degree-k level is matched by its gadget words, each
+    dilated as a whole by |t|**(1/k) for the exact coefficient t of the
+    float residual.
+
+    Returns (letters, exponents), two (n, S) arrays: row i's word is the
+    generator indices letters[i, s] with exponents exponents[i, s] in
+    slot order, where exponent 0 marks a slot the row skips.  Raises
+    FactorizationError when a row's residual is not finite, or not
+    within ``tol`` after ``max_passes`` passes.
+    """
+    group = get_group(group)
+    target = np.asarray(points, dtype=np.float64)
+    if target.ndim != 2 or target.shape[1] != group.dim:
+        raise StructuralError(f"expected rows of {group.dim} coordinates for {group.name}")
+    n, m = target.shape
+    ab_indices = _abelian_order(group, order)
+    tab = law_table(group.law_graded)
+    gadgets = _gadgets(group)
+    d = group.abelian_dim
+    degrees = np.asarray(group.degrees, dtype=np.float64)
+    rows = np.arange(n)
+    letters: list[np.ndarray] = []
+    exponents: list[np.ndarray] = []
+
+    def emit(idx: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Record one letter slot and return its rows' coordinates."""
+        letters.append(idx)
+        exponents.append(a)
+        coords = np.zeros((n, m))
+        coords[rows, np.where(idx < d, idx, idx - d)] = np.where(idx < d, a, -a)
+        return coords
+
+    acc = np.zeros((n, m))
+    for _ in range(max_passes):
+        r = bch_batch(tab, -acc, target)
+        loud = np.abs(r) > tol
+        if not loud.any() or not np.isfinite(r).all():
+            break
+        # a row with no loud coordinate has level inf and emits nothing
+        level_of = np.where(loud, degrees, np.inf).min(axis=1)
+        abelian = level_of == 1
+        for j in ab_indices:
+            go = abelian & loud[:, j]
+            if go.any():
+                idx = np.where(r[:, j] > 0, j, j + d)
+                acc = bch_batch(tab, acc, emit(idx, np.where(go, np.abs(r[:, j]), 0.0)))
+        for level, words in gadgets.words.items():
+            sel = np.nonzero(level_of == level)[0]
+            if sel.size == 0:
+                continue
+            cols = [k for k, deg in enumerate(group.degrees) if deg == level]
+            coeffs = [gadgets.solve(level, [Fraction(v) for v in row])
+                      for row in r[np.ix_(sel, cols)].tolist()]
+            for wi, word in enumerate(words):
+                ts = [c[wi] for c in coeffs]
+                root = np.zeros(n)
+                # Python's float power: numpy's vectorised ** can round
+                # differently in the last bit
+                root[sel] = [abs(float(t)) ** (1.0 / level) for t in ts]
+                if not root.any():
+                    continue
+                negative = np.zeros(n, dtype=bool)
+                negative[sel] = [t < 0 for t in ts]
+                inverse = _invert_word(d, word)
+                w = np.zeros((n, m))
+                for (up, _), (down, _) in zip(word, inverse):
+                    w = bch_batch(tab, w, emit(np.where(negative, down, up), root))
+                acc = bch_batch(tab, acc, w)
+    else:  # max_passes used up: the residual after the last emissions
+        r = bch_batch(tab, -acc, target)
+    bad = np.nonzero(~(np.abs(r) <= tol).all(axis=1))[0]
+    if bad.size:
+        raise FactorizationError(
+            f"factorization failed to converge for {group.name} "
+            f"on {bad.size} of {n} points",
+            residual=tuple(float(c) for c in r[bad[0]]))
+    if not letters:
+        return np.zeros((n, 0), dtype=np.int64), np.zeros((n, 0))
+    return np.stack(letters, axis=1), np.stack(exponents, axis=1)
 
 
 def horizontal_factorization(group, g, order: str = "asc",
@@ -278,93 +383,53 @@ def horizontal_factorization(group, g, order: str = "asc",
     ``max_passes``.
 
     style "uniform" dilates a whole degree-k gadget by |t|**(1/k)
-    (floats); style "exact" puts the full coefficient on the gadget's
-    outermost letter, which keeps Fraction inputs exact.
+    (floats, through factorization_batch); style "exact" puts the full
+    coefficient on the gadget's outermost letter, which keeps Fraction
+    inputs exact.
     """
     group = get_group(group)
-    if isinstance(g, GroupPoint):
-        coords = g.coords
-    else:
-        coords = tuple(g)
-    exact = style == "exact"
-    if exact and not all(isinstance(c, (int, Fraction)) for c in coords):
+    coords = g.coords if isinstance(g, GroupPoint) else tuple(g)
+    if style == "uniform":
+        letters, exps = factorization_batch(
+            group, [tuple(float(c) for c in coords)], order, max_passes, tol)
+        return Factorization(algebra=group.name, terms=tuple(
+            (int(i), float(a)) for i, a in zip(letters[0], exps[0]) if a != 0))
+    if style != "exact":
+        raise StructuralError(f"unknown factorization style {style!r}")
+    if not all(isinstance(c, (int, Fraction)) for c in coords):
         raise StructuralError("exact factorization needs rational coordinates")
+    ab_indices = _abelian_order(group, order)
     law = group.law_graded
-    if exact:
-        target = tuple(Fraction(c) for c in coords)
-        acc = law.identity()
-    else:
-        target = tuple(float(c) for c in coords)
-        acc = tuple(0.0 for _ in range(group.dim))
+    target = tuple(Fraction(c) for c in coords)
+    acc = law.identity()
     d = group.abelian_dim
     degrees = group.degrees
-    ab_indices = [k for k, deg in enumerate(degrees) if deg == 1]
-    if order == "desc":
-        ab_indices = ab_indices[::-1]
-    elif order != "asc":
-        raise StructuralError(f"unknown factorization order {order!r}")
-    levels = sorted(set(degrees))
     terms: list[tuple[int, object]] = []
-
-    def residual():
-        return law.mul(law.inv(acc), target)
-
     for _ in range(max_passes):
-        r = residual()
-        if exact:
-            done = all(c == 0 for c in r)
-        else:
-            done = max(abs(float(c)) for c in r) <= tol
-        if done:
-            return Factorization(algebra=group.name, terms=tuple(terms))
-        emitted = False
-
-        def settled(c) -> bool:
-            # sub-tolerance float noise must not starve deeper levels
-            return c == 0 if exact else abs(float(c)) <= tol
-
-        for level in levels:
-            if level == 1:
-                for j in ab_indices:
-                    if settled(r[j]):
-                        continue
-                    c = r[j]
-                    idx = j if c > 0 else j + d
-                    a = abs(c)
-                    terms.append((idx, a))
-                    acc = law.mul(acc, _letter_coords(group, idx, a))
-                    emitted = True
-                if emitted:
-                    break
-                continue
-            vec = [r[k] for k, deg in enumerate(degrees) if deg == level]
-            if all(settled(v) for v in vec):
-                continue
-            if not exact:
-                vec = [Fraction(v) for v in vec]
-            words, coeffs = _gadgets(group).solve(level, vec)
-            for w, t in zip(words, coeffs):
-                if t == 0:
-                    continue
-                letters = w if t > 0 else _invert_word(d, w)
-                if exact:
-                    outer, unit = abs(t), Fraction(1)
-                else:
-                    outer = unit = _root(abs(float(t)), level)
-                for idx, role in letters:
-                    a = outer if role == "outer" else unit
-                    terms.append((idx, a))
-                acc = law.mul(acc, _word_eval(group, letters, outer, unit))
-                emitted = True
-            if emitted:
-                break
-        if not emitted:
+        r = law.mul(law.inv(acc), target)
+        if all(c == 0 for c in r):
             break
-    r = residual()
-    if exact and all(c == 0 for c in r):
-        return Factorization(algebra=group.name, terms=tuple(terms))
-    if not exact and max(abs(float(c)) for c in r) <= tol:
-        return Factorization(algebra=group.name, terms=tuple(terms))
-    raise FactorizationError(
-        f"factorization failed to converge for {group.name}", residual=r
-    )
+        level = min(deg for c, deg in zip(r, degrees) if c != 0)
+        if level == 1:
+            for j in ab_indices:
+                if r[j] == 0:
+                    continue
+                idx = j if r[j] > 0 else j + d
+                terms.append((idx, abs(r[j])))
+                acc = law.mul(acc, _letter_coords(group, idx, abs(r[j])))
+            continue
+        vec = [c for c, deg in zip(r, degrees) if deg == level]
+        gadgets = _gadgets(group)
+        for w, t in zip(gadgets.words[level], gadgets.solve(level, vec)):
+            if t == 0:
+                continue
+            letters = w if t > 0 else _invert_word(d, w)
+            for idx, role in letters:
+                terms.append((idx, abs(t) if role == "outer" else Fraction(1)))
+            acc = law.mul(acc, _word_eval(group, letters, abs(t), Fraction(1)))
+    else:
+        r = law.mul(law.inv(acc), target)
+    if any(c != 0 for c in r):
+        raise FactorizationError(
+            f"factorization failed to converge for {group.name}", residual=r)
+    return Factorization(algebra=group.name, terms=tuple(terms))

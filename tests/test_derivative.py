@@ -9,7 +9,10 @@ import pytest
 from nilcone.bch import get_group
 from nilcone.coupling import alpha, builtin_coupling
 from nilcone.derivative import (
+    GeneratorImageTable,
+    PansuDerivative,
     StructuralError,
+    _quasi_ball_grid,
     arbitrary_element_experiment,
     build_phi,
     cocycle_ergodic_average,
@@ -24,11 +27,17 @@ from nilcone.derivative import (
     nondecreasing,
     parse_schedule,
     phi_apply,
+    phi_batch,
     recurrence_search,
     strictly_decreasing,
     subadditive_growth_probe,
 )
-from nilcone.geometry import quasi_norm_m
+from nilcone.geometry import (
+    factorization_batch,
+    generating_set,
+    horizontal_factorization,
+    quasi_norm_m,
+)
 from nilcone.wordmetric import builtin_lattice
 
 
@@ -130,6 +139,75 @@ def test_phi_apply_order_insensitive():
         b = phi_apply(phi, g, order="desc")
         diff = grp.law_graded.mul(grp.law_graded.inv(a.coords), b.coords)
         assert quasi_norm_m(grp.grad, diff) <= 0.05
+
+
+# (coupling, quasi-ball radius, grid step): a coarse grid of each builtin
+GRIDS = (
+    ("heisenberg-identity", 2.0, 1.0),
+    ("heisenberg-scale2", 2.0, 1.0),
+    ("heisenberg-shear", 2.0, 1.0),
+    ("z2-identity", 2.0, 0.5),
+    ("engel-identity", 1.5, 1.0),
+)
+
+
+@pytest.mark.parametrize("name,radius,step", GRIDS)
+@pytest.mark.parametrize("order", ["asc", "desc"])
+def test_batch_phi_matches_one_row_bitwise(name, radius, step, order):
+    c = builtin_coupling(name)
+    grp = c.ambient()
+    phi = build_phi(c, 512, 11)
+    grid = _quasi_ball_grid(grp, radius, step)
+    letters, exps = factorization_batch(grp, grid, order=order)
+    images = phi_batch(phi, grid, order=order)
+    for i, p in enumerate(grid.tolist()):
+        f = horizontal_factorization(grp, p, order=order)
+        batch = [(int(j), float(a)) for j, a in zip(letters[i], exps[i]) if a != 0]
+        assert batch == list(f.terms)
+        one = phi_apply(phi, p, order=order).coords
+        assert [v.hex() for v in images[i].tolist()] == [v.hex() for v in one]
+
+
+def _identity_engel_phi():
+    grp = get_group("engel4")
+    entries = tuple(tuple(float(v) for v in s.coords) for s in generating_set(grp))
+    table = GeneratorImageTable(
+        coupling="engel-identity", side="alpha", entries=entries,
+        cis=tuple((0.0,) * grp.dim for _ in entries), samples=1, seed=0)
+    return PansuDerivative(table=table, source="engel4", target="engel4")
+
+
+# Engel grid points whose gadget roots round differently under numpy's
+# vectorised power; the images were recorded with the scalar float peel.
+PHI_ENGEL_HEX = {
+    (1.5, -1.5, 2.0, 1.5): (
+        "0x1.7ffffffffffffp+0", "-0x1.8000000000000p+0",
+        "0x1.0000000000000p+1", "0x1.7fffffffffffdp+0"),
+    (1.5, -1.5, -1.5, 3.0): (
+        "0x1.8000000000003p+0", "-0x1.8000000000000p+0",
+        "-0x1.7ffffffffffffp+0", "0x1.8000000000003p+1"),
+    (1.0, -0.5, 1.0, -2.5): (
+        "0x1.ffffffffffffep-1", "-0x1.0000000000000p-1",
+        "0x1.0000000000000p+0", "-0x1.4000000000001p+1"),
+    (-1.5, -1.5, 0.0, 0.0): (
+        "-0x1.8000000000000p+0", "-0x1.8000000000000p+0",
+        "0x0.0p+0", "-0x1.8000000000000p-53"),
+    (-1.5, -1.5, -2.0, 1.5): (
+        "-0x1.8000000000000p+0", "-0x1.8000000000000p+0",
+        "-0x1.fffffffffffffp+0", "0x1.8000000000004p+0"),
+    (-1.5, -1.0, 2.0, 3.0): (
+        "-0x1.8000000000000p+0", "-0x1.0000000000000p+0",
+        "0x1.0000000000000p+1", "0x1.8000000000002p+1"),
+}
+
+
+def test_phi_engel_images_frozen_bitwise():
+    phi = _identity_engel_phi()
+    points = sorted(PHI_ENGEL_HEX)
+    images = phi_batch(phi, points)
+    for p, img in zip(points, images.tolist()):
+        assert tuple(v.hex() for v in img) == PHI_ENGEL_HEX[p]
+        assert tuple(v.hex() for v in phi_apply(phi, p).coords) == PHI_ENGEL_HEX[p]
 
 
 def test_gamma_sequence_frozen_values():

@@ -11,6 +11,7 @@ from nilcone.geometry import (
     FactorizationError,
     dilation,
     evaluate_factorization,
+    factorization_batch,
     fit_exponent,
     generating_set,
     horizontal_factorization,
@@ -136,6 +137,62 @@ def test_failure_carries_residual():
     res = exc.value.residual
     assert len(res) == grp.dim
     assert max(abs(float(c)) for c in res) > 1e-12
+
+
+def _edge_rows(grp):
+    """All-zero, zero abelian part, sub-tolerance and negative-gadget rows."""
+    d, m = grp.abelian_dim, grp.dim
+    higher = tuple(0.75 - 0.5 * k for k in range(m - d))
+    return [
+        (0.0,) * m,
+        (0.0,) * d + higher,
+        (1e-13,) + (1.25,) * (d - 1) + (0.5,) * (m - d - 1) + (1e-13,),
+        (0.0,) * d + (1e-13,) * (m - d - 1) + (0.5,),
+        (0.0,) * (m - 1) + (-1.5,),
+        (0.75, -1.25) + (0.0,) * (d - 2) + tuple(-v for v in higher),
+    ]
+
+
+@pytest.mark.parametrize("name", NONABELIAN)
+@pytest.mark.parametrize("order", ["asc", "desc"])
+def test_batch_factorization_of_edge_rows_matches_one_row(name, order):
+    grp = get_group(name)
+    rng = random.Random(107)
+    rows = _edge_rows(grp) + [
+        tuple(rng.uniform(-2, 2) for _ in range(grp.dim)) for _ in range(6)]
+    letters, exps = factorization_batch(grp, rows, order=order)
+    for i, row in enumerate(rows):
+        f = horizontal_factorization(grp, row, order=order)
+        batch = [(int(j), float(a)) for j, a in zip(letters[i], exps[i]) if a != 0]
+        assert batch == list(f.terms)
+    assert letters.shape[0] == len(rows)
+    assert horizontal_factorization(grp, rows[0], order=order).terms == ()
+
+
+def test_batch_failure_carries_first_unconverged_residual():
+    grp = get_group("heisenberg3")
+    with pytest.raises(FactorizationError) as exc:
+        factorization_batch(grp, [(2.5, 0.0, 0.0), (0.3, -0.7, 0.11)],
+                            max_passes=1)
+    assert "1 of 2 points" in str(exc.value)
+    assert max(abs(c) for c in exc.value.residual) > 1e-12
+    letters, exps = factorization_batch(grp, [(2.5, 0.0, 0.0)], max_passes=1)
+    assert (letters.tolist(), exps.tolist()) == ([[0]], [[2.5]])
+
+
+def test_batch_refuses_rows_of_the_wrong_width():
+    from nilcone import StructuralError
+    grp = get_group("heisenberg3")
+    for bad in ((1.0, 2.0, 3.0), [(1.0, 2.0)], [(1.0, 2.0, 3.0, 4.0)]):
+        with pytest.raises(StructuralError):
+            factorization_batch(grp, bad)
+
+
+def test_non_finite_points_do_not_factor():
+    grp = get_group("heisenberg3")
+    for bad in ((math.nan, 0.0, 0.0), (0.0, 0.0, math.inf)):
+        with pytest.raises(FactorizationError):
+            horizontal_factorization(grp, bad)
 
 
 def test_proxy_distance_left_invariance():
