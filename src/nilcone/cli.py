@@ -40,7 +40,7 @@ from .derivative import (
     phi_apply,
     recurrence_search,
 )
-from .geometry import FactorizationError, generating_set
+from .geometry import FactorizationError, generating_set, horizontal_factorization
 from .wordmetric import (
     CapExceeded,
     ball_profile,
@@ -119,6 +119,16 @@ def _parse_point(group, text: str) -> tuple:
             pt = law.inv(pt)
         acc = law.mul(acc, pt)
     return acc
+
+
+def _parse_g(group, text: str) -> tuple:
+    """Parse a --g cone point and factor it once, naming it on failure."""
+    try:
+        g = _parse_point(group, text)
+        horizontal_factorization(group, g)
+    except (StructuralError, FactorizationError, ValueError, OverflowError) as exc:
+        raise StructuralError(f"--g {text!r}: {exc}") from exc
+    return g
 
 
 def _parse_box(text: str, dim: int):
@@ -300,6 +310,7 @@ def _cmd_derivative_phi(args) -> int:
     if _emit_plan(args, coupling=cp.name):
         return EXIT_OK
     grp = cp.ambient()
+    g = _parse_g(grp, args.g) if args.g else None
     deriv = build_phi(cp, args.samples, args.seed, args.workers,
                       side=args.side)
     obj = {
@@ -315,8 +326,8 @@ def _cmd_derivative_phi(args) -> int:
     print(f"wrote {path}")
     for i, e in enumerate(deriv.table.entries):
         print(f"gen {i}: {[round(v, 6) for v in e]}")
-    if args.g:
-        img = phi_apply(deriv, _parse_point(grp, args.g))
+    if g is not None:
+        img = phi_apply(deriv, g)
         print("phi(g):", ",".join(repr(float(c)) for c in img.coords))
     return EXIT_OK
 
@@ -347,7 +358,7 @@ def _cmd_derivative_recurrence(args) -> int:
         return EXIT_OK
     grp = cp.ambient()
     box = _parse_box(args.box, grp.dim)
-    rep = recurrence_search(cp, _parse_point(grp, args.g), args.delta, box,
+    rep = recurrence_search(cp, _parse_g(grp, args.g), args.delta, box,
                             args.horizon, args.samples, args.seed)
     header, rows = rep.csv_rows()
     path = reports.write_csv(
@@ -363,7 +374,7 @@ def _cmd_derivative_recurrence(args) -> int:
 
 def _run_main_theorem(args, cp: CouplingSpec) -> int:
     grp = cp.ambient()
-    g = _parse_point(grp, args.g)
+    g = _parse_g(grp, args.g)
     deriv = build_phi(cp, args.phi_samples, args.seed, args.workers)
     target = None
     if args.target:

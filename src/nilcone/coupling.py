@@ -182,14 +182,6 @@ def coupling_from_json(obj: dict) -> CouplingSpec:
     return make_coupling(obj["group"], obj.get("twist"))
 
 
-@dataclass(frozen=True)
-class CocycleSample:
-    """A domain point plus the seed lineage that produced it."""
-
-    x: GroupPoint
-    lineage: tuple
-
-
 # ------------------------------------------------------------ exact layer
 
 def reduce_to_domain(coupling: CouplingSpec, omega) -> tuple[GroupPoint, GroupPoint]:
@@ -267,11 +259,11 @@ class CouplingKernels:
         self.twisted = coupling.twist is not None
 
     def reduce(self, omega: np.ndarray):
-        """Batch reduce_to_domain: returns (digits, x)."""
-        w = omega @ self.theta.T if self.twisted else omega
+        """Batch reduce_to_domain: returns (digits, x), column-major."""
+        w = (self.theta @ omega.T).T if self.twisted else omega
         digits, u = reduce_batch(self.table, self.lambda_logs,
                                  self.lambda_leads, w, side="right")
-        x = u @ self.theta_inv.T if self.twisted else u
+        x = (self.theta_inv @ u.T).T if self.twisted else u
         return digits, x
 
     def alpha_digits(self, gamma_coords, x: np.ndarray):
@@ -322,7 +314,8 @@ def domain_samples(coupling: CouplingSpec, n: int, seed: int,
     plain gamma box).  Per-worker streams come from the documented seed
     split; chunks are concatenated in worker order, so output is a pure
     function of (seed, workers, tags).  Workers shape the stream only;
-    execution is sequential.
+    execution is sequential.  The array is column-major, the layout
+    of the batch kernels.
     """
     if n < 1:
         raise StructuralError("need at least one sample")
@@ -342,22 +335,10 @@ def domain_samples(coupling: CouplingSpec, n: int, seed: int,
         rng = np.random.Generator(np.random.PCG64(seed_lineage(seed, *tags, w)))
         chunks.append(rng.uniform(np.zeros_like(leads), leads,
                                   size=(size, len(leads))))
-    u = np.concatenate(chunks, axis=0)
+    u = np.asfortranarray(np.concatenate(chunks, axis=0))
     if side == "alpha" and ck.twisted:
-        return u @ ck.theta_inv.T
+        return (ck.theta_inv @ u.T).T
     return u
-
-
-def sample_domain(coupling: CouplingSpec, rng: np.random.Generator,
-                  lineage: tuple = ()) -> CocycleSample:
-    """One uniform domain point from a caller-seeded generator."""
-    ck = coupling_kernels(coupling)
-    leads = ck.lambda_leads
-    u = rng.uniform(np.zeros_like(leads), leads)
-    if ck.twisted:
-        u = u @ ck.theta_inv.T
-    x = GroupPoint(tuple(float(v) for v in u), "group", coupling.group)
-    return CocycleSample(x=x, lineage=tuple(lineage))
 
 
 # ------------------------------------------------------------ diagnostics

@@ -99,9 +99,8 @@ def _abelian_indices(grp: NilpotentGroup) -> list[int]:
 def _graded_dist(grp: NilpotentGroup, points: np.ndarray,
                  target: np.ndarray) -> np.ndarray:
     """Proxy distances from each row to the target, in the graded group."""
-    tab = law_table(grp.law_graded)
-    t = np.broadcast_to(target, points.shape).copy()
-    diff = bch_batch(tab, -points, t)
+    diff = translate_batch(law_table(grp.law_graded), target, -points,
+                           side="right")
     return quasi_norm_batch(grp.degrees, diff)
 
 
@@ -224,21 +223,23 @@ def phi_batch(deriv: PansuDerivative, points, order: str = "asc") -> np.ndarray:
 
     Each row's factorization word, with every generator replaced by its
     image dilated by the same exponent, multiplied out in the target
-    graded group.
+    graded group.  The result is column-major.
     """
     points = np.asarray(points, dtype=np.float64)
     tgt = get_group(deriv.target)
-    images = np.asarray(deriv.table.entries, dtype=np.float64)
+    # (m, 2d): column j is generator j's image
+    images_t = np.asarray(deriv.table.entries, dtype=np.float64).T
     tab = law_table(tgt.law_graded)
-    out = np.empty((points.shape[0], tgt.dim))
+    out = np.empty((points.shape[0], tgt.dim), order="F")
     # row blocks bound the (rows, slots) letter arrays of the factorization
     for lo in range(0, points.shape[0], _PHI_BLOCK):
         letters, exps = factorization_batch(
             deriv.source, points[lo:lo + _PHI_BLOCK], order=order)
-        acc = np.zeros((letters.shape[0], tgt.dim))
+        acc = np.zeros((letters.shape[0], tgt.dim), order="F")
         for s in range(letters.shape[1]):
             # a skipped slot (exponent 0) is a zero letter: its rows stay put
-            acc = bch_batch(tab, acc, exps[:, s, None] * images[letters[:, s]])
+            step = (images_t[:, letters[:, s]] * exps[:, s]).T
+            acc = bch_batch(tab, acc, step)
         out[lo:lo + _PHI_BLOCK] = acc
     return out
 
@@ -589,9 +590,9 @@ def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float,
     if size > cap:
         raise StructuralError(f"grid of {size} points exceeds cap {cap}")
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    keep = quasi_norm_batch(grp.degrees, pts) <= radius + 1e-12
-    return pts[keep]
+    pts_t = np.stack([m.reshape(-1) for m in mesh])  # (m, size): rows are columns
+    keep = quasi_norm_batch(grp.degrees, pts_t.T) <= radius + 1e-12
+    return pts_t[:, keep].T
 
 
 def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import Gradation, StructuralError
 from .bch import GroupPoint, NilpotentGroup, get_group
 from .kernels import bch_batch, law_table
-from .ratlin import mat_inv, mat_vec, rref
+from .ratlin import mat_inv, rref
 
 
 def _degrees_of(grad_or_group) -> tuple[int, ...]:
@@ -214,8 +214,8 @@ class _GadgetBasis:
     """Per-degree commutator gadget words spanning each graded level.
 
     Each level keeps its words and the exact inverse of the matrix whose
-    columns are the words' level vectors, so a solve is one rational
-    matrix-vector product.
+    columns are the words' level vectors, as integers over one common
+    denominator, so a solve is one integer matrix-vector product.
     """
 
     def __init__(self, group: NilpotentGroup):
@@ -246,11 +246,22 @@ class _GadgetBasis:
                     f"gadget words do not span degree-{level} layer of {group.name}"
                 )
             self.words[level] = words
-            self.inverses[level] = mat_inv(tuple(zip(*vectors)))
+            inv = mat_inv(tuple(zip(*vectors)))
+            den = math.lcm(*(c.denominator for row in inv for c in row))
+            self.inverses[level] = ([[int(c * den) for c in row] for row in inv], den)
 
-    def solve(self, level: int, target_vec) -> tuple:
-        """Exact coefficients of target_vec over the level's words."""
-        return mat_vec(self.inverses[level], tuple(target_vec))
+    def solve(self, level: int, target_vec) -> tuple[list[int], int]:
+        """Exact coefficients of target_vec over the level's words.
+
+        Returns integer numerators over one positive denominator, so a
+        float coefficient is one correctly rounded division: the value
+        float() of the Fraction gives.  Float and Fraction inputs work.
+        """
+        num, den = self.inverses[level]
+        ratios = [v.as_integer_ratio() for v in target_vec]
+        scale = math.lcm(*(q for _, q in ratios))
+        ints = [p * (scale // q) for p, q in ratios]
+        return [sum(a * b for a, b in zip(row, ints)) for row in num], den * scale
 
 
 def _lex_sequences(d: int, length: int):
@@ -299,7 +310,7 @@ def factorization_batch(group, points, order: str = "asc",
     within ``tol`` after ``max_passes`` passes.
     """
     group = get_group(group)
-    target = np.asarray(points, dtype=np.float64)
+    target = np.asarray(points, dtype=np.float64, order="F")
     if target.ndim != 2 or target.shape[1] != group.dim:
         raise StructuralError(f"expected rows of {group.dim} coordinates for {group.name}")
     n, m = target.shape
@@ -316,11 +327,11 @@ def factorization_batch(group, points, order: str = "asc",
         """Record one letter slot and return its rows' coordinates."""
         letters.append(idx)
         exponents.append(a)
-        coords = np.zeros((n, m))
+        coords = np.zeros((n, m), order="F")
         coords[rows, np.where(idx < d, idx, idx - d)] = np.where(idx < d, a, -a)
         return coords
 
-    acc = np.zeros((n, m))
+    acc = np.zeros((n, m), order="F")
     for _ in range(max_passes):
         r = bch_batch(tab, -acc, target)
         loud = np.abs(r) > tol
@@ -339,20 +350,19 @@ def factorization_batch(group, points, order: str = "asc",
             if sel.size == 0:
                 continue
             cols = [k for k, deg in enumerate(group.degrees) if deg == level]
-            coeffs = [gadgets.solve(level, [Fraction(v) for v in row])
-                      for row in r[np.ix_(sel, cols)].tolist()]
+            sols = [gadgets.solve(level, row)
+                    for row in r[np.ix_(sel, cols)].tolist()]
             for wi, word in enumerate(words):
-                ts = [c[wi] for c in coeffs]
                 root = np.zeros(n)
                 # Python's float power: numpy's vectorised ** can round
                 # differently in the last bit
-                root[sel] = [abs(float(t)) ** (1.0 / level) for t in ts]
+                root[sel] = [abs(t[wi] / den) ** (1.0 / level) for t, den in sols]
                 if not root.any():
                     continue
                 negative = np.zeros(n, dtype=bool)
-                negative[sel] = [t < 0 for t in ts]
+                negative[sel] = [t[wi] < 0 for t, _ in sols]
                 inverse = _invert_word(d, word)
-                w = np.zeros((n, m))
+                w = np.zeros((n, m), order="F")
                 for (up, _), (down, _) in zip(word, inverse):
                     w = bch_batch(tab, w, emit(np.where(negative, down, up), root))
                 acc = bch_batch(tab, acc, w)
@@ -420,9 +430,11 @@ def horizontal_factorization(group, g, order: str = "asc",
             continue
         vec = [c for c, deg in zip(r, degrees) if deg == level]
         gadgets = _gadgets(group)
-        for w, t in zip(gadgets.words[level], gadgets.solve(level, vec)):
+        nums, den = gadgets.solve(level, vec)
+        for w, t in zip(gadgets.words[level], nums):
             if t == 0:
                 continue
+            t = Fraction(t, den)
             letters = w if t > 0 else _invert_word(d, w)
             for idx, role in letters:
                 terms.append((idx, abs(t) if role == "outer" else Fraction(1)))

@@ -4,7 +4,18 @@ The exact Fraction layer is the reference implementation; these kernels
 run the same polynomial tables over float64 arrays for Monte Carlo
 work.  Every kernel is vectorised over rows with numpy: a loop over the
 terms of the law, each term formed by repeated multiplication of whole
-columns, so every row sees the same sequence of float operations.
+coordinate columns, so every row sees the same sequence of float
+operations whatever the batch size or memory layout.
+
+Column order.  The kernels read and write whole coordinate columns
+x[:, v] of (n, m) batches, so the lane keeps its batches in Fortran
+(column) order, where each column is contiguous.  Arrays are made
+column-major where they are created: coupling.domain_samples, the grid
+and phi accumulator in derivative, the factorization accumulators in
+geometry, and the working arrays and per-digit steps of reduce_batch
+and fold_digits; elementwise results keep their inputs' layout.
+bch_batch never copies: a row-major caller gets the same bits through
+strided reads, where a copy would cost more than a small product.
 """
 
 from __future__ import annotations
@@ -20,30 +31,20 @@ from .bch import GroupLaw
 class KernelTable:
     """Flattened nonlinear terms of a polynomial group law.
 
-    Term t writes coeff[t] * prod_s vals[var_idx[s]] ** var_pow[s]
-    (s in ptr[t]:ptr[t+1]) into coordinate out_idx[t]; vals is the
-    length-2m concatenation of the two factors.  The linear part of the
-    law is always the coordinate sum and is handled separately.
+    terms holds one (out, coeff, factors) triple per term: the term
+    adds coeff * prod(vals[v] for v in factors) to coordinate out,
+    where vals is the length-2m concatenation of the two factors and a
+    variable repeats once per power.  The linear part of the law is
+    always the coordinate sum and is handled separately.
     """
 
-    __slots__ = ("dim", "out_idx", "coeff", "ptr", "var_idx", "var_pow")
+    __slots__ = ("dim", "terms")
 
     def __init__(self, law: GroupLaw):
         self.dim = law.dim
-        out_idx, coeff, ptr, var_idx, var_pow = [], [], [0], [], []
-        for k, terms in enumerate(law.polys):
-            for mono, c in terms:
-                out_idx.append(k)
-                coeff.append(float(c))
-                for v, e in mono:
-                    var_idx.append(v)
-                    var_pow.append(e)
-                ptr.append(len(var_idx))
-        self.out_idx = np.asarray(out_idx, dtype=np.int64)
-        self.coeff = np.asarray(coeff, dtype=np.float64)
-        self.ptr = np.asarray(ptr, dtype=np.int64)
-        self.var_idx = np.asarray(var_idx, dtype=np.int64)
-        self.var_pow = np.asarray(var_pow, dtype=np.int64)
+        self.terms = tuple(
+            (k, float(c), tuple(v for v, e in mono for _ in range(e)))
+            for k, poly in enumerate(law.polys) for mono, c in poly)
 
 
 law_table = cache(KernelTable)  # GroupLaw is frozen: keyed by content
@@ -52,23 +53,29 @@ law_table = cache(KernelTable)  # GroupLaw is frozen: keyed by content
 # ---------------------------------------------------------------- kernels
 
 def _bch_numpy(tab: KernelTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise product; a (1, m) operand acts on every row of the other."""
     z = x + y
-    m = tab.dim
-    for t in range(tab.out_idx.shape[0]):
-        term = np.full(x.shape[0], tab.coeff[t])
-        for s in range(tab.ptr[t], tab.ptr[t + 1]):
-            v = tab.var_idx[s]
-            col = x[:, v] if v < m else y[:, v - m]
-            for _ in range(tab.var_pow[s]):
-                term = term * col
-        z[:, tab.out_idx[t]] += term
+    cols = [x[:, v] for v in range(tab.dim)] + [y[:, v] for v in range(tab.dim)]
+    for k, coeff, factors in tab.terms:
+        term = coeff * cols[factors[0]]
+        for v in factors[1:]:
+            if term.size < cols[v].size:  # a one-row operand's term widens
+                term = term * cols[v]
+            else:
+                term *= cols[v]
+        z[:, k] += term
     return z
+
+
+def _outer(c: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The column-major (n, m) array c[r] * row[j]."""
+    return np.multiply.outer(row, c).T
 
 
 def bch_batch(tab: KernelTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise group product of two (n, m) coordinate arrays."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 2 or x.shape[1] != tab.dim:
         raise ValueError("bch_batch expects matching (n, dim) arrays")
     return _bch_numpy(tab, x, y)
@@ -76,13 +83,18 @@ def bch_batch(tab: KernelTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def translate_batch(tab: KernelTable, g: np.ndarray, x: np.ndarray,
                     side: str = "left") -> np.ndarray:
-    """Multiply every row of x by the single point g on the given side."""
-    g = np.ascontiguousarray(g, dtype=np.float64).reshape(1, -1)
-    gb = np.broadcast_to(g, x.shape).copy()
+    """Multiply every row of x by the single point g on the given side.
+
+    g is not broadcast to a full array: its coordinates act as scalars.
+    """
+    g = np.asarray(g, dtype=np.float64).reshape(1, -1)
+    x = np.asarray(x, dtype=np.float64)
+    if g.shape[1] != tab.dim or x.ndim != 2 or x.shape[1] != tab.dim:
+        raise ValueError("translate_batch expects a point and an (n, dim) array")
     if side == "left":
-        return bch_batch(tab, gb, x)
+        return _bch_numpy(tab, g, x)
     if side == "right":
-        return bch_batch(tab, x, gb)
+        return _bch_numpy(tab, x, g)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -96,41 +108,39 @@ def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
     coordinate; side "left" factors omega = u(digits) * y.  mode
     "floor" lands remainders in [0, lead); "round" (half to even)
     centres them in [-lead/2, lead/2].  A digit that is not finite or
-    does not fit in int64 raises StructuralError.
+    does not fit in int64 raises StructuralError.  Both outputs are
+    column-major.
     """
-    omega = np.ascontiguousarray(omega, dtype=np.float64)
-    if omega.ndim != 2 or omega.shape[1] != tab.dim:
+    p = np.asarray(omega, dtype=np.float64, order="F")
+    if p.ndim != 2 or p.shape[1] != tab.dim:
         raise ValueError("reduce_batch expects an (n, dim) array")
-    gen_logs = np.ascontiguousarray(gen_logs, dtype=np.float64)
-    leads = np.ascontiguousarray(leads, dtype=np.float64)
+    gen_logs = np.asarray(gen_logs, dtype=np.float64)
+    leads = np.asarray(leads, dtype=np.float64)
     right = {"right": True, "left": False}[side]
     floor = {"floor": True, "round": False}[mode]
-    n, m = omega.shape
-    p = omega.astype(np.float64, copy=True)
-    digits = np.zeros((n, m), dtype=np.int64)
-    for i in range(m):
+    digits = np.zeros(p.shape, dtype=np.int64, order="F")
+    for i in range(tab.dim):
         q = p[:, i] / leads[i]
         c = np.floor(q) if floor else np.rint(q)
         # NaN fails the comparison too; past 2^63 the int64 cast is garbage
         if not np.all(np.abs(c) < 2.0 ** 63):
             raise StructuralError(
                 f"digit {i} is not finite or does not fit in int64")
-        digits[:, i] = c.astype(np.int64)
-        step = (-c)[:, None] * gen_logs[i][None, :]
+        digits[:, i] = c
+        step = _outer(-c, gen_logs[i])
         p = _bch_numpy(tab, p, step) if right else _bch_numpy(tab, step, p)
     return digits, p
 
 
 def fold_digits(tab: KernelTable, gen_logs: np.ndarray, digits: np.ndarray,
                 order: str = "asc", sign: int = 1) -> np.ndarray:
-    """Evaluate prod_i u_i^(sign * digits_i) over rows, in index order."""
+    """Column-major prod_i u_i^(sign * digits_i) over rows, in index order."""
     digits = np.asarray(digits, dtype=np.float64)
     n, m = digits.shape
-    p = np.zeros((n, m), dtype=np.float64)
+    p = np.zeros((n, m), dtype=np.float64, order="F")
     idx = range(m) if order == "asc" else range(m - 1, -1, -1)
     for i in idx:
-        step = (sign * digits[:, i])[:, None] * gen_logs[i][None, :]
-        p = bch_batch(tab, p, step)
+        p = bch_batch(tab, p, _outer(sign * digits[:, i], gen_logs[i]))
     return p
 
 

@@ -26,10 +26,6 @@ def as_mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(as_vec(r) for r in rows)
 
 
-def zeros(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
@@ -44,14 +40,6 @@ def is_zero_vec(a: Vec) -> bool:
 def mat_vec(m: Mat, v: Vec) -> Vec:
     """Matrix times column vector."""
     return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), ZERO) for j in range(p))
-        for i in range(n)
-    )
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Mat, tuple[int, ...]]:

@@ -261,10 +261,20 @@ def test_nonpositive_workers_is_structural_error(tmp_path, capsys, workers):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("g", ["1e300,0,0", "1e20,0,0", "1e300,1e300,0", "nan,0,0"])
+POINT_REFUSALS = {
+    # finite points whose approximants leave int64 fail in the digit peel
+    "1e300,0,0": "digit 0 is not finite or does not fit in int64",
+    "1e20,0,0": "digit 0 is not finite or does not fit in int64",
+    "1e300,1e300,0": "--g '1e300,1e300,0': factorization failed to converge",
+    "nan,0,0": "--g 'nan,0,0': coordinate 'nan' is not finite",
+}
+
+
+@pytest.mark.parametrize("g", list(POINT_REFUSALS))
 def test_recurrence_refuses_overflowed_or_nonfinite_point(tmp_path, capsys, g):
     # digits past int64, an overflowing float conversion and NaN used to
-    # report success or end in a traceback
+    # report success or end in a traceback; a point that cannot be parsed
+    # or factored is refused while parsing, naming the option and value
     rc = main(["derivative", "recurrence", "--coupling", "heisenberg-identity",
                "--g", g, "--horizon", "8", "--samples", "10", "--seed", "19",
                "--out", str(tmp_path)])
@@ -272,3 +282,15 @@ def test_recurrence_refuses_overflowed_or_nonfinite_point(tmp_path, capsys, g):
     assert rc == 1
     assert "success fraction" not in captured.out
     assert "Traceback" not in captured.err
+    assert f"error: {POINT_REFUSALS[g]}" in captured.err
+
+
+def test_phi_refuses_unfactorable_point_before_estimating(tmp_path, capsys):
+    rc = main(["derivative", "phi", "--coupling", "heisenberg-identity",
+               "--samples", "64", "--seed", "1", "--g", "1e300,1e300,0",
+               "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: --g '1e300,1e300,0': factorization failed" in captured.err
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())  # refused before any artifact

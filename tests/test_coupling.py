@@ -23,8 +23,6 @@ from nilcone.coupling import (
     lambda_action,
     make_coupling,
     reduce_to_domain,
-    sample_domain,
-    seed_lineage,
     validate_automorphism,
     verify_coupling,
 )
@@ -206,19 +204,6 @@ def test_induced_action_preserves_uniformity():
     fresh = domain_samples(c, n, 78)
     for j in range(3):
         assert ks_statistic(moved[:, j], fresh[:, j]) < 0.05
-
-
-def test_sample_domain_deterministic_and_in_domain():
-    c = builtin_coupling("heisenberg-scale2")
-    rng1 = np.random.default_rng(seed_lineage(9, 1))
-    rng2 = np.random.default_rng(seed_lineage(9, 1))
-    s1 = sample_domain(c, rng1, lineage=(9, 1))
-    s2 = sample_domain(c, rng2, lineage=(9, 1))
-    assert s1.x.coords == s2.x.coords
-    assert s1.lineage == (9, 1)
-    assert in_domain(c, s1.x.coords)
-    rng3 = np.random.default_rng(seed_lineage(10, 1))
-    assert sample_domain(c, rng3).x.coords != s1.x.coords
 
 
 def test_domain_samples_reproducible():

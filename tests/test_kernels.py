@@ -4,8 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilcone import builtin_lattice, get_group
+from nilcone import (
+    build_phi,
+    builtin_coupling,
+    builtin_lattice,
+    domain_samples,
+    get_group,
+    phi_batch,
+)
 from nilcone.algebra import StructuralError
 from nilcone.geometry import quasi_norm_m
 from nilcone.kernels import (
@@ -158,3 +167,67 @@ def test_reduce_batch_rejects_bad_shape():
     gen_logs, leads = lat.float_basis()
     with pytest.raises(ValueError):
         reduce_batch(tab, gen_logs, leads, np.zeros(3))
+
+
+# ------------------------------------------------------------ memory layout
+
+LAYOUT_GROUPS = ("heisenberg3", "engel4", "free_nilpotent_2_3")
+
+
+def _layout_outputs(name, x, y, g, digits):
+    """Every batch kernel's outputs on one input set, in a fixed order."""
+    lat = builtin_lattice(name)
+    tab = law_table(get_group(name).law_group)
+    gen_logs, leads = lat.float_basis()
+    outs = [bch_batch(tab, x, y)]
+    for side in ("left", "right"):
+        outs.append(translate_batch(tab, g, x, side=side))
+        for mode in ("floor", "round"):
+            outs.extend(reduce_batch(tab, gen_logs, leads, x, side=side, mode=mode))
+    for order in ("asc", "desc"):
+        outs.append(fold_digits(tab, gen_logs, digits, order=order))
+    return outs
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@settings(max_examples=6, deadline=None)
+@given(name=st.sampled_from(LAYOUT_GROUPS), n=st.integers(1, 257),
+       scale=st.sampled_from([1e-3, 1.0, 7.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_layouts_and_single_rows_give_the_same_bits(name, n, scale, seed):
+    dim = get_group(name).dim
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, dim)) * scale
+    y = rng.normal(size=(n, dim)) * scale
+    g = rng.normal(size=dim) * scale
+    digits = rng.integers(-40, 41, size=(n, dim))
+    c_order = _layout_outputs(name, x, y, g, digits)
+    f_order = _layout_outputs(name, np.asfortranarray(x), np.asfortranarray(y),
+                              g, np.asfortranarray(digits))
+    assert all(_same_bits(a, b) for a, b in zip(c_order, f_order))
+    for i in range(n):
+        one = _layout_outputs(name, x[i:i + 1], y[i:i + 1], g, digits[i:i + 1])
+        assert all(_same_bits(a[i:i + 1], b) for a, b in zip(c_order, one))
+
+
+def test_batch_lane_outputs_are_column_major():
+    # the kernels read whole columns; a silently row-major lane is slower
+    cp = builtin_coupling("engel-identity")
+    grp = cp.ambient()
+    lat = cp.lambda_lattice
+    tab = law_table(grp.law_group)
+    gen_logs, leads = lat.float_basis()
+    for side in ("alpha", "beta"):
+        assert domain_samples(cp, 100, 1, 4, side=side).flags.f_contiguous
+    twisted = builtin_coupling("heisenberg-shear")
+    assert domain_samples(twisted, 100, 1, 4).flags.f_contiguous
+    x = np.random.default_rng(3).normal(size=(100, grp.dim))  # row-major input
+    digits, rem = reduce_batch(tab, gen_logs, leads, x)
+    assert digits.flags.f_contiguous and rem.flags.f_contiguous
+    assert fold_digits(tab, gen_logs, digits).flags.f_contiguous
+    deriv = build_phi(cp, 256, 1)
+    assert phi_batch(deriv, x).flags.f_contiguous

@@ -92,7 +92,7 @@ def test_law_table_is_never_stale():
     for i in range(300):
         spec = NilpotentAlgebraSpec.from_brackets(3, {(1, 2): {3: i + 1}})
         law = NilpotentGroup(spec, "throwaway").law_group
-        assert law_table(law).coeff.tolist() == KernelTable(law).coeff.tolist()
+        assert law_table(law).terms == KernelTable(law).terms
 
 
 def test_equal_couplings_share_kernels():
