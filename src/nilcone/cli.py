@@ -24,6 +24,7 @@ from .algebra import StructuralError, builtin_algebra, validate_algebra
 from .algebra import NilpotentAlgebraSpec
 from .bch import get_group
 from .coupling import (
+    DEFAULT_WORKERS,
     CouplingSpec,
     builtin_coupling,
     coupling_from_json,
@@ -48,7 +49,6 @@ from .wordmetric import (
     guivarch_constants,
 )
 
-DEFAULT_WORKERS = 4
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ASSERTION = 2
@@ -77,8 +77,9 @@ def _parse_int_list(spec) -> list[int]:
             vals = [int(v) for v in spec]
     except (TypeError, ValueError) as exc:
         raise StructuralError(f"bad integer list {spec!r}") from exc
-    if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
-        raise StructuralError("n list must be nonempty and ascending")
+    if not vals or vals[0] < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
+        raise StructuralError(
+            f"n list must be nonempty, ascending and >= 1, got {spec!r}")
     return vals
 
 
@@ -159,7 +160,7 @@ def _parse_word(text: str):
 def _load_coupling(ref: str) -> CouplingSpec:
     p = Path(ref)
     if ref.endswith(".json") or p.is_file():
-        return coupling_from_json(p.read_text(encoding="utf-8"))
+        return coupling_from_json(json.loads(p.read_text(encoding="utf-8")))
     return builtin_coupling(ref)
 
 
@@ -450,6 +451,15 @@ def _cmd_experiment(args) -> int:
     return _EXPERIMENTS[args.experiment](args, cp)
 
 
+# The flags of the run command that a config file may also set, with the
+# type a config value must have: a float flag also takes an integer.
+_RUN_FLAGS = {
+    "coupling": str, "experiment": str, "g": str, "gamma": str, "word": str,
+    "n": str, "samples": int, "eps": float, "target": str, "phi_samples": int,
+    "out": str, "workers": int, "seed": int,
+}
+_JSON_TYPES = {str: "string", int: "integer", float: "number"}
+
 _RUN_DEFAULTS = {
     "g": "e1",
     "gamma": "e1*e2",
@@ -462,15 +472,26 @@ _RUN_DEFAULTS = {
 }
 
 
+def _config_value(key: str, val, kind: type):
+    """A config value as its flag's type, refusing any other JSON type."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(val, bool) or not isinstance(val, allowed):
+        raise StructuralError(
+            f"config key {key!r} must be a JSON {_JSON_TYPES[kind]}, got {val!r}")
+    return kind(val)
+
+
 def _cmd_run(args) -> int:
     if args.config:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(cfg, dict):
+            raise StructuralError("config must be a JSON object")
         for key, val in cfg.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in _RUN_FLAGS:
                 raise StructuralError(f"unknown config key {key!r}")
             if getattr(args, attr) is None:
-                setattr(args, attr, val)
+                setattr(args, attr, _config_value(key, val, _RUN_FLAGS[attr]))
     for attr, default in _RUN_DEFAULTS.items():
         if getattr(args, attr) is None:
             setattr(args, attr, default)
@@ -481,7 +502,6 @@ def _cmd_run(args) -> int:
     missing = [k for k in ("coupling", "experiment") if not getattr(args, k)]
     if missing:
         raise StructuralError(f"missing config keys: {', '.join(missing)}")
-    args.samples = int(args.samples)
     if args.samples < 1:
         raise StructuralError("samples must be >= 1")
     cp = _load_coupling(args.coupling)
@@ -619,20 +639,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run",
                        help="config-driven experiment run")
     p.add_argument("--config", default=None, help="RunConfig JSON file")
-    p.add_argument("--coupling", default=None)
-    p.add_argument("--experiment", default=None)
-    p.add_argument("--g", default=None)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--word", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--target", default=None)
-    p.add_argument("--phi-samples", type=int, default=None)
+    for dest, kind in _RUN_FLAGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), default=None,
+                       type=None if kind is str else kind)
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_run)
 
     return root

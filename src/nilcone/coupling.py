@@ -294,6 +294,11 @@ coupling_kernels = cache(CouplingKernels)  # CouplingSpec is frozen: keyed by co
 
 # --------------------------------------------------------------- sampling
 
+# The worker count shapes the sample stream, so every caller that draws
+# samples defaults to this one value.
+DEFAULT_WORKERS = 4
+
+
 def seed_lineage(seed: int, *tags: int) -> np.random.SeedSequence:
     """Documented split rule: child = SeedSequence(seed, spawn_key=tags)."""
     return np.random.SeedSequence(int(seed), spawn_key=tuple(int(t) for t in tags))
@@ -306,7 +311,8 @@ def _chunk_sizes(n: int, workers: int) -> list[int]:
 
 
 def domain_samples(coupling: CouplingSpec, n: int, seed: int,
-                   workers: int = 4, *tags: int, side: str = "alpha") -> np.ndarray:
+                   workers: int = DEFAULT_WORKERS, *tags: int,
+                   side: str = "alpha") -> np.ndarray:
     """Uniform samples of the fundamental domain of one lattice action.
 
     side "alpha" samples the right-action domain (the lambda box pulled
@@ -397,7 +403,7 @@ def _word_norm_proxy(coupling: CouplingSpec, digit_rows: np.ndarray) -> np.ndarr
 
 
 def integrability_estimate(coupling: CouplingSpec, s, samples: int, seed: int,
-                           workers: int = 4,
+                           workers: int = DEFAULT_WORKERS,
                            label: str | None = None) -> IntegrabilityReport:
     """Monte Carlo mean word norm of alpha(s, .) with a normal CI."""
     ck = coupling_kernels(coupling)

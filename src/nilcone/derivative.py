@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .algebra import StructuralError
 from .bch import GroupPoint, NilpotentGroup, get_group
 from .coupling import (
+    DEFAULT_WORKERS,
     CouplingKernels,
     CouplingSpec,
-    alpha,
     coupling_kernels,
     domain_samples,
     seed_lineage,
@@ -48,15 +47,13 @@ from .kernels import (
 )
 from .wordmetric import ball_points, digits_to_point
 
-DEFAULT_WORKERS = 4
-
-# spawn-key tags keeping the per-operation sample streams disjoint
+# spawn-key tags keeping the per-operation sample streams disjoint; they
+# seed those streams, so a tag's value never changes
 _TAG_MEAN_AB = 0
 _TAG_ITERATES = 1
 _TAG_MAIN = 2
 _TAG_KAPPA = 3
 _TAG_RECUR = 4
-_TAG_PROBE = 5
 _TAG_WORD = 6
 
 _PHI_BLOCK = 1024  # grid rows per factorization in phi_batch
@@ -153,20 +150,6 @@ def mean_abelianization(coupling: CouplingSpec, gamma, samples: int, seed: int,
     vec, ci = _abelian_mean_ci(coupling_kernels(coupling), coupling.ambient(),
                                _coords_of(gamma), x, side)
     return MeanAbelianization(vector=vec, ci=ci, samples=samples, seed=seed)
-
-
-def cocycle_ergodic_average(coupling: CouplingSpec, gamma, x, n: int) -> tuple:
-    """(1/n) times the abelian part of the cocycle at gamma^n (exact)."""
-    if n < 1:
-        raise StructuralError("n must be >= 1")
-    grp = coupling.ambient()
-    law = grp.law_group
-    power = law.pow(tuple(Fraction(c) for c in _coords_of(gamma)), n)
-    lam = alpha(coupling, power, x)
-    ab = set(_abelian_indices(grp))
-    return tuple(
-        c / n if i in ab else type(c)(0) for i, c in enumerate(lam.coords)
-    )
 
 
 # ------------------------------------------------------------ derivative map
@@ -396,56 +379,6 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     )
 
 
-@dataclass
-class TailRow:
-    n: int
-    bound: float
-    tail_prob: float
-
-
-@dataclass
-class SubadditiveReport:
-    coupling: str
-    gamma: tuple
-    rows: tuple[TailRow, ...]
-    samples: int
-    seed: int
-
-    def bound_exists(self, level: float = 0.05, min_n: int = 16) -> bool:
-        bounds = sorted({r.bound for r in self.rows})
-        for m in bounds:
-            if all(r.tail_prob < level for r in self.rows
-                   if r.bound == m and r.n >= min_n):
-                return True
-        return False
-
-    def csv_rows(self):
-        header = ["n", "bound", "tail_prob"]
-        return header, [[r.n, r.bound, r.tail_prob] for r in self.rows]
-
-
-def subadditive_growth_probe(coupling: CouplingSpec, gamma, n_list,
-                             samples: int, seed: int = 0,
-                             bounds=(0.5, 1.0, 2.0, 4.0, 8.0),
-                             workers: int = DEFAULT_WORKERS) -> SubadditiveReport:
-    """Tail probabilities of the cocycle quasi-norm against linear scales."""
-    gcoords = _float_coords(gamma)
-    grp = coupling.ambient()
-    ck = coupling_kernels(coupling)
-    rows = []
-    for i, n in enumerate(n_list):
-        x = domain_samples(coupling, samples, seed, workers, _TAG_PROBE, i)
-        lam = _cocycle_coords_batch(ck, tuple(n * gcoords), x)
-        norms = quasi_norm_batch(grp.degrees, lam)
-        for m in bounds:
-            rows.append(TailRow(n=int(n), bound=float(m),
-                                tail_prob=float((norms > m * n).mean())))
-    return SubadditiveReport(
-        coupling=coupling.name, gamma=tuple(float(v) for v in gcoords),
-        rows=tuple(rows), samples=samples, seed=seed,
-    )
-
-
 # ----------------------------------------------------------- gamma sequences
 
 def gamma_sequence(grad, lattice, g, n: int,
@@ -581,6 +514,9 @@ class KappaReport(_ConvergenceRows):
 
 def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float,
                      cap: int = 200_000) -> np.ndarray:
+    if not (radius > 0 and step > 0):
+        raise StructuralError(
+            f"grid radius and step must be positive, got {radius} and {step}")
     axes = []
     for d in grp.degrees:
         extent = radius ** d
@@ -670,6 +606,8 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
     where some candidate's induced action lands it back in the box.
     Exhausting the horizon counts as failure, not an error.
     """
+    if samples < 1:
+        raise StructuralError("samples must be >= 1")
     grp = coupling.ambient()
     ck = coupling_kernels(coupling)
     lo = np.asarray([float(a) for a, _ in box_a], dtype=np.float64)

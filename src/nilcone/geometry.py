@@ -1,4 +1,4 @@
-"""Dilations, scaling maps, projections, quasi-norms, factorization.
+"""Scaling maps, quasi-norms and horizontal factorization.
 
 The smooth side of the geometry: everything here lives on the ambient
 group or its associated graded group (the Carnot group carrying the
@@ -28,15 +28,6 @@ def _degrees_of(grad_or_group) -> tuple[int, ...]:
     raise TypeError("expected a Gradation or NilpotentGroup")
 
 
-def dilation(grad, g: GroupPoint, t) -> GroupPoint:
-    """Grading dilation: coordinate of degree d scales by t**d."""
-    if t <= 0:
-        raise StructuralError("dilation parameter must be positive")
-    degrees = _degrees_of(grad)
-    coords = tuple(c * t ** d for c, d in zip(g.coords, degrees))
-    return GroupPoint(coords, g.law, g.algebra)
-
-
 def scl(gamma: GroupPoint, t) -> GroupPoint:
     """Scaling map into the asymptotic cone: dilate by 1/t, retag graded.
 
@@ -52,24 +43,6 @@ def scl(gamma: GroupPoint, t) -> GroupPoint:
     return GroupPoint(coords, "graded", gamma.algebra)
 
 
-def _zero_like(c):
-    return Fraction(0) if isinstance(c, (int, Fraction)) else 0.0
-
-
-def pi_ab(g: GroupPoint) -> GroupPoint:
-    """Zero out all coordinates of degree two and higher."""
-    degrees = get_group(g.algebra).degrees
-    coords = tuple(c if d == 1 else _zero_like(c) for c, d in zip(g.coords, degrees))
-    return GroupPoint(coords, g.law, g.algebra)
-
-
-def pi_com(g: GroupPoint) -> GroupPoint:
-    """Zero out the degree-one (abelian) coordinates."""
-    degrees = get_group(g.algebra).degrees
-    coords = tuple(c if d > 1 else _zero_like(c) for c, d in zip(g.coords, degrees))
-    return GroupPoint(coords, g.law, g.algebra)
-
-
 def quasi_norm_m(grad, g) -> float:
     """Homogeneous quasi-norm max_i |x_i|**(1/d_i)."""
     degrees = _degrees_of(grad)
@@ -80,29 +53,6 @@ def quasi_norm_m(grad, g) -> float:
         if v > best:
             best = v
     return best
-
-
-def quasi_norm_powers(grad, coords) -> tuple[int, tuple[Fraction, ...]]:
-    """Exact comparator data for the quasi-norm.
-
-    Returns (L, values) with L = lcm of the degrees and values_i =
-    |x_i|**(L/d_i) as Fractions; max(values) equals the quasi-norm
-    raised to the L-th power, so quasi-norms of rational points compare
-    exactly without extracting roots.
-    """
-    degrees = _degrees_of(grad)
-    L = math.lcm(*degrees)
-    vals = tuple(abs(Fraction(c)) ** (L // d) for c, d in zip(coords, degrees))
-    return L, vals
-
-
-def proxy_distance(grad, a: GroupPoint, b: GroupPoint) -> float:
-    """Quasi-norm of the graded-law difference a^{-1} * b."""
-    grp = get_group(a.algebra)
-    law = grp.law_graded
-    ca = tuple(float(c) for c in a.coords)
-    cb = tuple(float(c) for c in b.coords)
-    return quasi_norm_m(grad, law.mul(law.inv(ca), cb))
 
 
 def fit_exponent(xs, ys) -> float:
@@ -133,13 +83,13 @@ class FactorizationError(RuntimeError):
 class Factorization:
     """A word in dilated horizontal generators multiplying to a point.
 
-    Each term is (generator index, exponent a >= 0) meaning the dilated
-    generator delta_a(s_index); indices 0..d-1 are the degree-one
+    Each term is (generator index, float exponent a > 0) meaning the
+    dilated generator delta_a(s_index); indices 0..d-1 are the degree-one
     coordinate generators, d..2d-1 their inverses.
     """
 
     algebra: str
-    terms: tuple[tuple[int, object], ...]
+    terms: tuple[tuple[int, float], ...]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -159,55 +109,31 @@ def generating_set(group: NilpotentGroup) -> list[GroupPoint]:
     return out
 
 
-def _letter_coords(group: NilpotentGroup, idx: int, a):
-    d = group.abelian_dim
-    m = group.dim
-    j = idx if idx < d else idx - d
-    sign = 1 if idx < d else -1
-    zero = Fraction(0) if isinstance(a, (int, Fraction)) else 0.0
-    return tuple(sign * a if k == j else zero for k in range(m))
-
-
 def evaluate_factorization(group: NilpotentGroup, fact: Factorization) -> GroupPoint:
+    """The product of a factorization's dilated generators, in floats."""
     law = group.law_graded
-    acc = law.identity()
-    exact = all(isinstance(a, (int, Fraction)) for _, a in fact.terms)
-    if not exact:
-        acc = tuple(0.0 for _ in range(group.dim))
+    d = group.abelian_dim
+    acc = (0.0,) * group.dim
     for idx, a in fact.terms:
-        acc = law.mul(acc, _letter_coords(group, idx, a if exact else float(a)))
+        j = idx if idx < d else idx - d
+        sign = 1.0 if idx < d else -1.0
+        acc = law.mul(acc, tuple(sign * a if k == j else 0.0
+                                 for k in range(group.dim)))
     return GroupPoint(acc, "graded", group.name)
 
 
-def _invert_word(d: int, letters):
-    out = []
-    for idx, role in reversed(letters):
-        out.append((idx + d if idx < d else idx - d, role))
-    return tuple(out)
+def _invert_word(d: int, letters: tuple) -> tuple:
+    return tuple(i + d if i < d else i - d for i in reversed(letters))
 
 
 def _nested_word(d: int, seq) -> tuple:
-    """Commutator word a b a^{-1} b^{-1} nested along seq, roles marked.
-
-    The outermost letter (seq[0]) carries the role "outer"; in exact
-    mode its exponent absorbs the full target coefficient so no k-th
-    roots appear.
-    """
+    """Generator indices of the commutator word a b a^{-1} b^{-1} nested
+    along seq: a is the letter seq[0], b the word of seq[1:]."""
     if len(seq) == 1:
-        return ((seq[0], "outer"),)
-    a = ((seq[0], "outer"),)
-    b = tuple((i, "unit") for i, _ in _nested_word(d, seq[1:]))
-    # inner word reverts to unit role; only the top-level letter scales
+        return (seq[0],)
+    a = (seq[0],)
+    b = _nested_word(d, seq[1:])
     return a + b + _invert_word(d, a) + _invert_word(d, b)
-
-
-def _word_eval(group: NilpotentGroup, letters, outer_exp, unit_exp):
-    law = group.law_graded
-    acc = law.identity()
-    for idx, role in letters:
-        a = outer_exp if role == "outer" else unit_exp
-        acc = law.mul(acc, _letter_coords(group, idx, a))
-    return acc
 
 
 class _GadgetBasis:
@@ -222,6 +148,8 @@ class _GadgetBasis:
         self.words: dict[int, list[tuple]] = {}
         self.inverses: dict[int, tuple] = {}
         d = group.abelian_dim
+        gens = [s.coords for s in generating_set(group)]
+        law = group.law_graded
         idx_by_level: dict[int, list[int]] = {}
         for k, deg in enumerate(group.degrees):
             idx_by_level.setdefault(deg, []).append(k)
@@ -232,7 +160,9 @@ class _GadgetBasis:
             words, vectors = [], []
             for seq in _lex_sequences(d, level):
                 w = _nested_word(d, seq)
-                full = _word_eval(group, w, Fraction(1), Fraction(1))
+                full = law.identity()
+                for idx in w:
+                    full = law.mul(full, gens[idx])
                 vec = tuple(full[i] for i in coords_idx)
                 if all(v == 0 for v in vec):
                     continue
@@ -253,9 +183,10 @@ class _GadgetBasis:
     def solve(self, level: int, target_vec) -> tuple[list[int], int]:
         """Exact coefficients of target_vec over the level's words.
 
-        Returns integer numerators over one positive denominator, so a
-        float coefficient is one correctly rounded division: the value
-        float() of the Fraction gives.  Float and Fraction inputs work.
+        target_vec holds float residual coordinates.  Returns integer
+        numerators over one positive denominator, so a float coefficient
+        is one correctly rounded division: the value float() of the
+        Fraction gives.
         """
         num, den = self.inverses[level]
         ratios = [v.as_integer_ratio() for v in target_vec]
@@ -295,13 +226,15 @@ def factorization_batch(group, points, order: str = "asc",
                         tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Float factorization of every row of an (n, m) array of points.
 
-    Runs the peel of horizontal_factorization on all rows at once, each
-    row with the same float operations as on its own: in every pass a
-    row peels its lowest degree whose residual coordinates are not all
-    within ``tol``.  Abelian coordinates become single dilated
-    generators; a degree-k level is matched by its gadget words, each
-    dilated as a whole by |t|**(1/k) for the exact coefficient t of the
-    float residual.
+    Each row is factored as a word of dilated horizontal generators,
+    with the same float operations as on its own.  In every pass a row
+    peels its lowest degree whose residual coordinates are not all
+    within ``tol``: abelian coordinates (in ascending or descending
+    coordinate order) become single dilated generators; a degree-k
+    level is matched by its commutator gadget words, each dilated as a
+    whole by |t|**(1/k) for the exact coefficient t of the float
+    residual.  The cross terms each emission introduces live in
+    strictly higher degrees, so repeated passes absorb them.
 
     Returns (letters, exponents), two (n, S) arrays: row i's word is the
     generator indices letters[i, s] with exponents exponents[i, s] in
@@ -363,7 +296,7 @@ def factorization_batch(group, points, order: str = "asc",
                 negative[sel] = [t[wi] < 0 for t, _ in sols]
                 inverse = _invert_word(d, word)
                 w = np.zeros((n, m), order="F")
-                for (up, _), (down, _) in zip(word, inverse):
+                for up, down in zip(word, inverse):
                     w = bch_batch(tab, w, emit(np.where(negative, down, up), root))
                 acc = bch_batch(tab, acc, w)
     else:  # max_passes used up: the residual after the last emissions
@@ -380,68 +313,16 @@ def factorization_batch(group, points, order: str = "asc",
 
 
 def horizontal_factorization(group, g, order: str = "asc",
-                             style: str = "uniform",
                              max_passes: int = 50,
                              tol: float = 1e-12) -> Factorization:
-    """Factor a graded-group point as a word of dilated generators.
+    """Factor one graded-group point as a word of dilated generators.
 
-    Peels degree levels from the bottom up: abelian coordinates become
-    single dilated generators (in ascending or descending coordinate
-    order), deeper levels are matched by commutator gadget words.  The
-    cross terms each emission introduces live in strictly higher
-    degrees, so repeated passes absorb them; the loop is capped at
-    ``max_passes``.
-
-    style "uniform" dilates a whole degree-k gadget by |t|**(1/k)
-    (floats, through factorization_batch); style "exact" puts the full
-    coefficient on the gadget's outermost letter, which keeps Fraction
-    inputs exact.
+    The one-row case of factorization_batch, with the skipped slots
+    dropped from the word.
     """
     group = get_group(group)
     coords = g.coords if isinstance(g, GroupPoint) else tuple(g)
-    if style == "uniform":
-        letters, exps = factorization_batch(
-            group, [tuple(float(c) for c in coords)], order, max_passes, tol)
-        return Factorization(algebra=group.name, terms=tuple(
-            (int(i), float(a)) for i, a in zip(letters[0], exps[0]) if a != 0))
-    if style != "exact":
-        raise StructuralError(f"unknown factorization style {style!r}")
-    if not all(isinstance(c, (int, Fraction)) for c in coords):
-        raise StructuralError("exact factorization needs rational coordinates")
-    ab_indices = _abelian_order(group, order)
-    law = group.law_graded
-    target = tuple(Fraction(c) for c in coords)
-    acc = law.identity()
-    d = group.abelian_dim
-    degrees = group.degrees
-    terms: list[tuple[int, object]] = []
-    for _ in range(max_passes):
-        r = law.mul(law.inv(acc), target)
-        if all(c == 0 for c in r):
-            break
-        level = min(deg for c, deg in zip(r, degrees) if c != 0)
-        if level == 1:
-            for j in ab_indices:
-                if r[j] == 0:
-                    continue
-                idx = j if r[j] > 0 else j + d
-                terms.append((idx, abs(r[j])))
-                acc = law.mul(acc, _letter_coords(group, idx, abs(r[j])))
-            continue
-        vec = [c for c, deg in zip(r, degrees) if deg == level]
-        gadgets = _gadgets(group)
-        nums, den = gadgets.solve(level, vec)
-        for w, t in zip(gadgets.words[level], nums):
-            if t == 0:
-                continue
-            t = Fraction(t, den)
-            letters = w if t > 0 else _invert_word(d, w)
-            for idx, role in letters:
-                terms.append((idx, abs(t) if role == "outer" else Fraction(1)))
-            acc = law.mul(acc, _word_eval(group, letters, abs(t), Fraction(1)))
-    else:
-        r = law.mul(law.inv(acc), target)
-    if any(c != 0 for c in r):
-        raise FactorizationError(
-            f"factorization failed to converge for {group.name}", residual=r)
-    return Factorization(algebra=group.name, terms=tuple(terms))
+    letters, exps = factorization_batch(
+        group, [tuple(float(c) for c in coords)], order, max_passes, tol)
+    return Factorization(algebra=group.name, terms=tuple(
+        (int(i), float(a)) for i, a in zip(letters[0], exps[0]) if a != 0))

@@ -367,9 +367,10 @@ def guivarch_constants(lat: LatticeSpec, radius: int,
     """Extremal ratios over the radius-ball.
 
     c_low bounds |g|_m <= c_low |g|_Gamma, c_high bounds
-    |g|_Gamma <= c_high (|g|_m + 1); com_ratio is the largest
-    |pi_com g|_Gamma / |g|_Gamma over ball points whose commutator
-    projection is itself a lattice point inside the computed ball.
+    |g|_Gamma <= c_high (|g|_m + 1); com_ratio is the largest ratio
+    |g_com|_Gamma / |g|_Gamma over ball points g whose commutator
+    projection g_com (the degree-one coordinates zeroed) is itself a
+    lattice point inside the computed ball.
     """
     grp = get_group(lat.group)
     grad = grp.grad
@@ -396,46 +397,6 @@ def guivarch_constants(lat: LatticeSpec, radius: int,
                 com_ratio = r if com_ratio is None else max(com_ratio, r)
     return GuivarchConstants(radius=radius, c_low=c_low, c_high=c_high,
                              com_ratio=com_ratio)
-
-
-@dataclass(frozen=True)
-class ApproxDistance:
-    value: float
-    mode: str      # "bfs" or "quasi"
-    depth: int | None
-    fell_back: bool = False
-
-
-def approx_cc_distance(grad, lat: LatticeSpec, g, h, n: int = 1,
-                       mode: str = "bfs",
-                       radius_cap: int = DEFAULT_RADIUS_CAP,
-                       state_cap: int = DEFAULT_STATE_CAP) -> ApproxDistance:
-    """Scaled-word-metric proxy for the limiting distance of g and h.
-
-    BFS mode rounds delta_n(g^{-1} h) to the lattice and returns the
-    word length over n; the quasi mode (also the fallback when caps are
-    hit) returns the quasi-norm of the difference directly.
-    """
-    if n < 1:
-        raise StructuralError("scaling depth must be >= 1")
-    grp = get_group(lat.group)
-    law = grp.law_group
-    a = fraction_coords(g, lat.dim)
-    b = fraction_coords(h, lat.dim)
-    diff = law.mul(law.inv(a), b)
-    if mode == "quasi":
-        return ApproxDistance(quasi_norm_m(grad, diff), "quasi", None)
-    if mode != "bfs":
-        raise StructuralError(f"unknown mode {mode!r}")
-    dil = tuple(c * Fraction(n) ** d for c, d in zip(diff, grp.degrees))
-    target = round_to_lattice(lat, dil)
-    try:
-        w = word_norm_bfs(lat, target, radius_cap, state_cap)
-    except CapExceeded:
-        w = None
-    if w is None:
-        return ApproxDistance(quasi_norm_m(grad, diff), "quasi", n, fell_back=True)
-    return ApproxDistance(w / n, "bfs", n)
 
 
 # A name stays bound to one set of structure constants (bch.get_group),

@@ -75,6 +75,25 @@ def test_coupling_verify_artifact(tmp_path):
     assert obj["ok"] is True
 
 
+def test_coupling_verify_reads_json_file(tmp_path, capsys):
+    cp_path = tmp_path / "cp.json"
+    cp_path.write_text(json.dumps({"group": "heisenberg3", "twist": "scale2"}))
+    rc = main(["coupling", "verify", "--coupling", str(cp_path), "--seed", "1",
+               "--samples", "20", "--triples", "20", "--out", str(tmp_path)])
+    assert rc == 0
+    obj = json.loads((tmp_path / "verify_heisenberg3-scale2_seed1.json").read_text())
+    assert obj["ok"] is True
+    capsys.readouterr()
+    for text in ('{"group": ', "[1, 2]"):
+        cp_path.write_text(text)
+        rc = main(["coupling", "verify", "--coupling", str(cp_path),
+                   "--seed", "1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 def test_derivative_estimate_csv_columns(tmp_path):
     rc = main(["derivative", "estimate", "--coupling", "z2-identity",
                "--samples", "400", "--gamma", "e1", "--seed", "2",
@@ -199,6 +218,33 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+BAD_CONFIGS = {
+    "string eps": {"eps": "0.2"},
+    "string phi_samples": {"phi_samples": "256"},
+    "string workers": {"workers": "2"},
+    "integer coupling": {"coupling": 5},
+    "boolean samples": {"samples": True},
+    "not an object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_run_refuses_config_values_of_the_wrong_type(tmp_path, capsys, case):
+    bad = BAD_CONFIGS[case]
+    cfg = bad
+    if isinstance(bad, dict):
+        cfg = {"experiment": "main-theorem", "coupling": "heisenberg-identity",
+               "n": "8,16", "samples": 64, "phi_samples": 256, **bad}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["run", "--config", str(cfg_path), "--seed", "7",
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_out_env_var_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("NILCONE_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)
@@ -259,6 +305,27 @@ def test_nonpositive_workers_is_structural_error(tmp_path, capsys, workers):
     assert rc == 1
     assert "workers must be >= 1" in err
     assert "Traceback" not in err
+
+
+EMPTY_OR_ZERO_RUNS = {
+    "kappa depth 0": ["derivative", "kappa", "--n", "0,1"],
+    "kappa grid step 0": ["derivative", "kappa", "--grid-step", "0"],
+    "kappa negative radius": ["derivative", "kappa", "--radius", "-1"],
+    "main-theorem depth 0": ["experiment", "main-theorem", "--n", "0,8"],
+    "recurrence no samples": ["derivative", "recurrence", "--samples", "0"],
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_OR_ZERO_RUNS))
+def test_zero_depths_and_empty_runs_are_refused(tmp_path, capsys, case):
+    rc = main(EMPTY_OR_ZERO_RUNS[case] + [
+        "--coupling", "heisenberg-identity", "--seed", "1",
+        "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "success fraction" not in captured.out
 
 
 POINT_REFUSALS = {

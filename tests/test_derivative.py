@@ -15,7 +15,6 @@ from nilcone.derivative import (
     _quasi_ball_grid,
     arbitrary_element_experiment,
     build_phi,
-    cocycle_ergodic_average,
     gamma_sequence,
     homomorphism_check,
     inverse_check,
@@ -30,7 +29,6 @@ from nilcone.derivative import (
     phi_batch,
     recurrence_search,
     strictly_decreasing,
-    subadditive_growth_probe,
 )
 from nilcone.geometry import (
     factorization_batch,
@@ -75,10 +73,13 @@ def test_mean_abelianization_matches_grid_quadrature():
 
 
 def test_cocycle_ergodic_average_identity_coupling():
+    # on the identity coupling the abelian part of alpha(gamma^n, x) is n
+    # times gamma's, so every sample's ergodic average is the mean
     c = builtin_coupling("heisenberg-identity")
-    x = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 5))
-    assert cocycle_ergodic_average(c, (1, 0, 0), x, 16) == (1, 0, 0)
-    assert cocycle_ergodic_average(c, (0, 1, 0), x, 8) == (0, 1, 0)
+    for gamma in ((1, 0, 0), (0, 1, 0)):
+        rep = iterate_diagnostics(c, gamma, (8, 16), 64, 3)
+        assert rep.mean_ab == tuple(float(v) for v in gamma)
+        assert [r.median_ab_dev for r in rep.rows] == [0.0, 0.0]
 
 
 PHI_EXPECTED = {
@@ -274,15 +275,6 @@ def test_iterate_diagnostics_decreasing():
     scl_d = [r.median_scl_dist for r in rep.rows]
     assert strictly_decreasing(com)
     assert strictly_decreasing(scl_d)
-
-
-def test_subadditive_probe_tails_vanish():
-    c = builtin_coupling("heisenberg-identity")
-    rep = subadditive_growth_probe(c, (1, 0, 0), (8, 16), 256, 29)
-    for row in rep.rows:
-        if row.bound >= 1.0:
-            assert row.tail_prob == 0.0
-    assert rep.bound_exists(level=0.05, min_n=16)
 
 
 def test_kappa_grid_converges():

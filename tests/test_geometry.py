@@ -1,25 +1,22 @@
-"""Dilations, quasi-norms, projections, and horizontal factorization."""
+"""Scaling maps, quasi-norms and horizontal factorization."""
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nilcone import get_group, point
+from nilcone.derivative import _graded_dist
 from nilcone.geometry import (
     FactorizationError,
-    dilation,
     evaluate_factorization,
     factorization_batch,
     fit_exponent,
     generating_set,
     horizontal_factorization,
-    pi_ab,
-    pi_com,
-    proxy_distance,
     quasi_norm_m,
-    quasi_norm_powers,
     scl,
 )
 
@@ -41,38 +38,8 @@ def test_quasi_norm_homogeneity_exact(name):
         for _ in range(20):
             coords = rand_fractions(rng, grp.dim)
             scaled = tuple(t ** d * c for d, c in zip(grp.degrees, coords))
-            L0, v0 = quasi_norm_powers(grp.grad, coords)
-            L1, v1 = quasi_norm_powers(grp.grad, scaled)
-            assert L0 == L1
-            assert max(v1) == t ** L0 * max(v0)
-
-
-def test_quasi_norm_powers_comparator_matches_float():
-    grp = get_group("engel4")
-    rng = random.Random(102)
-    for _ in range(30):
-        coords = rand_fractions(rng, grp.dim)
-        L, vals = quasi_norm_powers(grp.grad, coords)
-        want = float(max(vals)) ** (1.0 / L)
-        assert abs(quasi_norm_m(grp.grad, coords) - want) <= 1e-12
-
-
-def test_dilation_point_wrapper():
-    g = point((Fraction(1, 2), Fraction(-3), Fraction(5, 4)), "graded", "heisenberg3")
-    h = dilation(get_group("heisenberg3").grad, g, Fraction(2))
-    assert h.coords == (Fraction(1), Fraction(-6), Fraction(5))
-    assert h.law == g.law and h.algebra == g.algebra
-
-
-def test_projections_split_coordinates():
-    grp = get_group("engel4")
-    g = point((1, 2, 3, 4), "group", "engel4")
-    a = pi_ab(g)
-    c = pi_com(g)
-    assert a.coords == (1, 2, 0, 0)
-    assert c.coords == (0, 0, 3, 4)
-    assert tuple(x + y for x, y in zip(a.coords, c.coords)) == g.coords
-    assert grp.degrees == (1, 1, 2, 3)
+            want = float(t) * quasi_norm_m(grp.grad, coords)
+            assert quasi_norm_m(grp.grad, scaled) == pytest.approx(want, rel=1e-12)
 
 
 def test_generating_set_is_symmetric_horizontal():
@@ -97,14 +64,9 @@ def test_single_generator_factorization_is_one_term():
 
 def test_center_element_is_four_term_commutator_word():
     grp = get_group("heisenberg3")
-    f = horizontal_factorization(grp, (0, 0, Fraction(1)), style="exact")
-    assert f.terms == (
-        (0, Fraction(1)),
-        (1, Fraction(1)),
-        (2, Fraction(1)),
-        (3, Fraction(1)),
-    )
-    assert evaluate_factorization(grp, f).coords == (0, 0, Fraction(1))
+    f = horizontal_factorization(grp, (0, 0, Fraction(1)))
+    assert f.terms == ((0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0))
+    assert evaluate_factorization(grp, f).coords == (0, 0, 1)
 
 
 @pytest.mark.parametrize("name", NONABELIAN)
@@ -119,15 +81,6 @@ def test_uniform_reconstruction(name, order):
         back = evaluate_factorization(grp, f).coords
         worst = max(worst, max(abs(float(a) - b) for a, b in zip(back, coords)))
     assert worst <= 1e-9
-
-
-def test_exact_style_reconstructs_rationals_exactly():
-    grp = get_group("heisenberg3")
-    rng = random.Random(104)
-    for _ in range(25):
-        coords = rand_fractions(rng, grp.dim)
-        f = horizontal_factorization(grp, coords, style="exact")
-        assert evaluate_factorization(grp, f).coords == coords
 
 
 def test_failure_carries_residual():
@@ -197,17 +150,13 @@ def test_non_finite_points_do_not_factor():
 
 def test_proxy_distance_left_invariance():
     grp = get_group("heisenberg3")
+    law = grp.law_graded
     rng = random.Random(105)
     for _ in range(20):
-        g = point(tuple(rng.uniform(-2, 2) for _ in range(3)), "graded", "heisenberg3")
-        h = point(tuple(rng.uniform(-2, 2) for _ in range(3)), "graded", "heisenberg3")
-        k = tuple(rng.uniform(-2, 2) for _ in range(3))
-        law = grp.law_graded
-        kg = point(law.mul(k, g.coords), "graded", "heisenberg3")
-        kh = point(law.mul(k, h.coords), "graded", "heisenberg3")
-        d0 = proxy_distance(grp.grad, g, h)
-        d1 = proxy_distance(grp.grad, kg, kh)
-        assert abs(d0 - d1) <= 1e-9
+        g, h, k = (tuple(rng.uniform(-2, 2) for _ in range(3)) for _ in range(3))
+        d0 = _graded_dist(grp, np.asarray([g]), np.asarray(h))
+        d1 = _graded_dist(grp, np.asarray([law.mul(k, g)]), np.asarray(law.mul(k, h)))
+        assert abs(d0[0] - d1[0]) <= 1e-9
 
 
 def test_scl_rescales_by_degree():

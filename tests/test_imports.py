@@ -1,13 +1,26 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses or defines a
+public function nothing reaches."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).resolve().parent.parent
-                             / "src" / "nilcone").glob("*.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "nilcone").glob("*.py")
                  if p.name != "__init__.py")
+# Where a public function may be reached from: the package itself, the
+# benchmark and the acceptance criteria.  Unit tests and the package's
+# re-exports do not count.
+READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
+# Public names kept although no reader names them.
+UNREACHED_ALLOWED = {
+    # the typed point API of bch
+    "point", "bch_product", "power", "commutator",
+    # the oracle the factorization tests check the peel against
+    "evaluate_factorization",
+}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -21,3 +34,38 @@ def test_no_unused_imports(path):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _named(tree, skip=None) -> set[str]:
+    """Names, attributes and imported names in tree, outside node skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_public_function_is_reached():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in READERS}
+    named = {p: _named(tree) for p, tree in trees.items()}
+    unreached = []
+    for path in MODULES:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in UNREACHED_ALLOWED:
+                continue
+            if node.name in _named(trees[path], skip=node) or any(
+                    node.name in names for p, names in named.items() if p != path):
+                continue
+            unreached.append(f"{path.name}:{node.name}")
+    assert not unreached, f"nothing reaches {', '.join(unreached)}"

@@ -15,7 +15,6 @@ from nilcone import (
 from nilcone.geometry import quasi_norm_m
 from nilcone.wordmetric import (
     CapExceeded,
-    approx_cc_distance,
     ball_points,
     ball_profile,
     digits_to_point,
@@ -232,40 +231,6 @@ def test_guivarch_stability_across_radii():
     b = guivarch_constants(lat, 7)
     assert abs(a.c_low - b.c_low) <= 0.5
     assert abs(a.c_high - b.c_high) <= 1.0
-
-
-def test_approx_distance_trivial_and_invariance():
-    grp = get_group("heisenberg3")
-    lat = builtin_lattice("heisenberg3")
-    assert approx_cc_distance(grp.grad, lat, (1, 2, 3), (1, 2, 3)).value == 0.0
-    law = grp.law_group
-    g = (Fraction(1), Fraction(0), Fraction(2))
-    h = (Fraction(0), Fraction(1), Fraction(-1))
-    k = (Fraction(2), Fraction(-1), Fraction(1))
-    d0 = approx_cc_distance(grp.grad, lat, g, h, mode="quasi").value
-    d1 = approx_cc_distance(grp.grad, lat, law.mul(k, g), law.mul(k, h),
-                            mode="quasi").value
-    assert d0 == d1
-
-
-def test_approx_distance_depth_sequence():
-    grp = get_group("heisenberg3")
-    lat = builtin_lattice("heisenberg3")
-    vals = [approx_cc_distance(grp.grad, lat, (0, 0, 0), (1, 0, 0), n=n).value
-            for n in (5, 10, 20)]
-    for a, b, n in zip(vals, vals[1:], (5, 10)):
-        assert abs(a - b) <= 2.0 / n
-    assert vals[-1] == 1.0
-
-
-def test_approx_distance_falls_back_past_cap():
-    grp = get_group("heisenberg3")
-    lat = builtin_lattice("heisenberg3")
-    res = approx_cc_distance(grp.grad, lat, (0, 0, 0), (30, 0, 0),
-                             n=1, radius_cap=5)
-    assert res.fell_back
-    assert res.mode == "quasi"
-    assert res.value == 30.0
 
 
 def test_state_cap_raises():
