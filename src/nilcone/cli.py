@@ -83,6 +83,14 @@ def _parse_int_list(spec) -> list[int]:
     return vals
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a threshold must be finite."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return val
+
+
 def _parse_scalar(tok: str):
     try:
         return Fraction(tok)
@@ -147,20 +155,22 @@ def _parse_word(text: str):
     for part in text.split(","):
         tok, _, sched = part.partition(":")
         tok = tok.strip()
-        if tok.startswith("e") and tok[1:].isdigit():
-            idx = int(tok[1:]) - 1
-        elif tok.startswith("s") and tok[1:].isdigit():
-            idx = int(tok[1:]) - 1
-        else:
-            idx = int(tok)
+        idx = int(tok[1:]) - 1 if tok[:1] in ("e", "s") and tok[1:].isdigit() else int(tok)
         word.append((idx, sched.strip() or "n"))
     return word
 
 
+def _read_json(flag: str, path: str, parse=lambda obj: obj):
+    """The JSON document at path, passed through parse; errors name flag and path."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, StructuralError) as exc:
+        raise StructuralError(f"{flag} {path!r}: {exc}") from exc
+
+
 def _load_coupling(ref: str) -> CouplingSpec:
-    p = Path(ref)
-    if ref.endswith(".json") or p.is_file():
-        return coupling_from_json(json.loads(p.read_text(encoding="utf-8")))
+    if ref.endswith(".json") or Path(ref).is_file():
+        return _read_json("--coupling", ref, coupling_from_json)
     return builtin_coupling(ref)
 
 
@@ -411,7 +421,7 @@ def _run_iterates(args, cp: CouplingSpec) -> int:
     for r in rep.rows:
         print(f"n={r.n} ab_dev={r.median_ab_dev} com/n={r.median_com_over_n} "
               f"scl_dist={r.median_scl_dist}")
-    if not (rep.com_decreasing() and rep.scl_decreasing()):
+    if not rep.medians_decreasing():
         raise AssertionFailed("iterate medians are not decreasing")
     return EXIT_OK
 
@@ -475,15 +485,16 @@ _RUN_DEFAULTS = {
 def _config_value(key: str, val, kind: type):
     """A config value as its flag's type, refusing any other JSON type."""
     allowed = (int, float) if kind is float else kind
-    if isinstance(val, bool) or not isinstance(val, allowed):
-        raise StructuralError(
-            f"config key {key!r} must be a JSON {_JSON_TYPES[kind]}, got {val!r}")
+    if (isinstance(val, bool) or not isinstance(val, allowed)
+            or kind is float and not math.isfinite(val)):
+        raise StructuralError(f"config key {key!r} must be a finite JSON "
+                              f"{_JSON_TYPES[kind]}, got {val!r}")
     return kind(val)
 
 
 def _cmd_run(args) -> int:
     if args.config:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg = _read_json("--config", args.config)
         if not isinstance(cfg, dict):
             raise StructuralError("config must be a JSON object")
         for key, val in cfg.items():
@@ -512,15 +523,19 @@ def _cmd_run(args) -> int:
 
 # ------------------------------------------------------------ parser tree
 
+def _group(sub, name: str):
+    """A subcommand group: the subparsers of command name."""
+    return sub.add_parser(name).add_subparsers(dest="subcommand", required=True,
+                                               parser_class=_Parser)
+
+
 def build_parser() -> _Parser:
     root = _Parser(prog="nilcone",
                    description="cocycle geometry experiments over nilpotent groups")
     sub = root.add_subparsers(dest="command", required=True,
                               parser_class=_Parser)
 
-    p_alg = sub.add_parser("algebra")
-    alg_sub = p_alg.add_subparsers(dest="subcommand", required=True,
-                                   parser_class=_Parser)
+    alg_sub = _group(sub, "algebra")
     p = alg_sub.add_parser("check",
                            help="validate an algebra presentation")
     p.add_argument("--algebra", default="heisenberg3")
@@ -528,9 +543,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=_cmd_algebra_check)
 
-    p_grp = sub.add_parser("group")
-    grp_sub = p_grp.add_subparsers(dest="subcommand", required=True,
-                                   parser_class=_Parser)
+    grp_sub = _group(sub, "group")
     for op in ("mul", "pow", "comm"):
         p = grp_sub.add_parser(op,
                                help=f"group {op} in exact coordinates")
@@ -544,9 +557,7 @@ def build_parser() -> _Parser:
         _add_common(p)
         p.set_defaults(func=_cmd_group, op=op)
 
-    p_met = sub.add_parser("metric")
-    met_sub = p_met.add_subparsers(dest="subcommand", required=True,
-                                   parser_class=_Parser)
+    met_sub = _group(sub, "metric")
     p = met_sub.add_parser("ball",
                            help="word-metric ball profile CSV")
     p.add_argument("--lattice", default="heisenberg3")
@@ -560,9 +571,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=_cmd_metric_guivarch)
 
-    p_cp = sub.add_parser("coupling")
-    cp_sub = p_cp.add_subparsers(dest="subcommand", required=True,
-                                 parser_class=_Parser)
+    cp_sub = _group(sub, "coupling")
     p = cp_sub.add_parser("verify",
                           help="structural checks on a coupling")
     p.add_argument("--coupling", required=True)
@@ -571,9 +580,7 @@ def build_parser() -> _Parser:
     _add_common(p, seed=True)
     p.set_defaults(func=_cmd_coupling_verify)
 
-    p_dv = sub.add_parser("derivative")
-    dv_sub = p_dv.add_subparsers(dest="subcommand", required=True,
-                                 parser_class=_Parser)
+    dv_sub = _group(sub, "derivative")
     p = dv_sub.add_parser("estimate",
                           help="integrability and mean abelianization")
     p.add_argument("--coupling", required=True)
@@ -595,27 +602,25 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--phi-samples", type=int, default=1 << 14)
     p.add_argument("--n", default="8,16,32,64")
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--grid-step", type=float, default=0.5)
-    p.add_argument("--eps", type=float, default=0.3)
+    p.add_argument("--radius", type=_finite_float, default=2.0)
+    p.add_argument("--grid-step", type=_finite_float, default=0.5)
+    p.add_argument("--eps", type=_finite_float, default=0.3)
     _add_common(p, seed=True)
     p.set_defaults(func=_cmd_derivative_kappa)
     p = dv_sub.add_parser("recurrence",
                           help="lattice return-time search near a cone point")
     p.add_argument("--coupling", required=True)
     p.add_argument("--g", default="e1")
-    p.add_argument("--delta", type=float, default=0.3)
+    p.add_argument("--delta", type=_finite_float, default=0.3)
     p.add_argument("--box", default="0:0.5,0:0.5,0:0.5")
     p.add_argument("--horizon", type=int, default=256)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--min-success", type=float, default=0.0)
+    p.add_argument("--min-success", type=_finite_float, default=0.0)
     # recurrence_search draws every sample from one stream
     _add_common(p, seed=True, workers=False)
     p.set_defaults(func=_cmd_derivative_recurrence)
 
-    p_ex = sub.add_parser("experiment")
-    ex_sub = p_ex.add_subparsers(dest="subcommand", required=True,
-                                 parser_class=_Parser)
+    ex_sub = _group(sub, "experiment")
     for name in ("main-theorem", "iterates", "arbitrary-word"):
         p = ex_sub.add_parser(name,
                               help=f"run the {name} experiment")
@@ -624,7 +629,7 @@ def build_parser() -> _Parser:
         p.add_argument("--samples", type=int, default=4096)
         if name == "main-theorem":
             p.add_argument("--g", default="e1")
-            p.add_argument("--eps", type=float, default=0.2)
+            p.add_argument("--eps", type=_finite_float, default=0.2)
             p.add_argument("--target", default=None,
                            help="override target coords (control runs)")
             p.add_argument("--phi-samples", type=int, default=1 << 14)
@@ -632,7 +637,7 @@ def build_parser() -> _Parser:
             p.add_argument("--gamma", default="e1*e2")
         else:
             p.add_argument("--word", default="e1:n,e2:sqrt")
-            p.add_argument("--eps", type=float, default=0.2)
+            p.add_argument("--eps", type=_finite_float, default=0.2)
         _add_common(p, seed=True)
         p.set_defaults(func=_cmd_experiment, experiment=name)
 
@@ -641,7 +646,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="RunConfig JSON file")
     for dest, kind in _RUN_FLAGS.items():
         p.add_argument("--" + dest.replace("_", "-"), default=None,
-                       type=None if kind is str else kind)
+                       type={str: None, float: _finite_float}.get(kind, kind))
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=_cmd_run)
 

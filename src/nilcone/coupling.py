@@ -20,12 +20,7 @@ import numpy as np
 from . import ratlin
 from .algebra import StructuralError
 from .bch import GroupPoint, NilpotentGroup, get_group
-from .kernels import (
-    fold_digits,
-    law_table,
-    reduce_batch,
-    translate_batch,
-)
+from .kernels import bch_batch, fold_digits, law_table, reduce_batch
 from .wordmetric import (
     LatticeSpec,
     builtin_lattice,
@@ -61,10 +56,6 @@ class AutomorphismSpec:
     def float_matrix(self) -> np.ndarray:
         return np.array([[float(c) for c in row] for row in self.matrix],
                         dtype=np.float64)
-
-
-def identity_automorphism(dim: int) -> AutomorphismSpec:
-    return AutomorphismSpec(name="identity", matrix=ratlin.identity(dim))
 
 
 def validate_automorphism(group: NilpotentGroup, auto: AutomorphismSpec,
@@ -119,22 +110,9 @@ class CouplingSpec:
     gamma_lattice: LatticeSpec
     lambda_lattice: LatticeSpec
     twist: AutomorphismSpec | None
-    domain_convention: str = "malcev_box"
 
     def ambient(self) -> NilpotentGroup:
         return get_group(self.group)
-
-    def twist_or_identity(self) -> AutomorphismSpec:
-        if self.twist is None:
-            return identity_automorphism(self.ambient().dim)
-        return self.twist
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "twist": self.twist.name if self.twist is not None else None,
-            "domain": self.domain_convention,
-        }
 
 
 def make_coupling(group: str, twist: str | AutomorphismSpec | None = None,
@@ -253,10 +231,10 @@ class CouplingKernels:
         self.table = law_table(coupling.ambient().law_group)
         self.gamma_logs, self.gamma_leads = coupling.gamma_lattice.float_basis()
         self.lambda_logs, self.lambda_leads = coupling.lambda_lattice.float_basis()
-        theta = coupling.twist_or_identity()
-        self.theta = theta.float_matrix()
-        self.theta_inv = theta.inverse().float_matrix()
         self.twisted = coupling.twist is not None
+        if self.twisted:  # theta is read only for a twisted coupling
+            self.theta = coupling.twist.float_matrix()
+            self.theta_inv = coupling.twist.inverse().float_matrix()
 
     def reduce(self, omega: np.ndarray):
         """Batch reduce_to_domain: returns (digits, x), column-major."""
@@ -269,8 +247,7 @@ class CouplingKernels:
     def alpha_digits(self, gamma_coords, x: np.ndarray):
         """Digits of alpha(gamma, x_i) and the induced-action images."""
         g = np.asarray([float(c) for c in gamma_coords], dtype=np.float64)
-        moved = translate_batch(self.table, g, x, side="left")
-        return self.reduce(moved)
+        return self.reduce(bch_batch(self.table, g[None], x))
 
     def lambda_coords(self, digits: np.ndarray) -> np.ndarray:
         return fold_digits(self.table, self.lambda_logs, digits, order="desc")
@@ -280,10 +257,9 @@ class CouplingKernels:
         lc = np.asarray([float(c) for c in lam_coords], dtype=np.float64)
         if self.twisted:
             lc = lc @ self.theta_inv.T
-        moved = translate_batch(self.table, -lc, y, side="right")
-        digits, rem = reduce_batch(self.table, self.gamma_logs,
-                                   self.gamma_leads, moved, side="left")
-        return digits, rem
+        moved = bch_batch(self.table, y, -lc[None])
+        return reduce_batch(self.table, self.gamma_logs, self.gamma_leads,
+                            moved, side="left")
 
     def gamma_coords(self, digits: np.ndarray) -> np.ndarray:
         return fold_digits(self.table, self.gamma_logs, digits, order="asc")

@@ -30,7 +30,6 @@ from .coupling import (
     seed_lineage,
 )
 from .geometry import (
-    Factorization,
     factorization_batch,
     generating_set,
     horizontal_factorization,
@@ -43,7 +42,6 @@ from .kernels import (
     law_table,
     quasi_norm_batch,
     reduce_batch,
-    translate_batch,
 )
 from .wordmetric import ball_points, digits_to_point
 
@@ -95,9 +93,9 @@ def _abelian_indices(grp: NilpotentGroup) -> list[int]:
 
 def _graded_dist(grp: NilpotentGroup, points: np.ndarray,
                  target: np.ndarray) -> np.ndarray:
-    """Proxy distances from each row to the target, in the graded group."""
-    diff = translate_batch(law_table(grp.law_graded), target, -points,
-                           side="right")
+    """Proxy distances from each row to its target row, or to one target
+    point, in the graded group."""
+    diff = bch_batch(law_table(grp.law_graded), -points, np.atleast_2d(target))
     return quasi_norm_batch(grp.degrees, diff)
 
 
@@ -179,9 +177,6 @@ class PansuDerivative:
     source: str
     target: str
 
-    def apply(self, g, order: str = "asc") -> GroupPoint:
-        return phi_apply(self, g, order=order)
-
 
 def build_phi(coupling: CouplingSpec, samples: int, seed: int,
               workers: int = DEFAULT_WORKERS,
@@ -242,6 +237,13 @@ class ConvergenceRow:
     fraction_within_eps: float
     median_proxy_dist: float
     seed: int
+
+
+def _convergence_row(n: int, dist: np.ndarray, eps: float, seed: int) -> ConvergenceRow:
+    """The depth-n row of a per-sample distance array."""
+    return ConvergenceRow(n=int(n), samples=dist.size,
+                          fraction_within_eps=float((dist < eps).mean()),
+                          median_proxy_dist=float(np.median(dist)), seed=seed)
 
 
 class _ConvergenceRows:
@@ -320,11 +322,10 @@ class IterateReport:
     mean_ab: tuple[float, ...]
     seed: int
 
-    def com_decreasing(self) -> bool:
-        return strictly_decreasing([r.median_com_over_n for r in self.rows])
-
-    def scl_decreasing(self) -> bool:
-        return strictly_decreasing([r.median_scl_dist for r in self.rows])
+    def medians_decreasing(self) -> bool:
+        """Both decaying medians, commutator part and distance, fall strictly."""
+        return (strictly_decreasing([r.median_com_over_n for r in self.rows])
+                and strictly_decreasing([r.median_scl_dist for r in self.rows]))
 
     def csv_rows(self):
         header = ["n", "samples", "median_ab_dev", "median_com_over_n",
@@ -381,29 +382,38 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
 
 # ----------------------------------------------------------- gamma sequences
 
-def gamma_sequence(grad, lattice, g, n: int,
-                   order: str = "asc") -> GroupPoint:
-    """The depth-n lattice approximant: floor-scaled factorization word."""
-    fact = horizontal_factorization(lattice.group, _coords_of(g), order=order)
-    return _gamma_word(lattice, fact, n)
+def _lattice_word(lattice, terms) -> GroupPoint:
+    """The lattice word of (letter, integer exponent) pairs, in order.
 
-
-def _gamma_word(lattice, fact: Factorization, n: int) -> GroupPoint:
-    """gamma_sequence of the point that fact factors."""
+    Letters 0..d-1 are the degree-one basis elements of the lattice and
+    d..2d-1 their inverses.
+    """
     grp = get_group(lattice.group)
     law = grp.law_group
     d = grp.abelian_dim
     acc = law.identity()
-    for idx, a in fact.terms:
-        e = math.floor(n * float(a))
-        if e == 0:
-            continue
-        j = idx if idx < d else idx - d
-        base = lattice.basis[j]
-        if idx >= d:
-            base = law.inv(base)
-        acc = law.mul(acc, law.pow(base, e))
+    for idx, e in terms:
+        if e:
+            acc = law.mul(acc, law.pow(lattice.basis[idx % d], e if idx < d else -e))
     return GroupPoint(acc, "group", grp.name)
+
+
+def _floor_terms(fact, n: int) -> list:
+    """The depth-n exponents of a factorization: floor(n * a) per letter."""
+    return [(idx, math.floor(n * a)) for idx, a in fact.terms]
+
+
+def gamma_sequence(grad, lattice, g, n: int) -> GroupPoint:
+    """The depth-n lattice approximant: floor-scaled factorization word."""
+    fact = horizontal_factorization(lattice.group, _coords_of(g))
+    return _lattice_word(lattice, _floor_terms(fact, n))
+
+
+def _scaled_dist(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
+                 x: np.ndarray, s: float, target: np.ndarray) -> np.ndarray:
+    """Per-sample distance of the cocycle at gamma, dilated by 1/s, to target."""
+    lam = _cocycle_coords_batch(ck, gamma_coords, x)
+    return _graded_dist(grp, dilate_batch(grp.degrees, 1.0 / s, lam), target)
 
 
 # ------------------------------------------------------- theorem experiments
@@ -411,8 +421,7 @@ def _gamma_word(lattice, fact: Factorization, n: int) -> GroupPoint:
 def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
                             g, n_list, eps: float, samples: int, seed: int,
                             workers: int = DEFAULT_WORKERS,
-                            target=None, order: str = "asc",
-                            perturb_digits=None) -> ConvergenceReport:
+                            target=None, perturb_digits=None) -> ConvergenceReport:
     """Acceptance fraction of the rescaled cocycle against the derivative.
 
     For each depth n the lattice approximant of g moves uniform domain
@@ -422,30 +431,20 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
     by a fixed lattice word to exercise sequence-independence.
     """
     grp = coupling.ambient()
-    if target is None:
-        target_coords = _float_coords(phi_apply(deriv, g, order=order))
-    else:
-        target_coords = _float_coords(target)
+    target_coords = _float_coords(phi_apply(deriv, g) if target is None else target)
     law = grp.law_group
     ck = coupling_kernels(coupling)
-    fact = horizontal_factorization(coupling.gamma_lattice.group, _coords_of(g),
-                                    order=order)
+    fact = horizontal_factorization(coupling.gamma_lattice.group, _coords_of(g))
     rows = []
     for i, n in enumerate(n_list):
-        gam_coords = _gamma_word(coupling.gamma_lattice, fact, int(n)).coords
+        gam_coords = _lattice_word(coupling.gamma_lattice,
+                                   _floor_terms(fact, int(n))).coords
         if perturb_digits is not None:
             pert = digits_to_point(coupling.gamma_lattice, perturb_digits)
             gam_coords = law.mul(pert.coords, gam_coords)
         x = domain_samples(coupling, samples, seed, workers, _TAG_MAIN, i)
-        lam = _cocycle_coords_batch(ck, gam_coords, x)
-        scaled = dilate_batch(grp.degrees, 1.0 / float(n), lam)
-        dist = _graded_dist(grp, scaled, target_coords)
-        rows.append(ConvergenceRow(
-            n=int(n), samples=samples,
-            fraction_within_eps=float((dist < eps).mean()),
-            median_proxy_dist=float(np.median(dist)),
-            seed=seed,
-        ))
+        dist = _scaled_dist(ck, grp, gam_coords, x, float(n), target_coords)
+        rows.append(_convergence_row(n, dist, eps, seed))
     return ConvergenceReport(
         experiment="main-theorem", rows=tuple(rows), seed=seed, eps=eps,
         meta={"coupling": coupling.name,
@@ -467,8 +466,8 @@ class DefectReport:
         return self.max_defect <= self.tolerance
 
 
-def homomorphism_check(deriv: PansuDerivative, pairs, tolerance: float = 0.1,
-                       order: str = "asc") -> DefectReport:
+def homomorphism_check(deriv: PansuDerivative, pairs,
+                       tolerance: float = 0.1) -> DefectReport:
     """Compare the image of a product with the product of images."""
     src = get_group(deriv.source)
     tgt = get_group(deriv.target)
@@ -477,7 +476,7 @@ def homomorphism_check(deriv: PansuDerivative, pairs, tolerance: float = 0.1,
     k = gh.shape[0]
     g, h = gh.reshape(k, 2, src.dim).transpose(1, 0, 2)
     gh_prod = bch_batch(law_table(src.law_graded), g, h)
-    imgs = phi_batch(deriv, np.concatenate([gh_prod, g, h]), order=order)
+    imgs = phi_batch(deriv, np.concatenate([gh_prod, g, h]))
     lhs, fg, fh = imgs[:k], imgs[k:2 * k], imgs[2 * k:]
     diff = bch_batch(tgt_tab, -lhs, bch_batch(tgt_tab, fg, fh))
     worst = max([0.0] + [quasi_norm_m(tgt.grad, row) for row in diff.tolist()])
@@ -517,14 +516,11 @@ def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float,
     if not (radius > 0 and step > 0):
         raise StructuralError(
             f"grid radius and step must be positive, got {radius} and {step}")
-    axes = []
-    for d in grp.degrees:
-        extent = radius ** d
-        k = int(math.floor(extent / step))
-        axes.append(np.arange(-k, k + 1, dtype=np.float64) * step)
-    size = int(np.prod([len(a) for a in axes]))
+    ks = [int(math.floor(radius ** d / step)) for d in grp.degrees]
+    size = math.prod(2 * k + 1 for k in ks)  # checked before any array exists
     if size > cap:
         raise StructuralError(f"grid of {size} points exceeds cap {cap}")
+    axes = [np.arange(-k, k + 1, dtype=np.float64) * step for k in ks]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts_t = np.stack([m.reshape(-1) for m in mesh])  # (m, size): rows are columns
     keep = quasi_norm_batch(grp.degrees, pts_t.T) <= radius + 1e-12
@@ -546,7 +542,6 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     grid = _quasi_ball_grid(grp, radius, grid_step)
     phi_vals = phi_batch(deriv, grid)
     tab = ck.table
-    graded_tab = law_table(grp.law_graded)
     rows = []
     for i, n in enumerate(n_list):
         n = int(n)
@@ -557,18 +552,10 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
         x = domain_samples(coupling, x_samples, seed, workers, _TAG_KAPPA, i)
         sups = np.empty(x_samples, dtype=np.float64)
         for xi in range(x_samples):
-            moved = translate_batch(tab, x[xi], jn, side="right")
-            dg, _ = ck.reduce(moved)
-            lam = ck.lambda_coords(dg)
-            scaled = dilate_batch(grp.degrees, 1.0 / n, lam)
-            diff = bch_batch(graded_tab, -scaled, phi_vals)
-            sups[xi] = float(quasi_norm_batch(grp.degrees, diff).max())
-        rows.append(ConvergenceRow(
-            n=n, samples=x_samples,
-            fraction_within_eps=float((sups < eps).mean()),
-            median_proxy_dist=float(np.median(sups)),
-            seed=seed,
-        ))
+            dg, _ = ck.reduce(bch_batch(tab, jn, x[xi][None]))
+            scaled = dilate_batch(grp.degrees, 1.0 / n, ck.lambda_coords(dg))
+            sups[xi] = float(_graded_dist(grp, scaled, phi_vals).max())
+        rows.append(_convergence_row(n, sups, eps, seed))
     return KappaReport(
         coupling=coupling.name, radius=float(radius),
         grid_step=float(grid_step), grid_size=int(grid.shape[0]),
@@ -629,9 +616,8 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
     first = np.full(samples, -1, dtype=np.int64)
     active = np.arange(samples)
     for n in range(1, horizon + 1):
-        gam = _gamma_word(coupling.gamma_lattice, fact, n)
-        base = np.asarray([float(c) for c in gam.coords])
-        cands = translate_batch(tab, base, perts, side="left")
+        gam = _lattice_word(coupling.gamma_lattice, _floor_terms(fact, n))
+        cands = bch_batch(tab, _float_coords(gam)[None], perts)
         scaled = dilate_batch(grp.degrees, 1.0 / n, cands)
         dist = _graded_dist(grp, scaled, target)
         good = np.nonzero(dist < delta)[0]
@@ -640,8 +626,7 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
         for ci in good:
             if active.size == 0:
                 break
-            moved = translate_batch(tab, cands[ci], x[active], side="left")
-            _, xprime = ck.reduce(moved)
+            _, xprime = ck.reduce(bch_batch(tab, cands[ci][None], x[active]))
             inside = np.all((xprime >= lo) & (xprime < hi), axis=1)
             hit = active[inside]
             first[hit] = n
@@ -693,7 +678,6 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
     """
     grp = coupling.ambient()
     d = grp.abelian_dim
-    law = grp.law_group
     graded = grp.law_graded
     parsed = []
     for idx, sched in word:
@@ -707,30 +691,16 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
     rows = []
     for i, n in enumerate(n_list):
         n = int(n)
-        exps = [sched(n) for _, sched in parsed]
-        big = max(exps)
-        gam = law.identity()
-        tgt = tuple(0.0 for _ in range(grp.dim))
-        for (idx, _), e in zip(parsed, exps):
-            j = idx if idx < d else idx - d
-            base = coupling.gamma_lattice.basis[j]
-            if idx >= d:
-                base = law.inv(base)
-            gam = law.mul(gam, law.pow(base, e))
+        terms = [(idx, sched(n)) for idx, sched in parsed]
+        big = max(e for _, e in terms)
+        gam = _lattice_word(coupling.gamma_lattice, terms)
+        tgt = (0.0,) * grp.dim
+        for idx, e in terms:
             tgt = graded.mul(tgt, tuple(e * v for v in images[idx]))
         x = domain_samples(coupling, samples, seed, workers, _TAG_WORD, i)
-        lam = _cocycle_coords_batch(ck, gam, x)
-        scaled = dilate_batch(grp.degrees, 1.0 / big, lam)
-        tgt_scaled = np.asarray(
-            [float(c) * (1.0 / big) ** deg for c, deg in zip(tgt, grp.degrees)]
-        )
-        dist = _graded_dist(grp, scaled, tgt_scaled)
-        rows.append(ConvergenceRow(
-            n=n, samples=samples,
-            fraction_within_eps=float((dist < eps).mean()),
-            median_proxy_dist=float(np.median(dist)),
-            seed=seed,
-        ))
+        dist = _scaled_dist(ck, grp, gam.coords, x, big,
+                            dilate_batch(grp.degrees, 1.0 / big, [tgt]))
+        rows.append(_convergence_row(n, dist, eps, seed))
     return ConvergenceReport(
         experiment="arbitrary-word", rows=tuple(rows), seed=seed, eps=eps,
         meta={"coupling": coupling.name,

@@ -14,41 +14,17 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import Gradation, StructuralError
+from .algebra import StructuralError
 from .bch import GroupPoint, NilpotentGroup, get_group
 from .kernels import bch_batch, law_table
 from .ratlin import mat_inv, rref
 
 
-def _degrees_of(grad_or_group) -> tuple[int, ...]:
-    if isinstance(grad_or_group, NilpotentGroup):
-        return grad_or_group.degrees
-    if isinstance(grad_or_group, Gradation):
-        return grad_or_group.degrees
-    raise TypeError("expected a Gradation or NilpotentGroup")
-
-
-def scl(gamma: GroupPoint, t) -> GroupPoint:
-    """Scaling map into the asymptotic cone: dilate by 1/t, retag graded.
-
-    Lattice elements viewed at scale t become points of the graded
-    group; the coordinate identity makes the map explicit.
-    """
-    if t <= 0:
-        raise StructuralError("scaling depth must be positive")
-    grp = get_group(gamma.algebra)
-    one = Fraction(1) if isinstance(t, (int, Fraction)) else 1.0
-    s = one / t
-    coords = tuple(c * s ** d for c, d in zip(gamma.coords, grp.degrees))
-    return GroupPoint(coords, "graded", gamma.algebra)
-
-
 def quasi_norm_m(grad, g) -> float:
-    """Homogeneous quasi-norm max_i |x_i|**(1/d_i)."""
-    degrees = _degrees_of(grad)
+    """Homogeneous quasi-norm max_i |x_i|**(1/d_i) for a Gradation."""
     coords = g.coords if isinstance(g, GroupPoint) else tuple(g)
     best = 0.0
-    for c, d in zip(coords, degrees):
+    for c, d in zip(coords, grad.degrees):
         v = abs(float(c)) ** (1.0 / d)
         if v > best:
             best = v

@@ -15,7 +15,9 @@ and phi accumulator in derivative, the factorization accumulators in
 geometry, and the working arrays and per-digit steps of reduce_batch
 and fold_digits; elementwise results keep their inputs' layout.
 bch_batch never copies: a row-major caller gets the same bits through
-strided reads, where a copy would cost more than a small product.
+strided reads, where a copy would cost more than a small product.  It is
+the one product: a (1, m) operand on either side acts on every row of
+the other, its coordinates as scalars, with no broadcast copy.
 """
 
 from __future__ import annotations
@@ -73,29 +75,13 @@ def _outer(c: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 
 def bch_batch(tab: KernelTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise group product of two (n, m) coordinate arrays."""
+    """Row-wise group product of (n, m) arrays, or of a (1, m) and an (n, m)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 2 or x.shape[1] != tab.dim:
-        raise ValueError("bch_batch expects matching (n, dim) arrays")
+    if (x.ndim != 2 or y.ndim != 2 or not x.shape[1] == y.shape[1] == tab.dim
+            or (1 not in (len(x), len(y)) and len(x) != len(y))):
+        raise ValueError("bch_batch expects (n, dim) arrays with n equal or 1")
     return _bch_numpy(tab, x, y)
-
-
-def translate_batch(tab: KernelTable, g: np.ndarray, x: np.ndarray,
-                    side: str = "left") -> np.ndarray:
-    """Multiply every row of x by the single point g on the given side.
-
-    g is not broadcast to a full array: its coordinates act as scalars.
-    """
-    g = np.asarray(g, dtype=np.float64).reshape(1, -1)
-    x = np.asarray(x, dtype=np.float64)
-    if g.shape[1] != tab.dim or x.ndim != 2 or x.shape[1] != tab.dim:
-        raise ValueError("translate_batch expects a point and an (n, dim) array")
-    if side == "left":
-        return _bch_numpy(tab, g, x)
-    if side == "right":
-        return _bch_numpy(tab, x, g)
-    raise ValueError(f"unknown side {side!r}")
 
 
 def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
@@ -133,14 +119,14 @@ def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
 
 
 def fold_digits(tab: KernelTable, gen_logs: np.ndarray, digits: np.ndarray,
-                order: str = "asc", sign: int = 1) -> np.ndarray:
-    """Column-major prod_i u_i^(sign * digits_i) over rows, in index order."""
+                order: str = "asc") -> np.ndarray:
+    """Column-major prod_i u_i^digits_i over rows, in index order."""
     digits = np.asarray(digits, dtype=np.float64)
     n, m = digits.shape
     p = np.zeros((n, m), dtype=np.float64, order="F")
     idx = range(m) if order == "asc" else range(m - 1, -1, -1)
     for i in idx:
-        p = bch_batch(tab, p, _outer(sign * digits[:, i], gen_logs[i]))
+        p = bch_batch(tab, p, _outer(digits[:, i], gen_logs[i]))
     return p
 
 

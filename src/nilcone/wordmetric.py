@@ -52,11 +52,6 @@ class LatticeSpec:
     def leads(self) -> tuple[Fraction, ...]:
         return tuple(self.basis[i][i] for i in range(self.dim))
 
-    def cache_key(self):
-        return (self.group, self.divisors,
-                tuple(tuple(b) for b in self.basis),
-                tuple(g.coords for g in self.generators))
-
     def float_basis(self) -> tuple[np.ndarray, np.ndarray]:
         logs = np.array([[float(c) for c in row] for row in self.basis],
                         dtype=np.float64)
@@ -264,15 +259,13 @@ class _BallCache:
         return self.dist.get(self._key(coords))
 
 
-_BALL_CACHES: dict[tuple, _BallCache] = {}
+_BALL_CACHES: dict[LatticeSpec, _BallCache] = {}  # LatticeSpec is frozen
 
 
 def _ball_cache(lat: LatticeSpec) -> _BallCache:
-    key = lat.cache_key()
-    cache = _BALL_CACHES.get(key)
+    cache = _BALL_CACHES.get(lat)
     if cache is None:
-        cache = _BallCache(lat)
-        _BALL_CACHES[key] = cache
+        cache = _BALL_CACHES[lat] = _BallCache(lat)
     return cache
 
 

@@ -1,9 +1,15 @@
 """Command line entry points, exit codes, and artifact determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcone.cli import main
 
@@ -90,7 +96,7 @@ def test_coupling_verify_reads_json_file(tmp_path, capsys):
                    "--seed", "1", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: --coupling {str(cp_path)!r}: ")
         assert "Traceback" not in err
 
 
@@ -361,3 +367,86 @@ def test_phi_refuses_unfactorable_point_before_estimating(tmp_path, capsys):
     assert "error: --g '1e300,1e300,0': factorization failed" in captured.err
     assert "Traceback" not in captured.err
     assert not list(tmp_path.iterdir())  # refused before any artifact
+
+
+def test_run_config_file_errors_name_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"seed": ')
+    for path in (cfg_path, tmp_path / "missing.json"):
+        rc = main(["run", "--config", str(path), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: --config {str(path)!r}: ")
+
+
+NONFINITE_THRESHOLDS = {
+    "main-theorem eps inf": ["experiment", "main-theorem", "--eps", "inf"],
+    "main-theorem eps nan": ["experiment", "main-theorem", "--eps", "nan"],
+    "arbitrary-word eps -inf": ["experiment", "arbitrary-word", "--eps", "-inf"],
+    "recurrence delta nan": ["derivative", "recurrence", "--delta", "nan"],
+    "recurrence min-success nan": ["derivative", "recurrence",
+                                   "--min-success", "nan"],
+    "kappa eps inf": ["derivative", "kappa", "--eps", "inf"],
+    "kappa radius nan": ["derivative", "kappa", "--radius", "nan"],
+    "run eps nan": ["run", "--experiment", "main-theorem", "--eps", "nan"],
+    "config eps NaN": {"eps": float("nan")},
+    "config eps Infinity": {"eps": float("inf")},
+}
+
+
+@pytest.mark.parametrize("case", list(NONFINITE_THRESHOLDS))
+def test_nonfinite_thresholds_are_refused(tmp_path, capsys, case):
+    # a NaN or infinite threshold used to pass every check or fail only
+    # after the artifacts were written
+    argv = NONFINITE_THRESHOLDS[case]
+    if isinstance(argv, dict):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "main-theorem", **argv}))
+        argv = ["run", "--config", str(cfg_path)]
+    rc = main(argv + ["--coupling", "heisenberg-identity", "--seed", "1",
+                      "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+FUZZ_COMMANDS = {
+    "kappa": (["derivative", "kappa", "--samples", "2", "--phi-samples", "64",
+               "--n", "2,4", "--radius", "1", "--grid-step", "1"],
+              {"--samples": "int", "--phi-samples": "int", "--radius": "float",
+               "--grid-step": "float", "--eps": "float"}),
+    "recurrence": (["derivative", "recurrence", "--horizon", "4", "--samples", "4"],
+                   {"--delta": "float", "--horizon": "int", "--samples": "int",
+                    "--min-success": "float"}),
+    "main-theorem": (["experiment", "main-theorem", "--samples", "16",
+                      "--phi-samples", "64", "--n", "2,4"],
+                     {"--samples": "int", "--phi-samples": "int", "--eps": "float"}),
+}
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "-nan", "inf", "-inf", "1e308", "-1e308",
+                     "abc", "", "1,2", "0x10"]),
+    st.floats(-4, 4).map(repr),
+    st.integers(-3, 12).map(str),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(sorted(FUZZ_COMMANDS)), data=st.data())
+def test_numeric_flags_fuzz_exit_cleanly(command, data):
+    base, flags = FUZZ_COMMANDS[command]
+    flag = data.draw(st.sampled_from(sorted(flags)))
+    value = data.draw(FUZZ_VALUES)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(
+            io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(base + [flag, value, "--coupling", "heisenberg-identity",
+                          "--seed", "3", "--out", out])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    try:
+        finite = math.isfinite(float(value))
+    except ValueError:
+        finite = True  # malformed text: refused as a usage error
+    if flags[flag] == "float" and not finite:
+        assert rc == 1 and "error: " in err.getvalue()

@@ -169,6 +169,16 @@ def test_batch_phi_matches_one_row_bitwise(name, radius, step, order):
         assert [v.hex() for v in images[i].tolist()] == [v.hex() for v in one]
 
 
+def test_over_cap_grid_is_refused_before_any_array(monkeypatch):
+    # heisenberg3 at radius 1000 and step 0.001 would need a 2e9-point axis
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an axis was built before the cap check")
+
+    monkeypatch.setattr("nilcone.derivative.np.arange", no_arrays)
+    with pytest.raises(StructuralError, match="exceeds cap"):
+        _quasi_ball_grid(get_group("heisenberg3"), 1000.0, 0.001)
+
+
 def _identity_engel_phi():
     grp = get_group("engel4")
     entries = tuple(tuple(float(v) for v in s.coords) for s in generating_set(grp))

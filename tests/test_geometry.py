@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilcone import get_group, point
+from nilcone import get_group
+from nilcone.algebra import dilation_adapted
 from nilcone.derivative import _graded_dist
 from nilcone.geometry import (
     FactorizationError,
@@ -17,7 +18,6 @@ from nilcone.geometry import (
     generating_set,
     horizontal_factorization,
     quasi_norm_m,
-    scl,
 )
 
 NONABELIAN = ("heisenberg3", "engel4", "heisenberg5", "free_nilpotent_2_3")
@@ -159,15 +159,12 @@ def test_proxy_distance_left_invariance():
         assert abs(d0[0] - d1[0]) <= 1e-9
 
 
-def test_scl_rescales_by_degree():
-    g = point((8, 4, 16), "group", "heisenberg3")
-    s = scl(g, Fraction(4))
-    assert s.coords == (Fraction(2), Fraction(1), Fraction(1))
-    assert s.law == "graded"
-    from nilcone import StructuralError
+# scl_n, the scaling map into the cone, is the dilation delta_{1/n}
 
-    with pytest.raises(StructuralError):
-        scl(g, 0)
+def test_scl_rescales_by_degree():
+    grad = get_group("heisenberg3").grad
+    s = dilation_adapted(grad, (8, 4, 16), Fraction(1, 4))
+    assert s == (Fraction(2), Fraction(1), Fraction(1))
 
 
 def test_scl_same_depth_product_identity_exact():
@@ -179,14 +176,15 @@ def test_scl_same_depth_product_identity_exact():
     for n in (3, 8, 17):
         g = rand_fractions(rng, grp.dim)
         h = rand_fractions(rng, grp.dim)
-        prod = scl(point(law.mul(g, h), "group", "engel4"), Fraction(n))
-        split = graded.mul(scl(point(g, "group", "engel4"), Fraction(n)).coords,
-                           scl(point(h, "group", "engel4"), Fraction(n)).coords)
-        assert prod.coords == split
+        t = Fraction(1, n)
+        prod = dilation_adapted(grp.grad, law.mul(g, h), t)
+        split = graded.mul(dilation_adapted(grp.grad, g, t),
+                           dilation_adapted(grp.grad, h, t))
+        assert prod == split
 
 
 def test_scl_power_families_converge_to_abelianized_product():
-    """scl(g^n h^n, n) approaches the graded product of the horizontal parts."""
+    """delta_{1/n}(g^n h^n) approaches the graded product of the horizontal parts."""
     grp = get_group("heisenberg3")
     law = grp.law_group
     graded = grp.law_graded
@@ -197,9 +195,9 @@ def test_scl_power_families_converge_to_abelianized_product():
         limit = graded.mul((g[0], g[1], 0), (h[0], h[1], 0))
         defects = []
         for n in (4, 8, 16, 32, 64):
-            a = scl(point(law.mul(law.pow(g, n), law.pow(h, n)),
-                          "group", "heisenberg3"), n)
-            ac = tuple(float(c) for c in a.coords)
+            a = dilation_adapted(grp.grad, law.mul(law.pow(g, n), law.pow(h, n)),
+                                 Fraction(1, n))
+            ac = tuple(float(c) for c in a)
             lc = tuple(float(c) for c in limit)
             diff = grp.law_graded.mul(grp.law_graded.inv(ac), lc)
             defects.append(quasi_norm_m(grp.grad, diff))

@@ -37,21 +37,30 @@ def test_no_unused_imports(path):
 
 
 def _named(tree, skip=None) -> set[str]:
-    """Names, attributes and imported names in tree, outside node skip."""
-    names = set()
+    """Names, attributes and imported names in tree, outside node skip.
+
+    A bare name counts only where it is read, and only if tree binds no
+    name of that spelling itself: a local list called like a public
+    function does not reach the function.
+    """
+    names, read, bound = set(), set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            (read if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
         stack.extend(ast.iter_child_nodes(node))
-    return names
+    return names | (read - bound)
 
 
 def test_every_public_function_is_reached():

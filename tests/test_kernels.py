@@ -24,7 +24,6 @@ from nilcone.kernels import (
     law_table,
     quasi_norm_batch,
     reduce_batch,
-    translate_batch,
 )
 from nilcone.wordmetric import digits_to_point, left_peel, right_peel
 
@@ -103,17 +102,6 @@ def test_fold_digits_matches_exact_word():
             assert np.max(np.abs(folded[i] - ref)) <= 1e-9
 
 
-def test_fold_digits_sign_flips_exponents():
-    lat = builtin_lattice("heisenberg3")
-    grp = get_group(lat.group)
-    tab = law_table(grp.law_group)
-    gen_logs, _ = lat.float_basis()
-    digits = np.asarray([[2.0, -1.0, 3.0]])
-    plus = fold_digits(tab, gen_logs, digits, order="asc", sign=1)
-    minus = fold_digits(tab, gen_logs, -digits, order="asc", sign=-1)
-    assert plus.tobytes() == minus.tobytes()
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e20, 2.0 ** 63])
 def test_reduce_batch_refuses_digits_outside_int64(bad):
     lat = builtin_lattice("heisenberg3")
@@ -143,14 +131,15 @@ def test_dilate_and_quasi_norm_batch_match_scalar(name):
 
 
 def test_translate_batch_matches_mul():
+    # translation by one point is bch_batch with a one-row operand
     grp = get_group("heisenberg5")
     law = grp.law_group
     tab = law_table(law)
     rng = np.random.default_rng(19)
     g = dyadic_rows(rng, 1, grp.dim)[0]
     x = dyadic_rows(rng, 25, grp.dim)
-    left = translate_batch(tab, g, x, side="left")
-    right = translate_batch(tab, g, x, side="right")
+    left = bch_batch(tab, g[None], x)
+    right = bch_batch(tab, x, g[None])
     gt = tuple(Fraction(v).limit_denominator(1 << 20) for v in g)
     for i in range(x.shape[0]):
         xt = tuple(Fraction(v).limit_denominator(1 << 20) for v in x[i])
@@ -158,6 +147,16 @@ def test_translate_batch_matches_mul():
         want_r = [float(c) for c in law.mul(xt, gt)]
         assert np.max(np.abs(left[i] - want_l)) <= 1e-12
         assert np.max(np.abs(right[i] - want_r)) <= 1e-12
+
+
+def test_bch_batch_rejects_mismatched_rows():
+    tab = law_table(get_group("heisenberg3").law_group)
+    with pytest.raises(ValueError):
+        bch_batch(tab, np.zeros((2, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        bch_batch(tab, np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        bch_batch(tab, np.zeros(3), np.zeros((2, 3)))
 
 
 def test_reduce_batch_rejects_bad_shape():
@@ -179,9 +178,8 @@ def _layout_outputs(name, x, y, g, digits):
     lat = builtin_lattice(name)
     tab = law_table(get_group(name).law_group)
     gen_logs, leads = lat.float_basis()
-    outs = [bch_batch(tab, x, y)]
+    outs = [bch_batch(tab, x, y), bch_batch(tab, g[None], x), bch_batch(tab, x, g[None])]
     for side in ("left", "right"):
-        outs.append(translate_batch(tab, g, x, side=side))
         for mode in ("floor", "round"):
             outs.extend(reduce_batch(tab, gen_logs, leads, x, side=side, mode=mode))
     for order in ("asc", "desc"):
