@@ -245,11 +245,19 @@ def _cmd_group(args) -> int:
     return EXIT_OK
 
 
+def _at_radius(query, lat, radius: int):
+    """Run a ball query; a radius it refuses is reported as the flag's."""
+    try:
+        return query(lat, radius)
+    except StructuralError as exc:
+        raise StructuralError(f"--radius {radius}: {exc}") from None
+
+
 def _cmd_metric_ball(args) -> int:
     lat = builtin_lattice(args.lattice)
     if _emit_plan(args, lattice=lat.name):
         return EXIT_OK
-    prof = ball_profile(lat, args.radius)
+    prof = _at_radius(ball_profile, lat, args.radius)
     header, rows = prof.csv_rows()
     path = reports.write_csv(
         _out_dir(args) / f"ball_{lat.name}_r{args.radius}.csv", header, rows)
@@ -262,7 +270,7 @@ def _cmd_metric_guivarch(args) -> int:
     lat = builtin_lattice(args.lattice)
     if _emit_plan(args, lattice=lat.name):
         return EXIT_OK
-    gc = guivarch_constants(lat, args.radius)
+    gc = _at_radius(guivarch_constants, lat, args.radius)
     obj = {"lattice": lat.name, "radius": args.radius, "c_low": gc.c_low,
            "c_high": gc.c_high, "com_ratio": gc.com_ratio}
     path = reports.write_json(

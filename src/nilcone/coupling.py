@@ -353,29 +353,20 @@ class IntegrabilityReport:
 def _word_norm_proxy(coupling: CouplingSpec, digit_rows: np.ndarray) -> np.ndarray:
     """Word norms of lattice points given by digit rows, with fallback.
 
-    Uses the exact BFS norm for points inside the cached ball and the
-    quasi-norm scaled by the empirical Guivarc'h constant beyond it.
+    Uses the exact norm for points inside the cached digit ball or within
+    word length 12, and the quasi-norm scaled by the empirical Guivarc'h
+    constant beyond it.
     """
-    from .geometry import quasi_norm_m
-    from .wordmetric import guivarch_constants, word_norm_bfs
+    from .wordmetric import digit_quasi_norms, guivarch_constants, word_norms
 
     lat = coupling.lambda_lattice
-    grp = coupling.ambient()
-    cache: dict[tuple, float] = {}
-    out = np.empty(digit_rows.shape[0], dtype=np.float64)
-    c_high = None
-    for i, row in enumerate(digit_rows):
-        key = tuple(int(v) for v in row)
-        if key not in cache:
-            pt = digits_to_point(lat, key)
-            w = word_norm_bfs(lat, pt.coords, radius_cap=12)
-            if w is None:
-                if c_high is None:
-                    c_high = guivarch_constants(lat, 8).c_high
-                w = c_high * (quasi_norm_m(grp.grad, pt.coords) + 1.0)
-            cache[key] = float(w)
-        out[i] = cache[key]
-    return out
+    rows, inv = np.unique(digit_rows, axis=0, return_inverse=True)
+    norms = word_norms(lat, rows, radius_cap=12).astype(np.float64)
+    far = norms < 0
+    if far.any():
+        c_high = guivarch_constants(lat, 8).c_high
+        norms[far] = c_high * (digit_quasi_norms(lat, rows[far]) + 1.0)
+    return norms[inv.reshape(-1)]
 
 
 def integrability_estimate(coupling: CouplingSpec, s, samples: int, seed: int,

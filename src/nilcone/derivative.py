@@ -511,15 +511,24 @@ class KappaReport(_ConvergenceRows):
     seed: int
 
 
+def _axis_extent(radius: float, d: int, step: float, cap: int) -> int:
+    """Grid points on one side of an axis, clamped at cap."""
+    try:
+        extent = radius ** d / step
+    except OverflowError:  # radius ** d past the float range
+        extent = math.inf
+    return int(math.floor(min(extent, cap)))
+
+
 def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float,
                      cap: int = 200_000) -> np.ndarray:
     if not (radius > 0 and step > 0):
         raise StructuralError(
             f"grid radius and step must be positive, got {radius} and {step}")
-    ks = [int(math.floor(radius ** d / step)) for d in grp.degrees]
-    size = math.prod(2 * k + 1 for k in ks)  # checked before any array exists
-    if size > cap:
-        raise StructuralError(f"grid of {size} points exceeds cap {cap}")
+    ks = [_axis_extent(radius, d, step, cap) for d in grp.degrees]
+    if math.prod(2 * k + 1 for k in ks) > cap:  # checked before any array exists
+        raise StructuralError(
+            f"grid of radius {radius} and step {step} exceeds cap {cap} points")
     axes = [np.arange(-k, k + 1, dtype=np.float64) * step for k in ks]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts_t = np.stack([m.reshape(-1) for m in mesh])  # (m, size): rows are columns

@@ -1,10 +1,11 @@
 """End-to-end acceptance gate.
 
 One test per shipping criterion.  Each prints a single verdict line of
-the form ``criterion NN PASS <label>`` (visible with ``pytest -s`` or in
-the captured output of a failure) and then asserts, so a red run names
-exactly which guarantee broke.  All sample counts and seeds are fixed;
-the whole file is deterministic and reruns print identical numbers.
+the form ``criterion NN PASS <label> [<seconds> s]`` (visible with
+``pytest -s`` or in the captured output of a failure) and then asserts,
+so a red run names exactly which guarantee broke.  All sample counts and
+seeds are fixed; the whole file is deterministic and reruns print
+identical numbers, apart from the elapsed seconds.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
 from matrix_models import MODELS
 from nilcone import get_group
 from nilcone.algebra import (
@@ -72,10 +74,20 @@ def _phi(name: str, side: str = "alpha"):
     return _PHI_CACHE[key]
 
 
+_CLOCK = {"start": 0.0}
+
+
+@pytest.fixture(autouse=True)
+def _criterion_clock():
+    _CLOCK["start"] = time.perf_counter()
+
+
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
+    """Print the verdict line with the criterion's own elapsed seconds."""
     state = "PASS" if ok else "FAIL"
     tail = f" ({detail})" if detail else ""
-    print(f"criterion {num:02d} {state} {label}{tail}")
+    elapsed = time.perf_counter() - _CLOCK["start"]
+    print(f"criterion {num:02d} {state} {label}{tail} [{elapsed:.1f} s]")
     assert ok, f"criterion {num:02d} {label}{tail}"
 
 

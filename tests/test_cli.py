@@ -73,6 +73,18 @@ def test_metric_guivarch_artifact(tmp_path):
     assert obj["c_low"] >= 1.0
 
 
+@pytest.mark.parametrize("argv", [["ball", "--radius", "-3"],
+                                  ["guivarch", "--radius", "0"]])
+def test_metric_refuses_an_empty_ball(tmp_path, capsys, argv):
+    # both used to exit 0 with an empty CSV or c_low=0.0 c_high=0.0
+    rc = main(["metric"] + argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: --radius {argv[-1]}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_coupling_verify_artifact(tmp_path):
     rc = main(["coupling", "verify", "--coupling", "z2-identity",
                "--seed", "1", "--out", str(tmp_path)])

@@ -271,6 +271,33 @@ def test_integrability_identity_coupling_bounded():
     assert rep.samples == 10000 and rep.seed == 3
 
 
+# (mean, ci_low, ci_high, max_norm) at 1000 samples and seed 8, recorded
+# with the rational word-norm proxy.  Every gamma but the shear one sends
+# its cocycle to word length 25 or more, past every ball the suite grows,
+# so the Guivarc'h fallback answers whatever the shared balls hold.
+INTEGRABILITY_PINS = {
+    ("heisenberg-identity", (40, 0, 0)): (
+        "0x1.e039af3624474p+6", "0x1.e039af3624474p+6",
+        "0x1.e039af3624474p+6", "0x1.e039af3624475p+6"),
+    ("heisenberg-shear", (1, 1, 0)): (
+        "0x1.8e5604189374cp+1", "0x1.85dcf420755d3p+1",
+        "0x1.96cf1410b18c5p+1", "0x1.8000000000000p+2"),
+    ("engel-identity", (25, 0, 0, 0)): (
+        "0x1.a000000000000p+6", "0x1.a000000000000p+6",
+        "0x1.a000000000000p+6", "0x1.a000000000000p+6"),
+    ("heisenberg-scale2", (3, 0, 1601)): (
+        "0x1.5167e034912e5p+7", "0x1.516664347d4b4p+7",
+        "0x1.51695c34a5116p+7", "0x1.518f02c7a78f9p+7"),
+}
+
+
+@pytest.mark.parametrize("case", list(INTEGRABILITY_PINS), ids=lambda c: c[0])
+def test_integrability_reports_match_pins(case):
+    rep = integrability_estimate(builtin_coupling(case[0]), case[1], 1000, 8)
+    got = tuple(v.hex() for v in (rep.mean, rep.ci_low, rep.ci_high, rep.max_norm))
+    assert got == INTEGRABILITY_PINS[case]
+
+
 def test_integrability_growth_subadditive():
     c = builtin_coupling("heisenberg-identity")
     means = []

@@ -179,6 +179,16 @@ def test_over_cap_grid_is_refused_before_any_array(monkeypatch):
         _quasi_ball_grid(get_group("heisenberg3"), 1000.0, 0.001)
 
 
+@pytest.mark.parametrize("radius, step", [(1e308, 0.5), (2.0, 1e-300)])
+def test_huge_grid_is_refused_naming_radius_and_step(radius, step):
+    # these used to end in "cannot convert float infinity to integer" and
+    # in a count of about 300 digits
+    with pytest.raises(StructuralError) as info:
+        _quasi_ball_grid(get_group("heisenberg3"), radius, step)
+    assert str(info.value) == (
+        f"grid of radius {radius} and step {step} exceeds cap 200000 points")
+
+
 def _identity_engel_phi():
     grp = get_group("engel4")
     entries = tuple(tuple(float(v) for v in s.coords) for s in generating_set(grp))

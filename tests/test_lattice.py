@@ -1,22 +1,33 @@
 """Lattices: digit peeling, word metrics, ball growth, Guivarc'h ratios."""
 
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcone import (
     StructuralError,
     builtin_lattice,
     get_group,
     round_to_lattice,
-    standard_lattice,
 )
+from nilcone.algebra import BUILTIN_ALGEBRAS
+from nilcone.bch import GroupPoint
 from nilcone.geometry import quasi_norm_m
 from nilcone.wordmetric import (
     CapExceeded,
+    LatticeSpec,
+    _ball,
     ball_points,
     ball_profile,
+    digit_quasi_norms,
     digits_to_point,
     guivarch_constants,
     left_peel,
@@ -24,6 +35,7 @@ from nilcone.wordmetric import (
     point_digits,
     right_peel,
     word_norm_bfs,
+    word_norms,
 )
 
 
@@ -150,6 +162,8 @@ def test_word_norm_none_beyond_radius_cap():
     # requested elsewhere in the suite for the cap to be observable.
     lat = builtin_lattice("heisenberg3")
     assert word_norm_bfs(lat, (30, 0, 0), radius_cap=5) is None
+    # digits past int64 are farther than any ball the digit lane holds
+    assert word_norm_bfs(lat, (1 << 70, 0, 0), radius_cap=5) is None
 
 
 def test_ball_profile_matches_brute_force():
@@ -157,6 +171,17 @@ def test_ball_profile_matches_brute_force():
     bp = ball_profile(lat, 4)
     assert tuple(bp.sizes()) == brute_force_ball_sizes(lat, 4)
     assert bp.sizes() == [1, 5, 17, 53, 135]
+
+
+def test_one_sided_generators_match_brute_force():
+    # S != S^-1: the ball deduplicates against every layer, not the last two
+    law = get_group("heisenberg3").law_group
+    lat = builtin_lattice("heisenberg3")
+    e1, e2 = lat.generators[0], lat.generators[2]
+    back = GroupPoint(law.inv(law.mul(e1.coords, e2.coords)), "group", lat.group)
+    lat = LatticeSpec(name="one-sided", group=lat.group, basis=lat.basis,
+                      generators=(e1, e2, back))
+    assert tuple(ball_profile(lat, 6).sizes()) == brute_force_ball_sizes(lat, 6)
 
 
 def test_abelian_ball_closed_form():
@@ -199,17 +224,6 @@ def test_round_to_lattice_bounded_remainder(name):
         assert quasi_norm_m(grp.grad, law.mul(g, law.inv(pf))) <= bound
 
 
-def test_divisor_lattice_membership():
-    lat = builtin_lattice("heisenberg3", divisors=(1, 1, 2))
-    assert lat.leads() == (1, 1, 2)
-    assert member(lat, (0, 0, 2))
-    assert not member(lat, (0, 0, 1))
-    out = round_to_lattice(lat, (0.3, 0.7, 2.6))
-    assert member(lat, out.coords)
-    digits = point_digits(lat, out.coords)
-    assert digits == (0, 1, 1)
-
-
 def test_guivarch_constants_frozen_and_sandwich():
     lat = builtin_lattice("heisenberg3")
     gc = guivarch_constants(lat, 6)
@@ -234,13 +248,118 @@ def test_guivarch_stability_across_radii():
 
 
 def test_state_cap_raises():
-    lat = builtin_lattice("heisenberg5", divisors=(1, 1, 1, 1, 2))
+    lat = builtin_lattice("heisenberg5")
     with pytest.raises(CapExceeded):
         ball_profile(lat, 4, state_cap=50)
 
 
-def test_standard_lattice_validates_divisors():
-    with pytest.raises(StructuralError):
-        standard_lattice("heisenberg3", divisors=(1, 1))
-    with pytest.raises(StructuralError):
-        standard_lattice("heisenberg3", divisors=(1, 1, 0))
+def test_radius_below_the_first_layer_is_refused():
+    lat = builtin_lattice("heisenberg3")
+    with pytest.raises(StructuralError, match="radius"):
+        ball_profile(lat, -3)
+    with pytest.raises(StructuralError, match="radius"):
+        guivarch_constants(lat, 0)
+    assert ball_profile(lat, 0).rows == ((0, 1, 0.0, 0.0, 0.0),)
+
+
+# --------------------------------------------------------- the digit lane
+
+BUILTIN_NAMES = sorted(BUILTIN_ALGEBRAS)
+PINS = json.loads((Path(__file__).parent / "ball_pins.json").read_text())
+
+
+def _digit_rows(lat, count, seed, bound):
+    rng = random.Random(seed)
+    return np.array([[rng.randint(-bound, bound) for _ in range(lat.dim)]
+                     for _ in range(count)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_generator_steps_are_integer_valued(name):
+    # The step numerators are divisible by their denominators, so
+    # c -> digits(c * s) stays integral on 400 digit rows up to 40.
+    ball = _ball(builtin_lattice(name))
+    rows = _digit_rows(ball.lat, 400, 211, bound=40)
+    for step in ball.steps:
+        nums = step.numerators(rows)
+        assert not np.any(nums % np.array(step.dens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(BUILTIN_NAMES),
+       digits=st.lists(st.integers(-50, 50), min_size=5, max_size=5))
+def test_digit_polynomials_match_the_exact_lane(name, digits):
+    lat = builtin_lattice(name)
+    law = get_group(name).law_group
+    ball = _ball(lat)
+    c = tuple(digits[:lat.dim])
+    point = digits_to_point(lat, c).coords
+    row = np.array([c], dtype=np.int64)
+    nums = ball.exp.numerators(row)[0]
+    assert tuple(Fraction(int(v), d) for v, d in zip(nums, ball.exp.dens)) == point
+    for s, step in zip(lat.generators, ball.steps):
+        got = step.numerators(row)[0] // np.array(step.dens)
+        digits_cs, rem = right_peel(lat, law.mul(point, s.coords))
+        assert all(v == 0 for v in rem)
+        assert tuple(int(v) for v in got) == digits_cs
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_ball_outputs_match_pins(name):
+    # Recorded from the rational breadth-first search the digit ball
+    # replaced: profile rows, Guivarc'h constants and ball points at a
+    # small radius, and the word norm of every digit row in {-1, 0, 1}^m.
+    pin = PINS[name]
+    lat = builtin_lattice(name)
+    r = pin["radius"]
+    rows = [[row[0], row[1]] + [v.hex() for v in row[2:]]
+            for row in ball_profile(lat, r).rows]
+    assert rows == pin["rows"]
+    gc = guivarch_constants(lat, r)
+    assert [gc.c_low.hex(), gc.c_high.hex(),
+            None if gc.com_ratio is None else gc.com_ratio.hex()] == pin["guivarch"]
+    pts = ball_points(lat, r)
+    digest = hashlib.sha256(repr(
+        [tuple((c.numerator, c.denominator) for c in p) for p in pts]).encode())
+    assert [len(pts), digest.hexdigest()[:16]] == pin["points"]
+    queries = itertools.product((-1, 0, 1), repeat=lat.dim)
+    assert [word_norm_bfs(lat, digits_to_point(lat, q).coords)
+            for q in queries] == pin["norms"]
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "engel4"])
+def test_digit_quasi_norms_match_quasi_norm_m(name):
+    # the same bits as the Fraction coordinates give, also where numpy's
+    # vectorised power would round differently
+    lat = builtin_lattice(name)
+    grad = get_group(name).grad
+    rng = random.Random(213)
+    rows = np.array([[rng.randint(-5, 5) if d == 1 else rng.randint(-10**6, 10**6)
+                      for d in grad.degrees] for _ in range(2000)], dtype=np.int64)
+    want = [quasi_norm_m(grad, digits_to_point(lat, r).coords) for r in rows.tolist()]
+    assert digit_quasi_norms(lat, rows).tolist() == want
+
+
+def test_word_norms_of_digit_rows_match_word_norm_bfs():
+    lat = builtin_lattice("engel4")
+    rows = _digit_rows(lat, 60, 212, bound=2)
+    batch = word_norms(lat, rows, radius_cap=6)
+    for row, w in zip(rows.tolist(), batch.tolist()):
+        one = word_norm_bfs(lat, digits_to_point(lat, row).coords, radius_cap=6)
+        assert w == (-1 if one is None else one)
+
+
+def test_digit_overflow_is_refused_not_wrapped():
+    grp = get_group("heisenberg3")
+    big = 1 << 40
+    gens = tuple(GroupPoint(tuple(Fraction(v) for v in coords), "group", grp.name)
+                 for coords in ((big, 0, 0), (-big, 0, 0), (0, 1, 0), (0, -1, 0)))
+    lat = LatticeSpec(name="wide", group=grp.name,
+                      basis=builtin_lattice("heisenberg3").basis, generators=gens)
+    assert ball_profile(lat, 1).sizes() == [1, 5]
+    # at radius 2 the digits span 2^42 x 5 x 2^41 values: no int64 row key
+    with pytest.raises(CapExceeded, match="int64"):
+        ball_profile(lat, 2)
+    # the exp map's c1 * c2 term would reach 2^124
+    with pytest.raises(CapExceeded, match="int64"):
+        _ball(lat).exp.numerators(np.array([[1 << 62, 1 << 62, 0]]))
