@@ -256,10 +256,12 @@ class Gradation:
     adapted_tensor: Tensor = field(repr=False)
     graded_tensor: Tensor = field(repr=False)
     identity_basis: bool = field(init=False, repr=False, compare=False)
+    _to_adapted: ratlin.IntMat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "identity_basis", self.adapted_basis == ratlin.identity(self.dim))
+        object.__setattr__(self, "_to_adapted", ratlin.IntMat(self.adapted_inverse))
 
     @property
     def dim(self) -> int:
@@ -282,7 +284,7 @@ class Gradation:
         """Coordinates of a presentation-basis vector in the adapted basis."""
         if self._is_identity_on(v):
             return tuple(v)
-        return ratlin.mat_vec(self.adapted_inverse, v)
+        return self._to_adapted.apply(v)
 
     def from_adapted(self, v: Vec) -> Vec:
         if self._is_identity_on(v):

@@ -12,6 +12,7 @@ machine parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from .bch import get_group
 from .coupling import (
     DEFAULT_WORKERS,
     CouplingSpec,
+    PrecisionLimit,
     builtin_coupling,
     coupling_from_json,
     integrability_estimate,
@@ -138,6 +140,15 @@ def _parse_g(group, text: str) -> tuple:
     except (StructuralError, FactorizationError, ValueError, OverflowError) as exc:
         raise StructuralError(f"--g {text!r}: {exc}") from exc
     return g
+
+
+@contextlib.contextmanager
+def _naming_g(text: str):
+    """Name --g and its value when its approximants pass the float lane's limit."""
+    try:
+        yield
+    except PrecisionLimit as exc:
+        raise StructuralError(f"--g {text!r}: {exc}") from exc
 
 
 def _parse_box(text: str, dim: int):
@@ -377,8 +388,9 @@ def _cmd_derivative_recurrence(args) -> int:
         return EXIT_OK
     grp = cp.ambient()
     box = _parse_box(args.box, grp.dim)
-    rep = recurrence_search(cp, _parse_g(grp, args.g), args.delta, box,
-                            args.horizon, args.samples, args.seed)
+    with _naming_g(args.g):
+        rep = recurrence_search(cp, _parse_g(grp, args.g), args.delta, box,
+                                args.horizon, args.samples, args.seed)
     header, rows = rep.csv_rows()
     path = reports.write_csv(
         _out_dir(args) / f"recurrence_{cp.name}_seed{args.seed}.csv",
@@ -398,9 +410,10 @@ def _run_main_theorem(args, cp: CouplingSpec) -> int:
     target = None
     if args.target:
         target = tuple(_parse_scalar(t) for t in args.target.split(","))
-    rep = main_theorem_experiment(
-        cp, deriv, g, _parse_int_list(args.n), args.eps, args.samples,
-        args.seed, args.workers, target=target)
+    with _naming_g(args.g):
+        rep = main_theorem_experiment(
+            cp, deriv, g, _parse_int_list(args.n), args.eps, args.samples,
+            args.seed, args.workers, target=target)
     header, rows = rep.csv_rows()
     stem = f"main-theorem_{cp.name}_seed{args.seed}"
     path = reports.write_csv(_out_dir(args) / f"{stem}.csv", header, rows)

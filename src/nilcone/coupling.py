@@ -7,6 +7,12 @@ automorphism twist: lam sends omega to omega * twist^{-1}(lam)^{-1}.
 Reduction to the fundamental domain of the right action is exact digit
 peeling after pushing forward through the twist; the left action's
 domain is the plain Mal'cev box.
+
+The exact layer runs on integers: the twist is an integer numerator
+matrix over one denominator, and the peel and the cocycle's lattice
+point are the integer polynomials of wordmetric, so one reduction forms
+no GroupLaw product.  The float layer refuses (PrecisionLimit) a batch
+whose magnitudes leave too few fraction bits for exact digits.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from .wordmetric import (
     builtin_lattice,
     digits_to_point,
     fraction_coords,
-    left_peel,
     member,
+    peel_digits,
     right_peel,
 )
 
@@ -40,7 +46,11 @@ class AutomorphismSpec:
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def apply(self, coords):
-        return ratlin.mat_vec(self.matrix, tuple(Fraction(c) for c in coords))
+        return self._int_matrix.apply(coords)
+
+    @cached_property
+    def _int_matrix(self) -> ratlin.IntMat:
+        return ratlin.IntMat(self.matrix)
 
     def inverse(self) -> "AutomorphismSpec":
         return self._inverse
@@ -162,6 +172,17 @@ def coupling_from_json(obj: dict) -> CouplingSpec:
 
 # ------------------------------------------------------------ exact layer
 
+def _reduce(coupling: CouplingSpec, omega) -> tuple[tuple[int, ...], GroupPoint]:
+    """Digits of the lattice element returning omega to the domain, and
+    the domain point it lands on."""
+    twist = coupling.twist
+    coords = fraction_coords(omega)
+    digits, u = right_peel(coupling.lambda_lattice,
+                           twist.apply(coords) if twist is not None else coords)
+    x = twist.inverse().apply(u) if twist is not None else u
+    return digits, GroupPoint(tuple(x), "group", coupling.group)
+
+
 def reduce_to_domain(coupling: CouplingSpec, omega) -> tuple[GroupPoint, GroupPoint]:
     """Domain representative and the right-lattice element moving to it.
 
@@ -169,14 +190,8 @@ def reduce_to_domain(coupling: CouplingSpec, omega) -> tuple[GroupPoint, GroupPo
     lam-action applied to omega lands on x in the domain.  Exact for
     rational input.
     """
-    grp = coupling.ambient()
-    coords = fraction_coords(omega)
-    twist = coupling.twist
-    w = twist.apply(coords) if twist is not None else coords
-    digits, u = right_peel(coupling.lambda_lattice, w)
-    x = twist.inverse().apply(u) if twist is not None else u
-    lam = digits_to_point(coupling.lambda_lattice, digits)
-    return GroupPoint(tuple(x), "group", grp.name), lam
+    digits, x = _reduce(coupling, omega)
+    return x, digits_to_point(coupling.lambda_lattice, digits)
 
 
 def lambda_action(coupling: CouplingSpec, lam, omega) -> tuple:
@@ -195,27 +210,32 @@ def in_domain(coupling: CouplingSpec, coords) -> bool:
     return all(0 <= w[i] < leads[i] for i in range(len(w)))
 
 
-def _act(coupling: CouplingSpec, gamma, x) -> tuple[GroupPoint, GroupPoint]:
-    """reduce_to_domain of gamma * x: the image point and its cocycle."""
+def _moved(coupling: CouplingSpec, gamma, x) -> tuple:
     law = coupling.ambient().law_group
-    return reduce_to_domain(
-        coupling, law.mul(fraction_coords(gamma), fraction_coords(x)))
+    return law.mul(fraction_coords(gamma), fraction_coords(x))
 
 
 def alpha(coupling: CouplingSpec, gamma, x) -> GroupPoint:
-    """The right-lattice element returning gamma * x to the domain."""
-    return _act(coupling, gamma, x)[1]
+    """The right-lattice element returning gamma * x to the domain.
+
+    Only the digits of the peel are formed, not its remainder.
+    """
+    w = _moved(coupling, gamma, x)
+    if coupling.twist is not None:
+        w = coupling.twist.apply(w)
+    lat = coupling.lambda_lattice
+    return digits_to_point(lat, peel_digits(lat, w))
 
 
 def induced_action(coupling: CouplingSpec, gamma, x) -> GroupPoint:
     """Domain representative of gamma * x."""
-    return _act(coupling, gamma, x)[0]
+    return _reduce(coupling, _moved(coupling, gamma, x))[1]
 
 
 def beta(coupling: CouplingSpec, lam, y) -> GroupPoint:
     """Mirror cocycle: the left-lattice element for the lam-action on y."""
     moved = lambda_action(coupling, lam, y)
-    digits, _ = left_peel(coupling.gamma_lattice, moved)
+    digits = peel_digits(coupling.gamma_lattice, moved, side="left")
     grp = coupling.ambient()
     hat = digits_to_point(coupling.gamma_lattice, digits, order="asc")
     law = grp.law_group
@@ -223,6 +243,34 @@ def beta(coupling: CouplingSpec, lam, y) -> GroupPoint:
 
 
 # ------------------------------------------------------------ float layer
+
+class PrecisionLimit(StructuralError):
+    """A float batch too large in magnitude for exact digits."""
+
+
+# The float peel's digits match the exact lane only while every
+# coordinate, in units of its lead, keeps FRACTION_BITS of the 53 bits of
+# a double below the binary point.  On engel-identity (100 rows at
+# (1, 0.5, 0.25, 0.125)) the digits disagreed at n = 2^16 (8 bits left)
+# and agreed at n = 2^14 (14 bits); heisenberg at 10.7 bits agreed.
+FRACTION_BITS = 12
+_FLOAT_DIGIT_LIMIT = 2.0 ** (53 - FRACTION_BITS)
+
+
+def _check_precision(w: np.ndarray, leads: np.ndarray) -> None:
+    """Refuse a batch whose float digits could be wrong (NaN passes on to
+    reduce_batch, which refuses it)."""
+    if not len(w):
+        return
+    mag = np.abs(w).max(axis=0) / leads
+    over = np.flatnonzero(mag >= _FLOAT_DIGIT_LIMIT)
+    if over.size:
+        k = int(over[0])
+        raise PrecisionLimit(
+            f"coordinate {k} of the point to peel reaches {mag[k]:.3g} lattice "
+            f"units, past 2^{53 - FRACTION_BITS}: fewer than {FRACTION_BITS} "
+            f"fraction bits are left for exact float digits")
+
 
 class CouplingKernels:
     """Float batch evaluation of the cocycles for Monte Carlo work."""
@@ -237,8 +285,12 @@ class CouplingKernels:
             self.theta_inv = coupling.twist.inverse().float_matrix()
 
     def reduce(self, omega: np.ndarray):
-        """Batch reduce_to_domain: returns (digits, x), column-major."""
+        """Batch reduce_to_domain: returns (digits, x), column-major.
+
+        A batch past the float lane's precision limit raises PrecisionLimit.
+        """
         w = (self.theta @ omega.T).T if self.twisted else omega
+        _check_precision(w, self.lambda_leads)
         digits, u = reduce_batch(self.table, self.lambda_logs,
                                  self.lambda_leads, w, side="right")
         x = (self.theta_inv @ u.T).T if self.twisted else u
@@ -258,6 +310,7 @@ class CouplingKernels:
         if self.twisted:
             lc = lc @ self.theta_inv.T
         moved = bch_batch(self.table, y, -lc[None])
+        _check_precision(moved, self.gamma_leads)
         return reduce_batch(self.table, self.gamma_logs, self.gamma_leads,
                             moved, side="left")
 
@@ -350,19 +403,23 @@ class IntegrabilityReport:
                 self.samples, self.seed]
 
 
+_EXACT_NORM_RADIUS = 12
+
+
 def _word_norm_proxy(coupling: CouplingSpec, digit_rows: np.ndarray) -> np.ndarray:
     """Word norms of lattice points given by digit rows, with fallback.
 
-    Uses the exact norm for points inside the cached digit ball or within
-    word length 12, and the quasi-norm scaled by the empirical Guivarc'h
-    constant beyond it.
+    Uses the exact norm up to word length 12 and the quasi-norm scaled by
+    the empirical Guivarc'h constant beyond it, also where a ball grown
+    further by other queries knows the exact norm: the result depends
+    only on the rows.
     """
     from .wordmetric import digit_quasi_norms, guivarch_constants, word_norms
 
     lat = coupling.lambda_lattice
     rows, inv = np.unique(digit_rows, axis=0, return_inverse=True)
-    norms = word_norms(lat, rows, radius_cap=12).astype(np.float64)
-    far = norms < 0
+    norms = word_norms(lat, rows, radius_cap=_EXACT_NORM_RADIUS).astype(np.float64)
+    far = (norms < 0) | (norms > _EXACT_NORM_RADIUS)
     if far.any():
         c_high = guivarch_constants(lat, 8).c_high
         norms[far] = c_high * (digit_quasi_norms(lat, rows[far]) + 1.0)

@@ -25,6 +25,7 @@ from .coupling import (
     DEFAULT_WORKERS,
     CouplingKernels,
     CouplingSpec,
+    PrecisionLimit,
     coupling_kernels,
     domain_samples,
     seed_lineage,
@@ -443,7 +444,10 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
             pert = digits_to_point(coupling.gamma_lattice, perturb_digits)
             gam_coords = law.mul(pert.coords, gam_coords)
         x = domain_samples(coupling, samples, seed, workers, _TAG_MAIN, i)
-        dist = _scaled_dist(ck, grp, gam_coords, x, float(n), target_coords)
+        try:
+            dist = _scaled_dist(ck, grp, gam_coords, x, float(n), target_coords)
+        except PrecisionLimit as exc:
+            raise PrecisionLimit(f"at depth {n}, {exc}") from exc
         rows.append(_convergence_row(n, dist, eps, seed))
     return ConvergenceReport(
         experiment="main-theorem", rows=tuple(rows), seed=seed, eps=eps,
@@ -635,7 +639,10 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
         for ci in good:
             if active.size == 0:
                 break
-            _, xprime = ck.reduce(bch_batch(tab, cands[ci][None], x[active]))
+            try:
+                _, xprime = ck.reduce(bch_batch(tab, cands[ci][None], x[active]))
+            except PrecisionLimit as exc:
+                raise PrecisionLimit(f"at depth {n}, {exc}") from exc
             inside = np.all((xprime >= lo) & (xprime < hi), axis=1)
             hit = active[inside]
             first[hit] = n

@@ -8,6 +8,7 @@ tuples, row convention: ``rows[i]`` is the i-th vector.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,9 +38,30 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    """Matrix times column vector."""
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m)
+def numerators(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of Fractions over their least common denominator."""
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+class IntMat:
+    """A rational matrix as integer numerators over one denominator.
+
+    apply multiplies a column vector of rationals exactly, with integer
+    arithmetic up to one Fraction per output entry.
+    """
+
+    __slots__ = ("den", "rows")
+
+    def __init__(self, m: Mat):
+        self.den = math.lcm(*(Fraction(x).denominator for row in m for x in row))
+        self.rows = tuple(tuple(int(Fraction(x) * self.den) for x in row) for row in m)
+
+    def apply(self, v) -> Vec:
+        nums, d = numerators([x if type(x) is Fraction else Fraction(x) for x in v])
+        den = self.den * d
+        return tuple(Fraction(sum(a * n for a, n in zip(row, nums)), den)
+                     for row in self.rows)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Mat, tuple[int, ...]]:

@@ -7,19 +7,27 @@ u_m^{c_m} * ... * u_1^{c_1} with integer digits c, and the digits are
 recovered by coordinate-by-coordinate peeling, which also yields the
 fundamental box of the left and right translation actions.
 
-The Cayley ball runs on the digits alone (P. Hall's integer-valued
-polynomials).  Once per lattice, on its first ball query, the BCH tables
-give two sets of polynomials in the digits: the exponential coordinates
-of the point (the exp map) and, for each generator s, the digits of
-c * s (a generator step, found by a symbolic right peel whose remainder
-must vanish).  Both are kept as integer numerators over one denominator
-per coordinate and evaluated on int64 digit arrays; an evaluation or a
-packed row key that could pass int64 is refused with CapExceeded.  On a
-2-core machine (Python 3.11, numpy 2.4) the heisenberg3 ball profile and
-Guivarc'h constants take 0.2 s + 0.1 s at radius 24 (141,225 states),
-where the rational breadth-first search took 13-18 s, and the radius-48
-profile (2,268,225 states) takes about 3.5 s with a peak resident set of
-207 MiB.
+The exact lane runs on P. Hall's integer-valued polynomials, derived
+once per lattice from the BCH tables (LatticeSpec.polys): the exp map
+(the exponential coordinates of the point with digits c, in either
+order) and, per peeling side, q_i (coordinate i of the partly peeled
+point over lead_i, a polynomial in the point and the earlier digits).
+The peel evaluates q_i on integer numerators over the point's common
+denominator, takes c_i = floor(q_i) (or the nearest integer) and reads
+remainder coordinate i as lead_i * (q_i - c_i): the basis is triangular
+and graded, so no later step moves it.  member() and point_digits() are
+integrality checks of the q_i, and digits_to_point evaluates the exp map
+on Python ints; no GroupLaw product is formed.
+
+The Cayley ball runs on the digits alone.  For each generator s the
+digits of c * s (a generator step) are the right-peel polynomials
+composed with the exp map times s.  Exp map and steps are evaluated on
+int64 digit arrays; an evaluation or a packed row key that could pass
+int64 is refused with CapExceeded.  On a 2-core machine (Python 3.11,
+numpy 2.4) the heisenberg3 ball profile and Guivarc'h constants take
+0.2 s + 0.1 s at radius 24 (141,225 states), where the rational
+breadth-first search took 13-18 s, and the radius-48 profile (2,268,225
+states) takes about 3.5 s with a peak resident set of 207 MiB.
 """
 
 from __future__ import annotations
@@ -27,12 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .algebra import StructuralError
 from .bch import GroupPoint, Mono, Poly, _poly_axpy, _poly_mul, get_group
+from .ratlin import numerators
 
 
 class CapExceeded(RuntimeError):
@@ -63,6 +72,11 @@ class LatticeSpec:
 
     def leads(self) -> tuple[Fraction, ...]:
         return tuple(self.basis[i][i] for i in range(self.dim))
+
+    @cached_property
+    def polys(self) -> "_DigitPolys":
+        """Exp-map and peel polynomials, derived on first use and kept."""
+        return _DigitPolys(self)
 
     def float_basis(self) -> tuple[np.ndarray, np.ndarray]:
         logs = np.array([[float(c) for c in row] for row in self.basis],
@@ -128,49 +142,57 @@ def fraction_coords(g, dim: int | None = None) -> tuple[Fraction, ...]:
     coords = g.coords if isinstance(g, GroupPoint) else tuple(g)
     if dim is not None and len(coords) != dim:
         raise StructuralError(f"expected {dim} coordinates")
-    return tuple(Fraction(c) for c in coords)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
-def _round_half_even(q: Fraction) -> int:
-    f = q - (q.numerator // q.denominator)
-    n = q.numerator // q.denominator
-    if f > Fraction(1, 2) or (f == Fraction(1, 2) and n % 2 == 1):
-        return n + 1
-    return n
+def _peel_numerators(lat: LatticeSpec, coords, mode: str, side: str):
+    """Digits c_i and each q_i = num_i / den_i of a peel, on Python ints.
 
-
-def _peel(lat: LatticeSpec, coords, mode: str, side: str):
-    grp = get_group(lat.group)
-    law = grp.law_group
-    p = fraction_coords(coords, lat.dim)
-    leads = lat.leads()
-    digits = []
+    q_i is coordinate i of the partly peeled point divided by lead_i, a
+    polynomial in the point and the earlier digits (LatticeSpec.polys).
+    Its remainder coordinate lead_i * (q_i - c_i) is final: the basis is
+    triangular and graded, so no later peel step moves coordinate i.
+    """
+    tables = lat.polys.peel[side]
+    vals, d = numerators(fraction_coords(coords, lat.dim))
+    pows = tables.powers(d)
+    digits, nums, dens = [], [], []
     for i in range(lat.dim):
-        q = p[i] / leads[i]
-        c = q.numerator // q.denominator if mode == "floor" else _round_half_even(q)
+        num, den = tables.value(i, vals, pows)
+        c, r = divmod(num, den)
+        if mode != "floor" and (2 * r > den or (2 * r == den and c % 2)):
+            c += 1  # round half to even
         digits.append(c)
-        if c != 0:
-            step = law.pow(lat.basis[i], -c)
-            p = law.mul(p, step) if side == "right" else law.mul(step, p)
-    return tuple(digits), tuple(p)
+        nums.append(num)
+        dens.append(den)
+        vals.append(c)
+    return digits, nums, dens
+
+
+def peel(lat: LatticeSpec, coords, mode: str = "floor", side: str = "right"):
+    """Digits and remainder of a point, peeling lattice factors off one side.
+
+    Side "right" reconstructs remainder * u_m^{c_m} * ... * u_1^{c_1}
+    (u_1 is divided off first, so basis factors stack in descending
+    order); side "left" reconstructs u_1^{c_1} * ... * u_m^{c_m} *
+    remainder.  Mode "floor" lands remainder coordinate i in [0, lead_i),
+    "round" (half to even) in [-lead_i/2, lead_i/2].
+    """
+    digits, nums, dens = _peel_numerators(lat, coords, mode, side)
+    rem = tuple(Fraction(e.numerator * (num - c * den), e.denominator * den)
+                for e, c, num, den in zip(lat.leads(), digits, nums, dens))
+    return tuple(digits), rem
 
 
 def right_peel(lat: LatticeSpec, coords, mode: str = "floor"):
-    """Digits and remainder, peeling lattice factors off the right.
-
-    Reconstruction is remainder * u_m^{c_m} * ... * u_1^{c_1}: the peel
-    divides off u_1 first, so basis factors stack in descending order.
-    """
-    return _peel(lat, coords, mode, "right")
+    """peel off the right, the side of every reduction to the domain."""
+    return peel(lat, coords, mode, "right")
 
 
-def left_peel(lat: LatticeSpec, coords, mode: str = "floor"):
-    """Digits and remainder, peeling lattice factors off the left.
-
-    Reconstruction is u_1^{c_1} * ... * u_m^{c_m} * remainder, the
-    mirror of right_peel with ascending basis order.
-    """
-    return _peel(lat, coords, mode, "left")
+def peel_digits(lat: LatticeSpec, coords, mode: str = "floor",
+                side: str = "right") -> tuple[int, ...]:
+    """The digits of a peel alone, without forming its remainder."""
+    return tuple(_peel_numerators(lat, coords, mode, side)[0])
 
 
 def digits_to_point(lat: LatticeSpec, digits, order: str = "desc") -> GroupPoint:
@@ -178,35 +200,41 @@ def digits_to_point(lat: LatticeSpec, digits, order: str = "desc") -> GroupPoint
 
     order "desc" composes u_m^{c_m} * ... * u_1^{c_1} (the right_peel
     convention, the default everywhere digits come from a right
-    reduction); "asc" is the left_peel convention.
+    reduction); "asc" is the left peel's convention.  The exp-map
+    polynomials are evaluated on Python ints, so any digit size is exact.
     """
-    grp = get_group(lat.group)
-    law = grp.law_group
-    acc = law.identity()
-    idx = range(len(digits) - 1, -1, -1) if order == "desc" else range(len(digits))
-    for i in idx:
-        c = digits[i]
-        if c != 0:
-            acc = law.mul(acc, law.pow(lat.basis[i], int(c)))
-    return GroupPoint(acc, "group", lat.group)
+    vals = [int(c) for c in digits]
+    if len(vals) != lat.dim:
+        raise StructuralError(f"expected {lat.dim} digits, got {len(vals)}")
+    exp = lat.polys.exp[order]
+    coords = []
+    for k in range(lat.dim):
+        num, den = exp.value(k, vals)
+        coords.append(Fraction(num) if den == 1 else Fraction(num, den))
+    return GroupPoint(tuple(coords), "group", lat.group)
+
+
+def _integral_digits(lat: LatticeSpec, g):
+    """The digits of g, or None when g is not a lattice point."""
+    digits, nums, dens = _peel_numerators(lat, g, "floor", "right")
+    return None if any(n % d for n, d in zip(nums, dens)) else tuple(digits)
 
 
 def member(lat: LatticeSpec, g) -> bool:
-    _, rem = right_peel(lat, g)
-    return all(c == 0 for c in rem)
+    """Whether g is a lattice point: every q_i of the right peel is an integer."""
+    return _integral_digits(lat, g) is not None
 
 
 def point_digits(lat: LatticeSpec, g) -> tuple[int, ...]:
-    digits, rem = right_peel(lat, g)
-    if any(c != 0 for c in rem):
+    digits = _integral_digits(lat, g)
+    if digits is None:
         raise StructuralError("point is not in the lattice")
     return digits
 
 
 def round_to_lattice(lat: LatticeSpec, g) -> GroupPoint:
     """Nearest-digit lattice point (peeling order, ties to even)."""
-    digits, _ = right_peel(lat, g, mode="round")
-    return digits_to_point(lat, digits)
+    return digits_to_point(lat, peel_digits(lat, g, mode="round"))
 
 
 # ------------------------------------------------------------ digit polynomials
@@ -215,38 +243,92 @@ def _scaled(poly: Poly, c) -> Poly:
     return {mono: v * c for mono, v in poly.items()} if c else {}
 
 
+def _compose(poly, subs: list[Poly], powers: dict | None = None) -> Poly:
+    """The polynomial poly (a dict or its items) with variable v set to subs[v].
+
+    powers caches subs[v]^e; callers may share it across polynomials
+    whose subs agree on the variables both use.
+    """
+    out: Poly = {}
+    powers = {} if powers is None else powers
+    items = poly.items() if isinstance(poly, dict) else poly
+    for mono, c in items:
+        if any(not subs[v] for v, _ in mono):
+            continue  # a zero factor
+        term: Poly = {(): Fraction(1)}
+        for v, e in mono:
+            if (v, e) not in powers:
+                base = {(): Fraction(1)}
+                for _ in range(e):
+                    base = _poly_mul(base, subs[v])
+                powers[v, e] = base
+            term = _poly_mul(term, powers[v, e])
+        _poly_axpy(out, c, term)
+    return out
+
+
 def _poly_point_mul(law, a: list[Poly], b: list[Poly]) -> list[Poly]:
-    """Group product of two points whose coordinates are digit polynomials."""
-    vals = a + b
+    """Group product of two points whose coordinates are polynomials."""
     out = []
     for k, terms in enumerate(law.polys):
-        acc: Poly = {}
+        acc = _compose(terms, a + b)
         _poly_axpy(acc, Fraction(1), a[k])
         _poly_axpy(acc, Fraction(1), b[k])
-        for mono, c in terms:
-            term: Poly = {(): Fraction(1)}
-            for v, e in mono:
-                for _ in range(e):
-                    term = _poly_mul(term, vals[v])
-            _poly_axpy(acc, c, term)
         out.append(acc)
     return out
 
 
+def _basis_power(lat: LatticeSpec, i: int, exponent: Poly) -> list[Poly]:
+    """u_i raised to a polynomial exponent, coordinatewise."""
+    return [_scaled(exponent, b) for b in lat.basis[i]]
+
+
 @dataclass(frozen=True)
 class _IntPolys:
-    """Polynomials in the digits as integer numerators over dens[k]."""
+    """Polynomials as integer numerators over dens[k].
+
+    Variables below `scaled` stand for numerators over one common
+    denominator d (the coordinates of a point); the rest are integers
+    (digits).  Each term (coefficient, pad, mono) carries the power d^pad
+    that lifts it to tops[k], the top degree of coordinate k in the
+    scaled variables, so coordinate k is numerator / (dens[k] d^tops[k]),
+    as in GroupLaw._mul_fractions (whose evaluation stays its own: the
+    law's linear part is added apart, which this generic form would
+    slow by 10-30% per product).
+    """
 
     what: str  # names the map in an overflow error
     dens: tuple[int, ...]
-    terms: tuple[tuple[tuple[int, Mono], ...], ...]
+    tops: tuple[int, ...]
+    terms: tuple[tuple[tuple[int, int, Mono], ...], ...]
 
     @classmethod
-    def of(cls, what: str, polys: list[Poly]) -> "_IntPolys":
+    def of(cls, what: str, polys: list[Poly], scaled: int = 0) -> "_IntPolys":
         dens = tuple(math.lcm(*(c.denominator for c in p.values())) for p in polys)
-        return cls(what, dens, tuple(
-            tuple((int(c * den), mono) for mono, c in p.items())
-            for p, den in zip(polys, dens)))
+        degs = [{mono: sum(e for v, e in mono if v < scaled) for mono in p}
+                for p in polys]
+        tops = tuple(max(deg.values(), default=0) for deg in degs)
+        return cls(what, dens, tops, tuple(
+            tuple((int(c * den), top - deg[mono], mono) for mono, c in p.items())
+            for p, den, top, deg in zip(polys, dens, tops, degs)))
+
+    def powers(self, d: int) -> list[int]:
+        """d^0 .. d^max(tops), for value."""
+        pows = [1]
+        for _ in range(max(self.tops, default=0)):
+            pows.append(pows[-1] * d)
+        return pows
+
+    def value(self, k: int, vals, pows=(1,)) -> tuple[int, int]:
+        """Coordinate k at the Python ints vals, as (numerator, denominator),
+        with pows = powers(d) when scaled variables are numerators over d."""
+        acc = 0
+        for c, pad, mono in self.terms[k]:
+            term = c * pows[pad] if pad else c
+            for v, e in mono:
+                term *= vals[v] ** e if e > 1 else vals[v]
+            acc += term
+        return acc, self.dens[k] * pows[self.tops[k]]
 
     def numerators(self, rows: np.ndarray) -> np.ndarray:
         """Numerators at each int64 digit row, refusing any int64 overflow.
@@ -258,13 +340,13 @@ class _IntPolys:
         out = np.empty((len(rows), len(self.terms)), dtype=np.int64)
         for k, terms in enumerate(self.terms):
             bound = sum(abs(c) * math.prod(top[v] ** e for v, e in mono)
-                        for c, mono in terms)
+                        for c, _, mono in terms)
             if bound >= _INT64_LIMIT:
                 raise CapExceeded(
                     f"{self.what} coordinate {k} could pass int64 at digits up to "
                     f"{max(top)}")
             acc = np.zeros(len(rows), dtype=np.int64)
-            for c, mono in terms:
+            for c, _, mono in terms:
                 term = c
                 for v, e in mono:
                     for _ in range(e):
@@ -274,30 +356,70 @@ class _IntPolys:
         return out
 
 
-def _exp_and_steps(lat: LatticeSpec) -> tuple[_IntPolys, list[_IntPolys]]:
-    """The exp map and every generator step of a lattice, exactly."""
-    law = get_group(lat.group).law_group
+def _exp_polys(law, lat: LatticeSpec, order: str) -> list[Poly]:
+    """Exp coordinates of the product of u_i^{c_i} in the given order."""
     m = lat.dim
     point: list[Poly] = [{} for _ in range(m)]
-    for i in reversed(range(m)):  # u_m^{c_m} * ... * u_1^{c_1}
-        point = _poly_point_mul(law, point, [_scaled({((i, 1),): Fraction(1)}, b)
-                                             for b in lat.basis[i]])
-    leads = lat.leads()
-    steps = []
-    for s in lat.generators:
-        if not member(lat, s):
-            raise StructuralError(f"generator {s.coords} is not a lattice point")
-        p = _poly_point_mul(law, point, [_scaled({(): Fraction(1)}, c)
-                                         for c in fraction_coords(s, m)])
-        digits = []
-        for i in range(m):  # the right peel, on polynomials
-            q = _scaled(p[i], 1 / leads[i])
-            digits.append(q)
-            p = _poly_point_mul(law, p, [_scaled(q, -b) for b in lat.basis[i]])
-        if any(p):
-            raise StructuralError(f"generator {s.coords} leaves a peel remainder")
-        steps.append(_IntPolys.of("generator step", digits))
-    return _IntPolys.of("exp map", point), steps
+    for i in (reversed(range(m)) if order == "desc" else range(m)):
+        point = _poly_point_mul(law, point, _basis_power(lat, i, {((i, 1),): Fraction(1)}))
+    return point
+
+
+def _peel_polys(law, lat: LatticeSpec, side: str) -> list[Poly]:
+    """q_0..q_{m-1} of a peel off the given side, checking at each step
+    that peeling u_i fixes the coordinates below i and moves coordinate
+    i by -lead_i c_i, which makes every remainder coordinate final."""
+    m = lat.dim
+    p: list[Poly] = [{((k, 1),): Fraction(1)} for k in range(m)]
+    qs = []
+    for i, lead in enumerate(lat.leads()):
+        qs.append(_scaled(p[i], 1 / lead))
+        if i == m - 1:
+            break
+        step = _basis_power(lat, i, {((m + i, 1),): Fraction(-1)})
+        nxt = _poly_point_mul(law, p, step) if side == "right" else _poly_point_mul(
+            law, step, p)
+        moved = dict(p[i])
+        _poly_axpy(moved, -lead, {((m + i, 1),): Fraction(1)})
+        if nxt[:i] != p[:i] or nxt[i] != moved:
+            raise StructuralError(
+                f"basis vector {i} is not triangular in graded coordinates")
+        p = nxt
+    return qs
+
+
+class _DigitPolys:
+    """The digit polynomials of one lattice, derived once from the BCH tables.
+
+    exp[order] gives the exponential coordinates of the lattice point
+    with digits c (variables 0..m-1), "desc" for u_m^{c_m}...u_1^{c_1}
+    and "asc" for u_1^{c_1}...u_m^{c_m}.  peel[side] gives q_i, coordinate
+    i of the point w (variables 0..m-1) after peeling u_1..u_{i-1} off
+    that side, divided by lead_i, as a polynomial in w and the earlier
+    digits c_0..c_{i-1} (variables m..2m-1).
+    """
+
+    def __init__(self, lat: LatticeSpec):
+        self.law = get_group(lat.group).law_group
+        self.exp_desc = _exp_polys(self.law, lat, "desc")
+        self.peel_right = _peel_polys(self.law, lat, "right")
+        self.exp = {"desc": _IntPolys.of("exp map", self.exp_desc),
+                    "asc": _IntPolys.of("exp map", _exp_polys(self.law, lat, "asc"))}
+        self.peel = {
+            "right": _IntPolys.of("peel", self.peel_right, scaled=lat.dim),
+            "left": _IntPolys.of("peel", _peel_polys(self.law, lat, "left"),
+                                 scaled=lat.dim)}
+
+    def generator_step(self, s) -> _IntPolys:
+        """Digits of c * s as polynomials in the digits c: the right-peel
+        polynomials composed with the exp map times the lattice point s."""
+        point = _poly_point_mul(self.law, self.exp_desc,
+                                [_scaled({(): Fraction(1)}, c) for c in s])
+        digits: list[Poly] = []
+        powers: dict = {}
+        for q in self.peel_right:
+            digits.append(_compose(q, point + digits, powers))
+        return _IntPolys.of("generator step", digits)
 
 
 # ------------------------------------------------------------------ row keys
@@ -350,7 +472,13 @@ class _DigitBall:
 
     def __init__(self, lat: LatticeSpec):
         self.lat = lat
-        self.exp, self.steps = _exp_and_steps(lat)
+        polys = lat.polys
+        self.exp = polys.exp["desc"]
+        self.steps = []
+        for s in lat.generators:
+            if not member(lat, s):
+                raise StructuralError(f"generator {s.coords} is not a lattice point")
+            self.steps.append(polys.generator_step(fraction_coords(s, lat.dim)))
         law = get_group(lat.group).law_group
         gens = {fraction_coords(s, lat.dim) for s in lat.generators}
         # A neighbour of layer r lies in layer r-1, r or r+1 when S = S^-1.

@@ -347,9 +347,12 @@ def test_zero_depths_and_empty_runs_are_refused(tmp_path, capsys, case):
 
 
 POINT_REFUSALS = {
-    # finite points whose approximants leave int64 fail in the digit peel
-    "1e300,0,0": "digit 0 is not finite or does not fit in int64",
-    "1e20,0,0": "digit 0 is not finite or does not fit in int64",
+    # finite points whose approximants pass the float lane's precision
+    # limit are refused before the digit peel, naming the option and value
+    "1e300,0,0": "--g '1e300,0,0': at depth 1, coordinate 0 of the point to peel "
+                 "reaches 1e+300",
+    "1e20,0,0": "--g '1e20,0,0': at depth 1, coordinate 0 of the point to peel "
+                "reaches 1e+20",
     "1e300,1e300,0": "--g '1e300,1e300,0': factorization failed to converge",
     "nan,0,0": "--g 'nan,0,0': coordinate 'nan' is not finite",
 }

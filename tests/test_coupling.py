@@ -9,12 +9,14 @@ import pytest
 
 from nilcone.coupling import (
     AutomorphismSpec,
+    PrecisionLimit,
     StructuralError,
     alpha,
     beta,
     builtin_coupling,
     builtin_twist,
     coupling_from_json,
+    coupling_kernels,
     domain_samples,
     in_domain,
     induced_action,
@@ -26,8 +28,10 @@ from nilcone.coupling import (
     validate_automorphism,
     verify_coupling,
 )
+from nilcone import wordmetric
 from nilcone.bch import get_group
-from nilcone.wordmetric import digits_to_point, member
+from nilcone.derivative import gamma_sequence
+from nilcone.wordmetric import ball_profile, digits_to_point, member
 
 BUILTINS = (
     "engel-identity",
@@ -296,6 +300,39 @@ def test_integrability_reports_match_pins(case):
     rep = integrability_estimate(builtin_coupling(case[0]), case[1], 1000, 8)
     got = tuple(v.hex() for v in (rep.mean, rep.ci_low, rep.ci_high, rep.max_norm))
     assert got == INTEGRABILITY_PINS[case]
+
+
+def test_word_norm_proxy_ignores_a_warmer_ball(monkeypatch):
+    # the proxy used to answer from however far the shared ball had grown:
+    # 46.85 in a fresh process, 16.94 after a radius-18 profile
+    monkeypatch.setattr(wordmetric, "_BALL_CACHES", {})
+    c = builtin_coupling("heisenberg-identity")
+    fresh = integrability_estimate(c, (15, 0, 0), 1000, 8)
+    ball_profile(c.lambda_lattice, 18)
+    warm = integrability_estimate(c, (15, 0, 0), 1000, 8)
+    assert warm == fresh
+    assert abs(fresh.mean - 46.85) < 0.01
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_float_digits_refused_past_the_precision_limit(name):
+    # n = 2^12 keeps every builtin coupling far inside the limit; on
+    # engel-identity n = 2^20 puts the degree-3 coordinate near 2^57,
+    # where 100 of 100 float digits disagreed with the exact lane
+    c = builtin_coupling(name)
+    grp = c.ambient()
+    ck = coupling_kernels(c)
+    g = tuple(1.0 if d == 1 else 0.5 ** d for d in grp.degrees)
+    x = domain_samples(c, 50, 3)
+    gam = gamma_sequence(grp.grad, c.gamma_lattice, g, 1 << 12)
+    ck.alpha_digits(gam.coords, x)
+    ck.beta_digits(gam.coords, x)
+    if name == "engel-identity":
+        deep = gamma_sequence(grp.grad, c.gamma_lattice, g, 1 << 20)
+        with pytest.raises(PrecisionLimit, match="coordinate 3 .* reaches"):
+            ck.alpha_digits(deep.coords, x)
+        with pytest.raises(PrecisionLimit, match="coordinate 3 .* reaches"):
+            ck.beta_digits(deep.coords, x)
 
 
 def test_integrability_growth_subadditive():

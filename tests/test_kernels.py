@@ -25,7 +25,7 @@ from nilcone.kernels import (
     quasi_norm_batch,
     reduce_batch,
 )
-from nilcone.wordmetric import digits_to_point, left_peel, right_peel
+from nilcone.wordmetric import digits_to_point, peel
 
 GROUPS = ("abelian2", "heisenberg3", "engel4", "heisenberg5", "free_nilpotent_2_3")
 
@@ -79,10 +79,9 @@ def test_reduce_batch_matches_exact_peel(side, mode):
     rng = np.random.default_rng(16)
     omega = dyadic_rows(rng, 50, grp.dim, span=3, denom=8)
     digits, rem = reduce_batch(tab, gen_logs, leads, omega, side=side, mode=mode)
-    peel = right_peel if side == "right" else left_peel
     for i in range(omega.shape[0]):
         coords = tuple(Fraction(v).limit_denominator(1 << 20) for v in omega[i])
-        d, r = peel(lat, coords, mode=mode)
+        d, r = peel(lat, coords, mode=mode, side=side)
         assert tuple(digits[i]) == d
         assert np.max(np.abs(rem[i] - [float(c) for c in r])) <= 1e-10
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import json
 import random
 from fractions import Fraction
@@ -30,7 +31,7 @@ from nilcone.wordmetric import (
     digit_quasi_norms,
     digits_to_point,
     guivarch_constants,
-    left_peel,
+    peel,
     member,
     point_digits,
     right_peel,
@@ -68,7 +69,7 @@ def test_right_peel_frozen_example():
 
 def test_left_peel_frozen_example():
     lat = builtin_lattice("heisenberg3")
-    digits, rem = left_peel(lat, (Fraction(3, 2), Fraction(1, 2), Fraction(3, 4)))
+    digits, rem = peel(lat, (Fraction(3, 2), Fraction(1, 2), Fraction(3, 4)), side="left")
     assert digits == (1, 0, 0)
     assert rem == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
@@ -88,7 +89,7 @@ def test_peel_reconstruction_identity(name):
         for i in range(lat.dim - 1, -1, -1):
             back = law.mul(back, law.pow(lat.basis[i], d[i]))
         assert back == coords
-        d, rem = left_peel(lat, coords)
+        d, rem = peel(lat, coords, side="left")
         back = rem
         for i in range(lat.dim - 1, -1, -1):
             back = law.mul(law.pow(lat.basis[i], d[i]), back)
@@ -363,3 +364,94 @@ def test_digit_overflow_is_refused_not_wrapped():
     # the exp map's c1 * c2 term would reach 2^124
     with pytest.raises(CapExceeded, match="int64"):
         _ball(lat).exp.numerators(np.array([[1 << 62, 1 << 62, 0]]))
+
+
+# ------------------------------------------------- the exact lane on integers
+
+def _reference_peel(lat, coords, mode, side):
+    """The Fraction peel the integer polynomials replaced: q_i read off the
+    partly peeled point, then one law.pow and one law.mul per digit."""
+    law = get_group(lat.group).law_group
+    p = tuple(Fraction(c) for c in coords)
+    digits, qs = [], []
+    for i, lead in enumerate(lat.leads()):
+        q = p[i] / lead
+        c = math.floor(q) if mode == "floor" else round(q)  # round: half to even
+        digits.append(c)
+        qs.append(q)
+        step = law.pow(lat.basis[i], -c)
+        p = law.mul(p, step) if side == "right" else law.mul(step, p)
+    return tuple(digits), p, qs
+
+
+def _basis_product(lat, digits, order):
+    law = get_group(lat.group).law_group
+    idx = range(lat.dim) if order == "asc" else reversed(range(lat.dim))
+    acc = law.identity()
+    for i in idx:
+        acc = law.mul(acc, law.pow(lat.basis[i], digits[i]))
+    return acc
+
+
+_rationals = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 360))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(BUILTIN_NAMES), side=st.sampled_from(["right", "left"]),
+       mode=st.sampled_from(["floor", "round"]),
+       coords=st.lists(_rationals, min_size=5, max_size=5))
+def test_integer_peel_reconstructs_and_lands_in_the_box(name, side, mode, coords):
+    lat = builtin_lattice(name)
+    law = get_group(name).law_group
+    w = tuple(coords[:lat.dim])
+    digits, rem = peel(lat, w, mode, side)
+    want_digits, want_rem, _ = _reference_peel(lat, w, mode, side)
+    assert digits == want_digits and rem == want_rem
+    assert all(type(c) is int for c in digits)
+    back = rem
+    for i in reversed(range(lat.dim)):
+        u = law.pow(lat.basis[i], digits[i])
+        back = law.mul(back, u) if side == "right" else law.mul(u, back)
+    assert back == w
+    for r, lead in zip(rem, lat.leads()):
+        assert (0 <= r < lead) if mode == "floor" else (-lead / 2 <= r <= lead / 2)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_digits_to_point_matches_basis_products_on_the_ball(name):
+    lat = builtin_lattice(name)
+    ball = _ball(lat)
+    ball.grow(4)
+    for row in np.concatenate(ball.layers[:5]).tolist():
+        for order in ("asc", "desc"):
+            assert digits_to_point(lat, row, order).coords == _basis_product(
+                lat, row, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(BUILTIN_NAMES),
+       digits=st.lists(st.integers(-20, 20), min_size=5, max_size=5),
+       offset=st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+                       min_size=5, max_size=5))
+def test_member_is_integrality_of_every_q(name, digits, offset):
+    lat = builtin_lattice(name)
+    law = get_group(name).law_group
+    g = law.mul(_basis_product(lat, digits[:lat.dim], "desc"), tuple(offset[:lat.dim]))
+    _, _, qs = _reference_peel(lat, g, "floor", "right")
+    integral = all(q.denominator == 1 for q in qs)
+    assert member(lat, g) == integral
+    if integral:
+        assert point_digits(lat, g) == tuple(int(q) for q in qs)
+    else:
+        with pytest.raises(StructuralError):
+            point_digits(lat, g)
+
+
+def test_non_triangular_basis_is_refused():
+    grp = get_group("heisenberg3")
+    basis = ((Fraction(1), Fraction(0), Fraction(0)),
+             (Fraction(1), Fraction(1), Fraction(0)),
+             (Fraction(0), Fraction(0), Fraction(1)))
+    lat = LatticeSpec(name="skew", group=grp.name, basis=basis, generators=())
+    with pytest.raises(StructuralError, match="triangular"):
+        right_peel(lat, (0, 0, 0))
