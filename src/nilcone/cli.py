@@ -43,7 +43,7 @@ from .derivative import (
     phi_apply,
     recurrence_search,
 )
-from .geometry import FactorizationError, generating_set, horizontal_factorization
+from .geometry import generating_set
 from .wordmetric import (
     CapExceeded,
     ball_profile,
@@ -133,11 +133,13 @@ def _parse_point(group, text: str) -> tuple:
 
 
 def _parse_g(group, text: str) -> tuple:
-    """Parse a --g cone point and factor it once, naming it on failure."""
+    """Parse a --g cone point, naming it on failure; its coordinates must
+    convert to finite floats, as the derivative and the float lane read them."""
     try:
         g = _parse_point(group, text)
-        horizontal_factorization(group, g)
-    except (StructuralError, FactorizationError, ValueError, OverflowError) as exc:
+        for c in g:
+            float(c)  # OverflowError past the float range
+    except (StructuralError, ValueError, OverflowError) as exc:
         raise StructuralError(f"--g {text!r}: {exc}") from exc
     return g
 
@@ -343,6 +345,9 @@ def _cmd_derivative_phi(args) -> int:
     g = _parse_g(grp, args.g) if args.g else None
     deriv = build_phi(cp, args.samples, args.seed, args.workers,
                       side=args.side)
+    img = None if g is None else phi_apply(deriv, g).coords
+    if img is not None and not all(math.isfinite(c) for c in img):
+        raise StructuralError(f"--g {args.g!r}: its image {img} is not finite")
     obj = {
         "coupling": cp.name,
         "side": args.side,
@@ -356,9 +361,8 @@ def _cmd_derivative_phi(args) -> int:
     print(f"wrote {path}")
     for i, e in enumerate(deriv.table.entries):
         print(f"gen {i}: {[round(v, 6) for v in e]}")
-    if g is not None:
-        img = phi_apply(deriv, g)
-        print("phi(g):", ",".join(repr(float(c)) for c in img.coords))
+    if img is not None:
+        print("phi(g):", ",".join(repr(c) for c in img))
     return EXIT_OK
 
 
@@ -685,7 +689,7 @@ def main(argv=None) -> int:
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (StructuralError, FactorizationError, CapExceeded) as exc:
+    except (StructuralError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (OSError, json.JSONDecodeError, ValueError, KeyError, OverflowError) as exc:

@@ -1,9 +1,11 @@
 """Averaged abelianization, iterate asymptotics, and the derivative map.
 
 The pipeline: estimate the mean abelianized cocycle on the horizontal
-generators, extend it to the whole graded group through horizontal
-factorizations (the derivative map), then run the convergence
-experiments that probe the scaled cocycle against that map.
+generators, extend it to the whole graded group as the graded
+Lie-algebra map those images fix (the derivative map, linear in
+exponential coordinates), then run the convergence experiments that
+probe the scaled cocycle against that map.  Every lattice approximant
+of a cone point g at depth n is the Mal'cev rounding of delta_n g.
 
 Convergence in measure has no finite-sample certificate, so "with high
 probability" is operationalized as a threshold on the acceptance
@@ -16,26 +18,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
-from .algebra import StructuralError
+from .algebra import StructuralError, bracket
 from .bch import GroupPoint, NilpotentGroup, get_group
 from .coupling import (
     DEFAULT_WORKERS,
     CouplingKernels,
     CouplingSpec,
     PrecisionLimit,
+    _check_precision,
     coupling_kernels,
     domain_samples,
     seed_lineage,
 )
-from .geometry import (
-    factorization_batch,
-    generating_set,
-    horizontal_factorization,
-    quasi_norm_m,
-)
+from .geometry import generating_set, quasi_norm_m
 from .kernels import (
     bch_batch,
     dilate_batch,
@@ -44,7 +44,8 @@ from .kernels import (
     quasi_norm_batch,
     reduce_batch,
 )
-from .wordmetric import ball_points, digits_to_point
+from .ratlin import identity, spanning_inverse
+from .wordmetric import ball_points, digits_to_point, round_to_lattice
 
 # spawn-key tags keeping the per-operation sample streams disjoint; they
 # seed those streams, so a tag's value never changes
@@ -54,8 +55,6 @@ _TAG_MAIN = 2
 _TAG_KAPPA = 3
 _TAG_RECUR = 4
 _TAG_WORD = 6
-
-_PHI_BLOCK = 1024  # grid rows per factorization in phi_batch
 
 
 def median3_smooth(values):
@@ -169,14 +168,58 @@ class GeneratorImageTable:
 class PansuDerivative:
     """The derivative map assembled from generator images.
 
-    Applies to graded-group points by factorizing into dilated
-    horizontal generators and multiplying the correspondingly dilated
-    image vectors in the target graded group.
+    A graded group homomorphism is linear in exponential coordinates:
+    ``linear`` is the graded Lie-algebra map whose degree-one block is
+    the symmetrized images (img(s) - img(s^-1)) / 2 and whose deeper
+    blocks follow from the graded bracket.  A degree-one block that
+    breaks a relation of the source (engel4's [X2, X3] = 0 needs the X1
+    part of the image of X2 to vanish) is kept as it is; the defect
+    shows in homomorphism_check.
     """
 
     table: GeneratorImageTable
     source: str
     target: str
+    linear: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "linear", _linear_map(
+            get_group(self.source), get_group(self.target), self.table.entries))
+
+
+@cache  # get_group: one group object per content
+def _bracket_pairs(grp: NilpotentGroup) -> dict[int, tuple[list, np.ndarray]]:
+    """Per degree k >= 2: pairs (i, j) of a degree-one and a degree-(k-1)
+    basis vector whose graded brackets span the degree-k layer, and the
+    inverse of the matrix whose columns are those brackets there."""
+    unit = identity(grp.dim)
+    out = {}
+    for level in sorted(set(grp.degrees) - {1}):
+        cols = [k for k, deg in enumerate(grp.degrees) if deg == level]
+        pairs = [(i, j) for i in range(grp.abelian_dim) for j in range(grp.dim)
+                 if grp.degrees[j] == level - 1]
+        brackets = (bracket(grp.grad.graded_tensor, grp.dim, unit[i], unit[j])
+                    for i, j in pairs)
+        pairs, inv = spanning_inverse(
+            ((p, tuple(br[k] for k in cols)) for p, br in zip(pairs, brackets)),
+            len(cols))
+        out[level] = (pairs, np.array(inv, dtype=np.float64))
+    return out
+
+
+def _linear_map(src: NilpotentGroup, tgt: NilpotentGroup, entries) -> np.ndarray:
+    """The graded Lie-algebra map fixed by the generator images."""
+    d = src.abelian_dim
+    images = np.asarray(entries, dtype=np.float64)
+    lin = np.zeros((tgt.dim, src.dim))
+    lin[:, :d] = ((images[:d] - images[d:]) / 2).T
+    for level, (pairs, inv) in _bracket_pairs(src).items():
+        cols = [k for k, deg in enumerate(src.degrees) if deg == level]
+        brackets = np.array(
+            [bracket(tgt.grad.graded_tensor, tgt.dim, lin[:, i], lin[:, j])
+             for i, j in pairs], dtype=np.float64).T
+        lin[:, cols] = brackets @ inv
+    return lin
 
 
 def build_phi(coupling: CouplingSpec, samples: int, seed: int,
@@ -197,35 +240,16 @@ def build_phi(coupling: CouplingSpec, samples: int, seed: int,
     return PansuDerivative(table=table, source=grp.name, target=grp.name)
 
 
-def phi_batch(deriv: PansuDerivative, points, order: str = "asc") -> np.ndarray:
-    """Images of the rows of an (n, m) array under the derivative map.
-
-    Each row's factorization word, with every generator replaced by its
-    image dilated by the same exponent, multiplied out in the target
-    graded group.  The result is column-major.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    tgt = get_group(deriv.target)
-    # (m, 2d): column j is generator j's image
-    images_t = np.asarray(deriv.table.entries, dtype=np.float64).T
-    tab = law_table(tgt.law_graded)
-    out = np.empty((points.shape[0], tgt.dim), order="F")
-    # row blocks bound the (rows, slots) letter arrays of the factorization
-    for lo in range(0, points.shape[0], _PHI_BLOCK):
-        letters, exps = factorization_batch(
-            deriv.source, points[lo:lo + _PHI_BLOCK], order=order)
-        acc = np.zeros((letters.shape[0], tgt.dim), order="F")
-        for s in range(letters.shape[1]):
-            # a skipped slot (exponent 0) is a zero letter: its rows stay put
-            step = (images_t[:, letters[:, s]] * exps[:, s]).T
-            acc = bch_batch(tab, acc, step)
-        out[lo:lo + _PHI_BLOCK] = acc
-    return out
+@np.errstate(over="ignore")  # an overflowed image is inf; callers refuse it
+def phi_batch(deriv: PansuDerivative, points) -> np.ndarray:
+    """Images of the rows of an (n, m) array under the derivative map,
+    column-major."""
+    return (deriv.linear @ np.asarray(points, dtype=np.float64).T).T
 
 
-def phi_apply(deriv: PansuDerivative, g, order: str = "asc") -> GroupPoint:
+def phi_apply(deriv: PansuDerivative, g) -> GroupPoint:
     """Image of a graded-group point under the derivative map."""
-    img = phi_batch(deriv, _float_coords(g)[None, :], order=order)[0]
+    img = phi_batch(deriv, _float_coords(g)[None, :])[0]
     return GroupPoint(tuple(img.tolist()), "graded", get_group(deriv.target).name)
 
 
@@ -399,15 +423,26 @@ def _lattice_word(lattice, terms) -> GroupPoint:
     return GroupPoint(acc, "group", grp.name)
 
 
-def _floor_terms(fact, n: int) -> list:
-    """The depth-n exponents of a factorization: floor(n * a) per letter."""
-    return [(idx, math.floor(n * a)) for idx, a in fact.terms]
-
-
 def gamma_sequence(grad, lattice, g, n: int) -> GroupPoint:
-    """The depth-n lattice approximant: floor-scaled factorization word."""
-    fact = horizontal_factorization(lattice.group, _coords_of(g))
-    return _lattice_word(lattice, _floor_terms(fact, n))
+    """The depth-n lattice approximant: the Mal'cev rounding of delta_n g,
+    computed exactly."""
+    dil = tuple(Fraction(c) * n ** deg for c, deg in zip(_coords_of(g), grad.degrees))
+    return round_to_lattice(lattice, dil)
+
+
+def _lane_coords(ck: CouplingKernels, coords) -> np.ndarray:
+    """Float coordinates of an exact lattice point, refused with
+    PrecisionLimit past the float lane's limit before any float use."""
+    out = np.asarray([_float_or_inf(c) for c in coords], dtype=np.float64)
+    _check_precision(out[None], ck.gamma_leads)
+    return out
+
+
+def _float_or_inf(c) -> float:
+    try:
+        return float(c)
+    except OverflowError:  # an exact value past the float range
+        return math.inf if c > 0 else -math.inf
 
 
 def _scaled_dist(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
@@ -433,22 +468,22 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
     """
     grp = coupling.ambient()
     target_coords = _float_coords(phi_apply(deriv, g) if target is None else target)
-    law = grp.law_group
+    lattice = coupling.gamma_lattice
+    pert = (None if perturb_digits is None
+            else digits_to_point(lattice, perturb_digits).coords)
     ck = coupling_kernels(coupling)
-    fact = horizontal_factorization(coupling.gamma_lattice.group, _coords_of(g))
     rows = []
-    for i, n in enumerate(n_list):
-        gam_coords = _lattice_word(coupling.gamma_lattice,
-                                   _floor_terms(fact, int(n))).coords
-        if perturb_digits is not None:
-            pert = digits_to_point(coupling.gamma_lattice, perturb_digits)
-            gam_coords = law.mul(pert.coords, gam_coords)
-        x = domain_samples(coupling, samples, seed, workers, _TAG_MAIN, i)
-        try:
+    try:
+        for i, n in enumerate(n_list):
+            gam = gamma_sequence(grp.grad, lattice, g, int(n)).coords
+            if pert is not None:
+                gam = grp.law_group.mul(pert, gam)
+            gam_coords = _lane_coords(ck, gam)
+            x = domain_samples(coupling, samples, seed, workers, _TAG_MAIN, i)
             dist = _scaled_dist(ck, grp, gam_coords, x, float(n), target_coords)
-        except PrecisionLimit as exc:
-            raise PrecisionLimit(f"at depth {n}, {exc}") from exc
-        rows.append(_convergence_row(n, dist, eps, seed))
+            rows.append(_convergence_row(n, dist, eps, seed))
+    except PrecisionLimit as exc:
+        raise PrecisionLimit(f"at depth {n}, {exc}") from exc
     return ConvergenceReport(
         experiment="main-theorem", rows=tuple(rows), seed=seed, eps=eps,
         meta={"coupling": coupling.name,
@@ -624,31 +659,26 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
         [[float(c) for c in p] for p in ball_points(coupling.gamma_lattice, max_word_len)],
         dtype=np.float64,
     )
-    fact = horizontal_factorization(coupling.gamma_lattice.group, _coords_of(g))
     tab = ck.table
     first = np.full(samples, -1, dtype=np.int64)
     active = np.arange(samples)
-    for n in range(1, horizon + 1):
-        gam = _lattice_word(coupling.gamma_lattice, _floor_terms(fact, n))
-        cands = bch_batch(tab, _float_coords(gam)[None], perts)
-        scaled = dilate_batch(grp.degrees, 1.0 / n, cands)
-        dist = _graded_dist(grp, scaled, target)
-        good = np.nonzero(dist < delta)[0]
-        if good.size == 0 or active.size == 0:
-            continue
-        for ci in good:
+    try:
+        for n in range(1, horizon + 1):
+            gam = gamma_sequence(grp.grad, coupling.gamma_lattice, g, n)
+            cands = bch_batch(tab, _lane_coords(ck, gam.coords)[None], perts)
+            scaled = dilate_batch(grp.degrees, 1.0 / n, cands)
+            dist = _graded_dist(grp, scaled, target)
+            for ci in np.nonzero(dist < delta)[0]:
+                if active.size == 0:
+                    break
+                _, xprime = ck.reduce(bch_batch(tab, cands[ci][None], x[active]))
+                inside = np.all((xprime >= lo) & (xprime < hi), axis=1)
+                first[active[inside]] = n
+                active = active[~inside]
             if active.size == 0:
                 break
-            try:
-                _, xprime = ck.reduce(bch_batch(tab, cands[ci][None], x[active]))
-            except PrecisionLimit as exc:
-                raise PrecisionLimit(f"at depth {n}, {exc}") from exc
-            inside = np.all((xprime >= lo) & (xprime < hi), axis=1)
-            hit = active[inside]
-            first[hit] = n
-            active = active[~inside]
-        if active.size == 0:
-            break
+    except PrecisionLimit as exc:
+        raise PrecisionLimit(f"at depth {n}, {exc}") from exc
     return RecurrenceReport(
         coupling=coupling.name, g=tuple(float(v) for v in target),
         delta=float(delta), horizon=int(horizon), samples=samples,

@@ -11,9 +11,9 @@ Column order.  The kernels read and write whole coordinate columns
 x[:, v] of (n, m) batches, so the lane keeps its batches in Fortran
 (column) order, where each column is contiguous.  Arrays are made
 column-major where they are created: coupling.domain_samples, the grid
-and phi accumulator in derivative, the factorization accumulators in
-geometry, and the working arrays and per-digit steps of reduce_batch
-and fold_digits; elementwise results keep their inputs' layout.
+and the phi images in derivative, and the working arrays and per-digit
+steps of reduce_batch and fold_digits; elementwise results keep their
+inputs' layout.
 bch_batch never copies: a row-major caller gets the same bits through
 strided reads, where a copy would cost more than a small product.  It is
 the one product: a (1, m) operand on either side acts on every row of

@@ -127,3 +127,18 @@ def solve_in_basis(basis: Mat, v: Vec) -> Vec:
             raise ValueError("vector not in span of basis")
         coeffs[p] = row[n]
     return tuple(coeffs)
+
+
+def spanning_inverse(keyed_vectors, size: int) -> tuple[list, Mat]:
+    """The keys of the first ``size`` linearly independent vectors of
+    (key, vector) pairs, in order, and the inverse of the matrix with
+    those vectors as columns.  Raises ValueError when they do not span.
+    """
+    keys, vectors = [], []
+    for key, vec in keyed_vectors:
+        if any(vec) and len(rref(vectors + [vec])[0]) == len(vectors) + 1:
+            keys.append(key)
+            vectors.append(vec)
+            if len(vectors) == size:
+                return keys, mat_inv(tuple(zip(*vectors)))
+    raise ValueError(f"the vectors span fewer than {size} dimensions")

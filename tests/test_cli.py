@@ -353,7 +353,8 @@ POINT_REFUSALS = {
                  "reaches 1e+300",
     "1e20,0,0": "--g '1e20,0,0': at depth 1, coordinate 0 of the point to peel "
                 "reaches 1e+20",
-    "1e300,1e300,0": "--g '1e300,1e300,0': factorization failed to converge",
+    "1e300,1e300,0": "--g '1e300,1e300,0': at depth 1, coordinate 0 of the point "
+                     "to peel reaches 1e+300",
     "nan,0,0": "--g 'nan,0,0': coordinate 'nan' is not finite",
 }
 
@@ -362,7 +363,8 @@ POINT_REFUSALS = {
 def test_recurrence_refuses_overflowed_or_nonfinite_point(tmp_path, capsys, g):
     # digits past int64, an overflowing float conversion and NaN used to
     # report success or end in a traceback; a point that cannot be parsed
-    # or factored is refused while parsing, naming the option and value
+    # is refused while parsing, and an approximant past the float lane's
+    # limit before any float use, naming the option and value
     rc = main(["derivative", "recurrence", "--coupling", "heisenberg-identity",
                "--g", g, "--horizon", "8", "--samples", "10", "--seed", "19",
                "--out", str(tmp_path)])
@@ -373,15 +375,26 @@ def test_recurrence_refuses_overflowed_or_nonfinite_point(tmp_path, capsys, g):
     assert f"error: {POINT_REFUSALS[g]}" in captured.err
 
 
-def test_phi_refuses_unfactorable_point_before_estimating(tmp_path, capsys):
+def test_phi_refuses_overflowed_image_before_writing(tmp_path, capsys):
+    # scale2 doubles the first coordinate: 2e308 overflows to inf
+    rc = main(["derivative", "phi", "--coupling", "heisenberg-scale2",
+               "--samples", "64", "--seed", "1", "--g", "1e308,0,0",
+               "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: --g '1e308,0,0': its image (inf, 0.0, 0.0) is not finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())  # refused before any artifact
+
+
+def test_phi_maps_a_huge_finite_point(tmp_path, capsys):
+    # the linear map needs no factorization, so a point far out maps
     rc = main(["derivative", "phi", "--coupling", "heisenberg-identity",
                "--samples", "64", "--seed", "1", "--g", "1e300,1e300,0",
                "--out", str(tmp_path)])
     captured = capsys.readouterr()
-    assert rc == 1
-    assert "error: --g '1e300,1e300,0': factorization failed" in captured.err
-    assert "Traceback" not in captured.err
-    assert not list(tmp_path.iterdir())  # refused before any artifact
+    assert rc == 0
+    assert "phi(g): 1e+300,1e+300,0.0" in captured.out
 
 
 def test_run_config_file_errors_name_the_file(tmp_path, capsys):

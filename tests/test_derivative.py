@@ -4,7 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcone.bch import get_group
 from nilcone.coupling import alpha, builtin_coupling
@@ -31,7 +34,6 @@ from nilcone.derivative import (
     strictly_decreasing,
 )
 from nilcone.geometry import (
-    factorization_batch,
     generating_set,
     horizontal_factorization,
     quasi_norm_m,
@@ -129,17 +131,30 @@ def test_phi_apply_identity_and_homogeneity():
         assert quasi_norm_m(grp.grad, diff) <= 1e-6
 
 
+def _word_image(phi, fact):
+    """The product, in the target graded group, of the generator images
+    along a factorization word, each dilated by its exponent."""
+    law = get_group(phi.target).law_graded
+    acc = (0.0,) * law.dim
+    for idx, a in fact.terms:
+        acc = law.mul(acc, tuple(a * v for v in phi.table.entries[idx]))
+    return acc
+
+
 def test_phi_apply_order_insensitive():
+    # phi does not depend on the order in which a point is factored: the
+    # image products along the ascending and the descending word agree
     c = builtin_coupling("heisenberg-scale2")
     phi = build_phi(c, 2048, 11)
     grp = get_group("heisenberg3")
     rng = random.Random(43)
     for _ in range(10):
         g = tuple(rng.uniform(-1, 1) for _ in range(3))
-        a = phi_apply(phi, g, order="asc")
-        b = phi_apply(phi, g, order="desc")
-        diff = grp.law_graded.mul(grp.law_graded.inv(a.coords), b.coords)
-        assert quasi_norm_m(grp.grad, diff) <= 0.05
+        img = phi_apply(phi, g).coords
+        for order in ("asc", "desc"):
+            word = _word_image(phi, horizontal_factorization(grp, g, order=order))
+            diff = grp.law_graded.mul(grp.law_graded.inv(img), word)
+            assert quasi_norm_m(grp.grad, diff) <= 0.05
 
 
 # (coupling, quasi-ball radius, grid step): a coarse grid of each builtin
@@ -155,18 +170,65 @@ GRIDS = (
 @pytest.mark.parametrize("name,radius,step", GRIDS)
 @pytest.mark.parametrize("order", ["asc", "desc"])
 def test_batch_phi_matches_one_row_bitwise(name, radius, step, order):
+    # the batch image of a grid row is its one-row image, and both are
+    # within 1e-12 of the product of dilated images along the row's
+    # factorization word
     c = builtin_coupling(name)
     grp = c.ambient()
     phi = build_phi(c, 512, 11)
     grid = _quasi_ball_grid(grp, radius, step)
-    letters, exps = factorization_batch(grp, grid, order=order)
-    images = phi_batch(phi, grid, order=order)
+    images = phi_batch(phi, grid)
     for i, p in enumerate(grid.tolist()):
-        f = horizontal_factorization(grp, p, order=order)
-        batch = [(int(j), float(a)) for j, a in zip(letters[i], exps[i]) if a != 0]
-        assert batch == list(f.terms)
-        one = phi_apply(phi, p, order=order).coords
+        one = phi_apply(phi, p).coords
         assert [v.hex() for v in images[i].tolist()] == [v.hex() for v in one]
+        word = _word_image(phi, horizontal_factorization(grp, p, order=order))
+        assert max(abs(a - b) for a, b in zip(one, word)) <= 1e-12 * max(1.0, *map(abs, one))
+
+
+_SMALL = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _phi_and_points(draw):
+    """A derivative on one group whose degree-one block A respects the
+    group's relations, two bounded points and a dilation."""
+    name = draw(st.sampled_from(["heisenberg3", "engel4", "free_nilpotent_2_3"]))
+    grp = get_group(name)
+    a = [[draw(_SMALL) for _ in range(2)] for _ in range(2)]
+    if name == "engel4":  # [X2, X3] = 0 needs no X1 part in the image of X2
+        a[0][1] = 0.0
+    entries = [tuple(a[i][j] for i in range(2)) + (0.0,) * (grp.dim - 2)
+               for j in range(2)]
+    entries += [tuple(-v for v in e) for e in entries]
+    table = GeneratorImageTable(
+        coupling=name, side="alpha", entries=tuple(entries),
+        cis=tuple((0.0,) * grp.dim for _ in entries), samples=1, seed=0)
+    phi = PansuDerivative(table=table, source=name, target=name)
+    points = [tuple(draw(_SMALL) / 2 ** (d - 1) for d in grp.degrees)
+              for _ in range(2)]
+    return phi, points, draw(st.floats(0.25, 4.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_phi_and_points())
+def test_phi_is_a_graded_homomorphism_equal_to_the_word_product(case):
+    phi, (g, h), t = case
+    grp = get_group(phi.source)
+    law = grp.law_graded
+
+    def close(u, v):
+        scale = max(1.0, *map(abs, u), *map(abs, v))
+        return max(abs(a - b) for a, b in zip(u, v)) <= 1e-9 * scale
+
+    img = phi_apply(phi, g).coords
+    assert close(phi_apply(phi, law.mul(g, h)).coords,
+                 law.mul(img, phi_apply(phi, h).coords))
+    dil = tuple(t ** d * v for d, v in zip(grp.degrees, g))
+    assert close(phi_apply(phi, dil).coords,
+                 tuple(t ** d * v for d, v in zip(grp.degrees, img)))
+    for order in ("asc", "desc"):
+        word = _word_image(phi, horizontal_factorization(grp, g, order=order))
+        assert close(img, word)
 
 
 def test_over_cap_grid_is_refused_before_any_array(monkeypatch):
@@ -198,37 +260,14 @@ def _identity_engel_phi():
     return PansuDerivative(table=table, source="engel4", target="engel4")
 
 
-# Engel grid points whose gadget roots round differently under numpy's
-# vectorised power; the images were recorded with the scalar float peel.
-PHI_ENGEL_HEX = {
-    (1.5, -1.5, 2.0, 1.5): (
-        "0x1.7ffffffffffffp+0", "-0x1.8000000000000p+0",
-        "0x1.0000000000000p+1", "0x1.7fffffffffffdp+0"),
-    (1.5, -1.5, -1.5, 3.0): (
-        "0x1.8000000000003p+0", "-0x1.8000000000000p+0",
-        "-0x1.7ffffffffffffp+0", "0x1.8000000000003p+1"),
-    (1.0, -0.5, 1.0, -2.5): (
-        "0x1.ffffffffffffep-1", "-0x1.0000000000000p-1",
-        "0x1.0000000000000p+0", "-0x1.4000000000001p+1"),
-    (-1.5, -1.5, 0.0, 0.0): (
-        "-0x1.8000000000000p+0", "-0x1.8000000000000p+0",
-        "0x0.0p+0", "-0x1.8000000000000p-53"),
-    (-1.5, -1.5, -2.0, 1.5): (
-        "-0x1.8000000000000p+0", "-0x1.8000000000000p+0",
-        "-0x1.fffffffffffffp+0", "0x1.8000000000004p+0"),
-    (-1.5, -1.0, 2.0, 3.0): (
-        "-0x1.8000000000000p+0", "-0x1.0000000000000p+0",
-        "0x1.0000000000000p+1", "0x1.8000000000002p+1"),
-}
-
-
 def test_phi_engel_images_frozen_bitwise():
+    # the identity map returns every point of the engel grid bit for bit
     phi = _identity_engel_phi()
-    points = sorted(PHI_ENGEL_HEX)
-    images = phi_batch(phi, points)
-    for p, img in zip(points, images.tolist()):
-        assert tuple(v.hex() for v in img) == PHI_ENGEL_HEX[p]
-        assert tuple(v.hex() for v in phi_apply(phi, p).coords) == PHI_ENGEL_HEX[p]
+    grid = _quasi_ball_grid(get_group("engel4"), 2.0, 0.5)
+    images = phi_batch(phi, grid)
+    assert np.array_equal(images.view(np.int64), grid.view(np.int64))
+    for p in grid[::997].tolist():
+        assert phi_apply(phi, p).coords == tuple(p)
 
 
 def test_gamma_sequence_frozen_values():
@@ -236,23 +275,32 @@ def test_gamma_sequence_frozen_values():
     lat = builtin_lattice("heisenberg3")
     for n in (1, 5, 12):
         assert gamma_sequence(grp.grad, lat, (1, 0, 0), n).coords == (n, 0, 0)
-    assert gamma_sequence(grp.grad, lat, (1, 1, 0), 6).coords == (6, 6, 2)
+    # delta_6 (1, 1, 0) is a lattice point; delta_7 of it is not (49/2)
+    assert gamma_sequence(grp.grad, lat, (1, 1, 0), 6).coords == (6, 6, 0)
     assert gamma_sequence(grp.grad, lat, (1, 1, 0), 7).coords == (
-        7, 7, Fraction(17, 2))
+        7, 7, Fraction(-1, 2))
+    # nearest digits, not floors: delta_3 of it is (2.1, -2.1, 2.7)
+    assert gamma_sequence(grp.grad, lat, (0.7, -0.7, 0.3), 3).coords == (2, -2, 3)
 
 
 def test_gamma_sequence_rescales_to_target():
     grp = get_group("heisenberg3")
     lat = builtin_lattice("heisenberg3")
-    g = (1.0, 1.0, 0.0)
-    dists = []
-    for n in (8, 32, 128):
-        gn = gamma_sequence(grp.grad, lat, g, n)
-        scaled = tuple(float(c) / n ** d for c, d in zip(gn.coords, grp.degrees))
-        diff = grp.law_graded.mul(grp.law_graded.inv(scaled), g)
-        dists.append(quasi_norm_m(grp.grad, diff))
-    assert strictly_decreasing(dists)
-    assert dists[-1] <= 0.1
+
+    def dists(g):
+        out = []
+        for n in (8, 32, 128):
+            gn = gamma_sequence(grp.grad, lat, g, n)
+            scaled = tuple(float(c) / n ** d for c, d in zip(gn.coords, grp.degrees))
+            diff = grp.law_graded.mul(grp.law_graded.inv(scaled), g)
+            out.append(quasi_norm_m(grp.grad, diff))
+        return out
+
+    # at even depths delta_n (1, 1, 0) is a lattice point, rounded to itself
+    assert dists((1.0, 1.0, 0.0)) == [0.0, 0.0, 0.0]
+    off = dists((1.0, 1.0, 1 / 3))  # on no dilated lattice
+    assert strictly_decreasing(off)
+    assert off[-1] <= 0.1
 
 
 def test_main_theorem_experiment_converges():

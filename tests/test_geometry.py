@@ -13,7 +13,6 @@ from nilcone.derivative import _graded_dist
 from nilcone.geometry import (
     FactorizationError,
     evaluate_factorization,
-    factorization_batch,
     fit_exponent,
     generating_set,
     horizontal_factorization,
@@ -108,37 +107,25 @@ def _edge_rows(grp):
 
 @pytest.mark.parametrize("name", NONABELIAN)
 @pytest.mark.parametrize("order", ["asc", "desc"])
-def test_batch_factorization_of_edge_rows_matches_one_row(name, order):
+def test_edge_rows_factor_and_reconstruct(name, order):
     grp = get_group(name)
     rng = random.Random(107)
     rows = _edge_rows(grp) + [
         tuple(rng.uniform(-2, 2) for _ in range(grp.dim)) for _ in range(6)]
-    letters, exps = factorization_batch(grp, rows, order=order)
-    for i, row in enumerate(rows):
+    for row in rows:
         f = horizontal_factorization(grp, row, order=order)
-        batch = [(int(j), float(a)) for j, a in zip(letters[i], exps[i]) if a != 0]
-        assert batch == list(f.terms)
-    assert letters.shape[0] == len(rows)
+        assert all(a > 0 for _, a in f.terms)
+        back = evaluate_factorization(grp, f).coords
+        assert max(abs(a - b) for a, b in zip(back, row)) <= 1e-9
     assert horizontal_factorization(grp, rows[0], order=order).terms == ()
 
 
-def test_batch_failure_carries_first_unconverged_residual():
-    grp = get_group("heisenberg3")
-    with pytest.raises(FactorizationError) as exc:
-        factorization_batch(grp, [(2.5, 0.0, 0.0), (0.3, -0.7, 0.11)],
-                            max_passes=1)
-    assert "1 of 2 points" in str(exc.value)
-    assert max(abs(c) for c in exc.value.residual) > 1e-12
-    letters, exps = factorization_batch(grp, [(2.5, 0.0, 0.0)], max_passes=1)
-    assert (letters.tolist(), exps.tolist()) == ([[0]], [[2.5]])
-
-
-def test_batch_refuses_rows_of_the_wrong_width():
+def test_factorization_refuses_points_of_the_wrong_width():
     from nilcone import StructuralError
     grp = get_group("heisenberg3")
-    for bad in ((1.0, 2.0, 3.0), [(1.0, 2.0)], [(1.0, 2.0, 3.0, 4.0)]):
+    for bad in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
         with pytest.raises(StructuralError):
-            factorization_batch(grp, bad)
+            horizontal_factorization(grp, bad)
 
 
 def test_non_finite_points_do_not_factor():

@@ -2,6 +2,7 @@
 public function nothing reaches."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,48 @@ def test_every_public_function_is_reached():
                 continue
             unreached.append(f"{path.name}:{node.name}")
     assert not unreached, f"nothing reaches {', '.join(unreached)}"
+
+
+PACKAGE_MODULES = {p.stem for p in MODULES}
+
+
+def _package_module(node):
+    """The package module an expression names (nc.<module>, self.nc.<module>)."""
+    if isinstance(node, ast.Attribute) and node.attr in PACKAGE_MODULES:
+        base = node.value
+        if (isinstance(base, ast.Name) and base.id == "nc"
+                or isinstance(base, ast.Attribute) and base.attr == "nc"):
+            return node.attr
+    return None
+
+
+def _package_reads(tree) -> set[tuple[str, str]]:
+    """(module, name) for every nc.<module>.<name> read in tree, also
+    through an alias a function binds, such as d = nc.derivative."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _package_module(node.value):
+            reads.add((_package_module(node.value), node.attr))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        aliases = {t.id: _package_module(n.value) for n in ast.walk(fn)
+                   if isinstance(n, ast.Assign) and _package_module(n.value)
+                   for t in n.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                reads.add((aliases[node.value.id], node.attr))
+    return reads
+
+
+def test_benchmark_reads_only_names_the_package_has():
+    # the benchmark runs the package through module attributes; a name it
+    # reads that the package lost would fail every benchmark run
+    reads = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        reads |= _package_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert ("derivative", "gamma_sequence") in reads  # read through d = nc.derivative
+    missing = [f"nilcone.{mod}.{name}" for mod, name in sorted(reads)
+               if not hasattr(importlib.import_module(f"nilcone.{mod}"), name)]
+    assert not missing, f"perfbench reads {', '.join(missing)}"
