@@ -27,7 +27,6 @@ from .bch import get_group
 from .coupling import (
     DEFAULT_WORKERS,
     CouplingSpec,
-    PrecisionLimit,
     builtin_coupling,
     coupling_from_json,
     integrability_estimate,
@@ -46,6 +45,7 @@ from .derivative import (
 from .geometry import generating_set
 from .wordmetric import (
     CapExceeded,
+    PrecisionLimit,
     ball_profile,
     builtin_lattice,
     guivarch_constants,

@@ -11,8 +11,9 @@ domain is the plain Mal'cev box.
 The exact layer runs on integers: the twist is an integer numerator
 matrix over one denominator, and the peel and the cocycle's lattice
 point are the integer polynomials of wordmetric, so one reduction forms
-no GroupLaw product.  The float layer refuses (PrecisionLimit) a batch
-whose magnitudes leave too few fraction bits for exact digits.
+no GroupLaw product.  The float layer runs the same polynomials on
+float64 and int64 columns (peel_batch, digit_coords), its twist a float
+matrix around the peel; PrecisionLimit refuses a batch past its limit.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ import numpy as np
 from . import ratlin
 from .algebra import StructuralError
 from .bch import GroupPoint, NilpotentGroup, get_group
-from .kernels import bch_batch, fold_digits, law_table, reduce_batch
+from .kernels import bch_batch, law_table
 from .wordmetric import (
     LatticeSpec,
+    _float_guard,
     builtin_lattice,
+    digit_coords,
     digits_to_point,
     fraction_coords,
     member,
+    peel_batch,
     peel_digits,
     right_peel,
 )
@@ -244,32 +248,11 @@ def beta(coupling: CouplingSpec, lam, y) -> GroupPoint:
 
 # ------------------------------------------------------------ float layer
 
-class PrecisionLimit(StructuralError):
-    """A float batch too large in magnitude for exact digits."""
-
-
-# The float peel's digits match the exact lane only while every
-# coordinate, in units of its lead, keeps FRACTION_BITS of the 53 bits of
-# a double below the binary point.  On engel-identity (100 rows at
-# (1, 0.5, 0.25, 0.125)) the digits disagreed at n = 2^16 (8 bits left)
-# and agreed at n = 2^14 (14 bits); heisenberg at 10.7 bits agreed.
-FRACTION_BITS = 12
-_FLOAT_DIGIT_LIMIT = 2.0 ** (53 - FRACTION_BITS)
-
-
 def _check_precision(w: np.ndarray, leads: np.ndarray) -> None:
-    """Refuse a batch whose float digits could be wrong (NaN passes on to
-    reduce_batch, which refuses it)."""
-    if not len(w):
-        return
-    mag = np.abs(w).max(axis=0) / leads
-    over = np.flatnonzero(mag >= _FLOAT_DIGIT_LIMIT)
-    if over.size:
-        k = int(over[0])
-        raise PrecisionLimit(
-            f"coordinate {k} of the point to peel reaches {mag[k]:.3g} lattice "
-            f"units, past 2^{53 - FRACTION_BITS}: fewer than {FRACTION_BITS} "
-            f"fraction bits are left for exact float digits")
+    """Refuse the float coordinates of lattice points whose coordinates, in
+    units of their leads, pass the float peel's limit."""
+    for k, mag in enumerate(np.abs(w).max(axis=0, initial=0.0) / leads):
+        _float_guard(k, mag)
 
 
 class CouplingKernels:
@@ -277,7 +260,9 @@ class CouplingKernels:
 
     def __init__(self, coupling: CouplingSpec):
         self.table = law_table(coupling.ambient().law_group)
-        self.gamma_logs, self.gamma_leads = coupling.gamma_lattice.float_basis()
+        self.gamma_lattice = coupling.gamma_lattice
+        self.lambda_lattice = coupling.lambda_lattice
+        self.gamma_leads = coupling.gamma_lattice.float_basis()[1]
         self.lambda_logs, self.lambda_leads = coupling.lambda_lattice.float_basis()
         self.twisted = coupling.twist is not None
         if self.twisted:  # theta is read only for a twisted coupling
@@ -290,9 +275,7 @@ class CouplingKernels:
         A batch past the float lane's precision limit raises PrecisionLimit.
         """
         w = (self.theta @ omega.T).T if self.twisted else omega
-        _check_precision(w, self.lambda_leads)
-        digits, u = reduce_batch(self.table, self.lambda_logs,
-                                 self.lambda_leads, w, side="right")
+        digits, u = peel_batch(self.lambda_lattice, w)
         x = (self.theta_inv @ u.T).T if self.twisted else u
         return digits, x
 
@@ -302,7 +285,7 @@ class CouplingKernels:
         return self.reduce(bch_batch(self.table, g[None], x))
 
     def lambda_coords(self, digits: np.ndarray) -> np.ndarray:
-        return fold_digits(self.table, self.lambda_logs, digits, order="desc")
+        return digit_coords(self.lambda_lattice, digits, order="desc")
 
     def beta_digits(self, lam_coords, y: np.ndarray):
         """Digits of the left peel of the lam-action, and Y-side images."""
@@ -310,12 +293,10 @@ class CouplingKernels:
         if self.twisted:
             lc = lc @ self.theta_inv.T
         moved = bch_batch(self.table, y, -lc[None])
-        _check_precision(moved, self.gamma_leads)
-        return reduce_batch(self.table, self.gamma_logs, self.gamma_leads,
-                            moved, side="left")
+        return peel_batch(self.gamma_lattice, moved, side="left")
 
     def gamma_coords(self, digits: np.ndarray) -> np.ndarray:
-        return fold_digits(self.table, self.gamma_logs, digits, order="asc")
+        return digit_coords(self.gamma_lattice, digits, order="asc")
 
 
 coupling_kernels = cache(CouplingKernels)  # CouplingSpec is frozen: keyed by content

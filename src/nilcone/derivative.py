@@ -29,23 +29,16 @@ from .coupling import (
     DEFAULT_WORKERS,
     CouplingKernels,
     CouplingSpec,
-    PrecisionLimit,
     _check_precision,
     coupling_kernels,
     domain_samples,
     seed_lineage,
 )
 from .geometry import generating_set, quasi_norm_m
-from .kernels import (
-    bch_batch,
-    dilate_batch,
-    fold_digits,
-    law_table,
-    quasi_norm_batch,
-    reduce_batch,
-)
+from .kernels import bch_batch, dilate_batch, law_table, quasi_norm_batch
 from .ratlin import identity, spanning_inverse
-from .wordmetric import ball_points, digits_to_point, round_to_lattice
+from .wordmetric import PrecisionLimit, ball_points, digit_coords, digits_to_point
+from .wordmetric import peel_batch, round_to_lattice
 
 # spawn-key tags keeping the per-operation sample streams disjoint; they
 # seed those streams, so a tag's value never changes
@@ -589,21 +582,22 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     ck = coupling_kernels(coupling)
     grid = _quasi_ball_grid(grp, radius, grid_step)
     phi_vals = phi_batch(deriv, grid)
-    tab = ck.table
     rows = []
-    for i, n in enumerate(n_list):
-        n = int(n)
-        dil = dilate_batch(grp.degrees, float(n), grid)
-        digits, _ = reduce_batch(tab, ck.gamma_logs, ck.gamma_leads, dil,
-                                 side="right", mode="round")
-        jn = fold_digits(tab, ck.gamma_logs, digits, order="desc")
-        x = domain_samples(coupling, x_samples, seed, workers, _TAG_KAPPA, i)
-        sups = np.empty(x_samples, dtype=np.float64)
-        for xi in range(x_samples):
-            dg, _ = ck.reduce(bch_batch(tab, jn, x[xi][None]))
-            scaled = dilate_batch(grp.degrees, 1.0 / n, ck.lambda_coords(dg))
-            sups[xi] = float(_graded_dist(grp, scaled, phi_vals).max())
-        rows.append(_convergence_row(n, sups, eps, seed))
+    try:
+        for i, n in enumerate(n_list):
+            n = int(n)
+            dil = dilate_batch(grp.degrees, float(n), grid)
+            digits, _ = peel_batch(ck.gamma_lattice, dil, mode="round")
+            jn = digit_coords(ck.gamma_lattice, digits)
+            x = domain_samples(coupling, x_samples, seed, workers, _TAG_KAPPA, i)
+            sups = np.empty(x_samples, dtype=np.float64)
+            for xi in range(x_samples):
+                dg, _ = ck.reduce(bch_batch(ck.table, jn, x[xi][None]))
+                scaled = dilate_batch(grp.degrees, 1.0 / n, ck.lambda_coords(dg))
+                sups[xi] = float(_graded_dist(grp, scaled, phi_vals).max())
+            rows.append(_convergence_row(n, sups, eps, seed))
+    except PrecisionLimit as exc:
+        raise PrecisionLimit(f"at depth {n}, {exc}") from exc
     return KappaReport(
         coupling=coupling.name, radius=float(radius),
         grid_step=float(grid_step), grid_size=int(grid.shape[0]),

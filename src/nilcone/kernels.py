@@ -1,4 +1,4 @@
-"""Batch float kernels: group law and lattice digit peeling.
+"""Batch float kernels: the group law, dilations and quasi-norms.
 
 The exact Fraction layer is the reference implementation; these kernels
 run the same polynomial tables over float64 arrays for Monte Carlo
@@ -11,13 +11,16 @@ Column order.  The kernels read and write whole coordinate columns
 x[:, v] of (n, m) batches, so the lane keeps its batches in Fortran
 (column) order, where each column is contiguous.  Arrays are made
 column-major where they are created: coupling.domain_samples, the grid
-and the phi images in derivative, and the working arrays and per-digit
-steps of reduce_batch and fold_digits; elementwise results keep their
-inputs' layout.
+and the phi images in derivative, and the digits, remainders and
+coordinates of wordmetric.peel_batch and digit_coords; elementwise
+results keep their inputs' layout.
 bch_batch never copies: a row-major caller gets the same bits through
 strided reads, where a copy would cost more than a small product.  It is
 the one product: a (1, m) operand on either side acts on every row of
 the other, its coordinates as scalars, with no broadcast copy.
+
+Lattice digits are peeled by wordmetric.peel_batch; reduce_batch, the
+earlier peel by m sequential products, is kept for the benchmark figures.
 """
 
 from __future__ import annotations
@@ -116,18 +119,6 @@ def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
         step = _outer(-c, gen_logs[i])
         p = _bch_numpy(tab, p, step) if right else _bch_numpy(tab, step, p)
     return digits, p
-
-
-def fold_digits(tab: KernelTable, gen_logs: np.ndarray, digits: np.ndarray,
-                order: str = "asc") -> np.ndarray:
-    """Column-major prod_i u_i^digits_i over rows, in index order."""
-    digits = np.asarray(digits, dtype=np.float64)
-    n, m = digits.shape
-    p = np.zeros((n, m), dtype=np.float64, order="F")
-    idx = range(m) if order == "asc" else range(m - 1, -1, -1)
-    for i in idx:
-        p = bch_batch(tab, p, _outer(digits[:, i], gen_logs[i]))
-    return p
 
 
 def dilate_batch(degrees, t: float, x: np.ndarray) -> np.ndarray:

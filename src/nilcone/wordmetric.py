@@ -17,7 +17,9 @@ denominator, takes c_i = floor(q_i) (or the nearest integer) and reads
 remainder coordinate i as lead_i * (q_i - c_i): the basis is triangular
 and graded, so no later step moves it.  member() and point_digits() are
 integrality checks of the q_i, and digits_to_point evaluates the exp map
-on Python ints; no GroupLaw product is formed.
+on Python ints; no GroupLaw product is formed.  The float lane's
+peel_batch and digit_coords, and the ball below, run the same tables
+through one guarded column loop (_IntPolys.column).
 
 The Cayley ball runs on the digits alone.  For each generator s the
 digits of c * s (a generator step) are the right-peel polynomials
@@ -46,6 +48,29 @@ from .ratlin import numerators
 
 class CapExceeded(RuntimeError):
     """BFS state count, or an int64 digit computation, exceeded its cap."""
+
+
+class PrecisionLimit(StructuralError):
+    """A float batch too large in magnitude for exact digits."""
+
+
+# Float peel digits match the exact lane while every term and partial sum
+# of q_i, in lattice units, leaves FRACTION_BITS of a double's 53 bits
+# below the binary point: a batch is refused once the term bound of some
+# q_i (_IntPolys.column) reaches 2^(53 - FRACTION_BITS).  A bound on the
+# point's coordinates alone let heisenberg gamma = (2^24, 2^24, 0)
+# through, whose q_2 terms reach 2^48.6: 6 of 400 float digits differed.
+FRACTION_BITS = 12
+_FLOAT_DIGIT_LIMIT = 2.0 ** (53 - FRACTION_BITS)
+
+
+def _float_guard(k: int, mag: float) -> None:
+    """Refuse coordinate k at mag lattice units (or NaN) past the limit."""
+    if not mag < _FLOAT_DIGIT_LIMIT:
+        raise PrecisionLimit(
+            f"coordinate {k} of the point to peel reaches {mag:.3g} lattice "
+            f"units, past 2^{53 - FRACTION_BITS}: fewer than {FRACTION_BITS} "
+            f"fraction bits are left for exact float digits")
 
 
 DEFAULT_RADIUS_CAP = 25
@@ -237,6 +262,42 @@ def round_to_lattice(lat: LatticeSpec, g) -> GroupPoint:
     return digits_to_point(lat, peel_digits(lat, g, mode="round"))
 
 
+def peel_batch(lat: LatticeSpec, omega, mode: str = "floor", side: str = "right"):
+    """peel over the float rows of omega: digits and remainders, column-major.
+
+    Each q_i is the exact lane's polynomial evaluated on float columns of
+    the point and of the earlier digits.  A batch whose q_i terms could
+    reach 2^(53 - FRACTION_BITS) lattice units, or that holds a NaN, is
+    refused with PrecisionLimit before q_i is formed.
+    """
+    w = np.asarray(omega, dtype=np.float64, order="F")
+    if w.ndim != 2 or w.shape[1] != lat.dim:
+        raise ValueError("peel_batch expects an (n, dim) array")
+    tables = lat.polys.peel[side]
+    rounding = {"floor": np.floor, "round": np.rint}[mode]
+    cols = [w[:, v] for v in range(lat.dim)]
+    top = list(np.abs(w).max(axis=0, initial=0.0))
+    digits = np.empty(w.shape, dtype=np.int64, order="F")
+    rem = np.empty(w.shape, dtype=np.float64, order="F")
+    for i, (lead, den) in enumerate(zip(lat.leads(), tables.dens)):
+        q = tables.column(i, cols, top, lambda k, b: _float_guard(k, b / den)) / den
+        c = rounding(q)
+        digits[:, i] = c
+        rem[:, i] = float(lead) * (q - c)
+        cols.append(c)
+        top.append(np.abs(c).max(initial=0.0))
+    return digits, rem
+
+
+def digit_coords(lat: LatticeSpec, digits, order: str = "desc") -> np.ndarray:
+    """Float coordinates of the lattice points with the given digit rows,
+    column-major: the exp map of digits_to_point, exact on int64 digits,
+    then rounded once."""
+    exp = lat.polys.exp[order]
+    nums = exp.numerators(np.asarray(digits, dtype=np.int64))
+    return nums / np.asarray(exp.dens, dtype=np.float64)
+
+
 # ------------------------------------------------------------ digit polynomials
 
 def _scaled(poly: Poly, c) -> Poly:
@@ -330,29 +391,34 @@ class _IntPolys:
             acc += term
         return acc, self.dens[k] * pows[self.tops[k]]
 
-    def numerators(self, rows: np.ndarray) -> np.ndarray:
-        """Numerators at each int64 digit row, refusing any int64 overflow.
+    def column(self, k: int, cols, top, guard) -> np.ndarray:
+        """Numerator of coordinate k, variable v the int64 or float64 column
+        cols[v], once guard(k, sum |coefficient| * prod top[v]^e) passes: with
+        top[v] >= max|cols[v]| that bounds every term and partial sum."""
+        guard(k, sum(abs(c) * math.prod(top[v] ** e for v, e in mono)
+                     for c, _, mono in self.terms[k]))
+        acc = np.zeros(len(cols[0]), dtype=cols[0].dtype)
+        for c, _, mono in self.terms[k]:
+            term = c
+            for v, e in mono:
+                for _ in range(e):
+                    term = term * cols[v]
+            acc += term
+        return acc
 
-        The bound sums |coefficient| * prod max|c_v|^e over the terms, so
-        it also bounds every partial product and partial sum.
-        """
-        top = [int(v) for v in np.abs(rows).max(axis=0)]
-        out = np.empty((len(rows), len(self.terms)), dtype=np.int64)
-        for k, terms in enumerate(self.terms):
-            bound = sum(abs(c) * math.prod(top[v] ** e for v, e in mono)
-                        for c, _, mono in terms)
+    def numerators(self, rows: np.ndarray) -> np.ndarray:
+        """Column-major numerators at each int64 digit row, refusing any
+        int64 overflow by the bound."""
+        cols = [rows[:, v] for v in range(rows.shape[1])]
+        top = [int(v) for v in np.abs(rows).max(axis=0, initial=0)]
+
+        def guard(k: int, bound: int) -> None:
             if bound >= _INT64_LIMIT:
-                raise CapExceeded(
-                    f"{self.what} coordinate {k} could pass int64 at digits up to "
-                    f"{max(top)}")
-            acc = np.zeros(len(rows), dtype=np.int64)
-            for c, _, mono in terms:
-                term = c
-                for v, e in mono:
-                    for _ in range(e):
-                        term = term * rows[:, v]
-                acc += term
-            out[:, k] = acc
+                raise CapExceeded(f"{self.what} coordinate {k} could pass int64 "
+                                  f"at digits up to {max(top)}")
+        out = np.empty((len(rows), len(self.terms)), dtype=np.int64, order="F")
+        for k in range(len(self.terms)):
+            out[:, k] = self.column(k, cols, top, guard)
         return out
 
 

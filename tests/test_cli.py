@@ -300,6 +300,27 @@ def test_kappa_command(tmp_path):
     assert lines[0] == "n,samples,fraction_within_eps,median_proxy_dist,seed"
 
 
+DEEP_DEPTH_RUNS = {
+    # --g 1,1,0 at depth 2^24 reported fraction 1.0 from float digits that
+    # differed from the exact lane; the peel terms reach about 2^48
+    "main-theorem": (["experiment", "main-theorem", "--g", "1,1,0"],
+                     "error: --g '1,1,0': at depth 16777216, coordinate 2 "),
+    "kappa": (["derivative", "kappa"], "error: at depth 16777216, coordinate 2 "),
+}
+
+
+@pytest.mark.parametrize("case", list(DEEP_DEPTH_RUNS))
+def test_deep_depths_are_refused_naming_the_depth(tmp_path, capsys, case):
+    args, message = DEEP_DEPTH_RUNS[case]
+    rc = main(args + ["--coupling", "heisenberg-identity", "--n", "8,16777216",
+                      "--seed", "1", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_arbitrary_word_command(tmp_path):
     rc = main(["experiment", "arbitrary-word", "--coupling",
                "heisenberg-identity", "--word", "e1:n,e2:sqrt",

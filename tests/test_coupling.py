@@ -9,7 +9,6 @@ import pytest
 
 from nilcone.coupling import (
     AutomorphismSpec,
-    PrecisionLimit,
     StructuralError,
     alpha,
     beta,
@@ -31,7 +30,7 @@ from nilcone.coupling import (
 from nilcone import wordmetric
 from nilcone.bch import get_group
 from nilcone.derivative import gamma_sequence
-from nilcone.wordmetric import ball_profile, digits_to_point, member
+from nilcone.wordmetric import PrecisionLimit, ball_profile, digits_to_point, member
 
 BUILTINS = (
     "engel-identity",
@@ -333,6 +332,25 @@ def test_float_digits_refused_past_the_precision_limit(name):
             ck.alpha_digits(deep.coords, x)
         with pytest.raises(PrecisionLimit, match="coordinate 3 .* reaches"):
             ck.beta_digits(deep.coords, x)
+
+
+@pytest.mark.parametrize("e", [20, 24])
+def test_float_digits_equal_the_exact_lane_or_are_refused(e):
+    # gamma = (2^24, 2^24, 0) passed the earlier guard on the point's own
+    # coordinates, yet 6 of these 400 float digits differed from the exact lane;
+    # its peel terms reach about 2^48 lattice units
+    c = builtin_coupling("heisenberg-identity")
+    ck = coupling_kernels(c)
+    x = domain_samples(c, 400, 3)
+    gam = (2 ** e, 2 ** e, 0)
+    try:
+        digits, _ = ck.alpha_digits(gam, x)
+    except PrecisionLimit:
+        assert e == 24
+        return
+    for i, row in enumerate(x):
+        want = alpha(c, gam, tuple(Fraction(v) for v in row))
+        assert digits_to_point(c.lambda_lattice, digits[i]).coords == want.coords
 
 
 def test_integrability_growth_subadditive():

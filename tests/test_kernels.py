@@ -20,12 +20,17 @@ from nilcone.geometry import quasi_norm_m
 from nilcone.kernels import (
     bch_batch,
     dilate_batch,
-    fold_digits,
     law_table,
     quasi_norm_batch,
     reduce_batch,
 )
-from nilcone.wordmetric import digits_to_point, peel
+from nilcone.wordmetric import (
+    PrecisionLimit,
+    digit_coords,
+    digits_to_point,
+    peel,
+    peel_batch,
+)
 
 GROUPS = ("abelian2", "heisenberg3", "engel4", "heisenberg5", "free_nilpotent_2_3")
 
@@ -86,19 +91,49 @@ def test_reduce_batch_matches_exact_peel(side, mode):
         assert np.max(np.abs(rem[i] - [float(c) for c in r])) <= 1e-10
 
 
-def test_fold_digits_matches_exact_word():
-    lat = builtin_lattice("engel4")
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(GROUPS), side=st.sampled_from(["right", "left"]),
+       mode=st.sampled_from(["floor", "round"]), bits=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_peel_batch_matches_the_exact_peel(name, side, mode, bits, seed):
+    # Dyadic points with few fraction bits keep every float term exact up
+    # to the bound, so each row the bound lets through must give the
+    # exact digits, ties included.  Row magnitudes t^degree run from 1 to
+    # past the bound, where rows are refused.
+    lat = builtin_lattice(name)
     grp = get_group(lat.group)
-    tab = law_table(grp.law_group)
-    gen_logs, _ = lat.float_basis()
+    rng = np.random.default_rng(seed)
+    t = 2.0 ** rng.uniform(0, 45 / max(grp.degrees), size=(30, 1))
+    scale = t ** np.asarray(grp.degrees, dtype=np.float64) * 2 ** bits
+    omega = np.round(rng.uniform(-1, 1, size=(30, lat.dim)) * scale) / 2 ** bits
+    for row in omega:
+        try:
+            digits, rem = peel_batch(lat, row[None], mode=mode, side=side)
+        except PrecisionLimit:
+            continue
+        d, r = peel(lat, tuple(Fraction(v) for v in row), mode=mode, side=side)
+        assert tuple(digits[0]) == d
+        assert np.max(np.abs(rem[0] - [float(c) for c in r])) <= 2.0 ** -12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 ** 41])
+def test_peel_batch_refuses_non_finite_and_huge_rows(bad):
+    lat = builtin_lattice("heisenberg3")
+    with pytest.raises(PrecisionLimit, match="coordinate 0 of the point to peel"):
+        peel_batch(lat, np.asarray([[0.5, 0.5, 0.5], [bad, 0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        peel_batch(lat, np.zeros(3))
+
+
+def test_digit_coords_match_exact_points():
+    lat = builtin_lattice("engel4")
     rng = np.random.default_rng(17)
-    digits = rng.integers(-4, 5, size=(40, grp.dim))
+    digits = rng.integers(-4000, 4001, size=(40, lat.dim))
     for order in ("asc", "desc"):
-        folded = fold_digits(tab, gen_logs, digits.astype(np.float64), order=order)
+        got = digit_coords(lat, digits, order=order)
         for i in range(digits.shape[0]):
             want = digits_to_point(lat, tuple(int(c) for c in digits[i]), order=order)
-            ref = np.asarray([float(c) for c in want.coords])
-            assert np.max(np.abs(folded[i] - ref)) <= 1e-9
+            assert got[i].tolist() == [float(c) for c in want.coords]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e20, 2.0 ** 63])
@@ -176,13 +211,12 @@ def _layout_outputs(name, x, y, g, digits):
     """Every batch kernel's outputs on one input set, in a fixed order."""
     lat = builtin_lattice(name)
     tab = law_table(get_group(name).law_group)
-    gen_logs, leads = lat.float_basis()
     outs = [bch_batch(tab, x, y), bch_batch(tab, g[None], x), bch_batch(tab, x, g[None])]
     for side in ("left", "right"):
         for mode in ("floor", "round"):
-            outs.extend(reduce_batch(tab, gen_logs, leads, x, side=side, mode=mode))
+            outs.extend(peel_batch(lat, x, mode=mode, side=side))
     for order in ("asc", "desc"):
-        outs.append(fold_digits(tab, gen_logs, digits, order=order))
+        outs.append(digit_coords(lat, digits, order=order))
     return outs
 
 
@@ -216,15 +250,14 @@ def test_batch_lane_outputs_are_column_major():
     cp = builtin_coupling("engel-identity")
     grp = cp.ambient()
     lat = cp.lambda_lattice
-    tab = law_table(grp.law_group)
-    gen_logs, leads = lat.float_basis()
     for side in ("alpha", "beta"):
         assert domain_samples(cp, 100, 1, 4, side=side).flags.f_contiguous
     twisted = builtin_coupling("heisenberg-shear")
     assert domain_samples(twisted, 100, 1, 4).flags.f_contiguous
     x = np.random.default_rng(3).normal(size=(100, grp.dim))  # row-major input
-    digits, rem = reduce_batch(tab, gen_logs, leads, x)
+    digits, rem = peel_batch(lat, x)
     assert digits.flags.f_contiguous and rem.flags.f_contiguous
-    assert fold_digits(tab, gen_logs, digits).flags.f_contiguous
+    assert digit_coords(lat, digits).flags.f_contiguous
+    assert digit_coords(lat, np.ascontiguousarray(digits)).flags.f_contiguous
     deriv = build_phi(cp, 256, 1)
     assert phi_batch(deriv, x).flags.f_contiguous
