@@ -178,8 +178,7 @@ def validate_algebra(spec: NilpotentAlgebraSpec) -> ValidationReport:
         lhs = bracket(tensor, dim, basis[a], bracket(tensor, dim, basis[b], basis[c]))
         mid = bracket(tensor, dim, basis[b], bracket(tensor, dim, basis[c], basis[a]))
         rhs = bracket(tensor, dim, basis[c], bracket(tensor, dim, basis[a], basis[b]))
-        total = ratlin.vec_add(ratlin.vec_add(lhs, mid), rhs)
-        if not ratlin.is_zero_vec(total):
+        if any(x + y + z for x, y, z in zip(lhs, mid, rhs)):
             jacobi.append((a + 1, b + 1, c + 1))
     if jacobi:
         messages.append(f"Jacobi fails on {len(jacobi)} basis triples")
@@ -256,12 +255,15 @@ class Gradation:
     adapted_tensor: Tensor = field(repr=False)
     graded_tensor: Tensor = field(repr=False)
     identity_basis: bool = field(init=False, repr=False, compare=False)
-    _to_adapted: ratlin.IntMat = field(init=False, repr=False, compare=False)
+    # to_adapted and from_adapted, as linear integer tables
+    _changes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "identity_basis", self.adapted_basis == ratlin.identity(self.dim))
-        object.__setattr__(self, "_to_adapted", ratlin.IntMat(self.adapted_inverse))
+        object.__setattr__(self, "_changes", (
+            ratlin.IntPolys.linear("to_adapted", self.adapted_inverse),
+            ratlin.IntPolys.linear("from_adapted", tuple(zip(*self.adapted_basis)))))
 
     @property
     def dim(self) -> int:
@@ -275,24 +277,18 @@ class Gradation:
     def abelian_dim(self) -> int:
         return sum(1 for d in self.degrees if d == 1)
 
-    def _is_identity_on(self, v) -> bool:
-        # The basis change is exact and the identity: all-Fraction
-        # coordinates come back unchanged, so the matrix product is skipped.
-        return self.identity_basis and all(type(x) is Fraction for x in v)
+    def _change(self, direction: int, v) -> Vec:
+        # The identity change returns all-Fraction coordinates unchanged.
+        if self.identity_basis and all(type(x) is Fraction for x in v):
+            return tuple(v)
+        return self._changes[direction].at(v)
 
     def to_adapted(self, v: Vec) -> Vec:
         """Coordinates of a presentation-basis vector in the adapted basis."""
-        if self._is_identity_on(v):
-            return tuple(v)
-        return self._to_adapted.apply(v)
+        return self._change(0, v)
 
     def from_adapted(self, v: Vec) -> Vec:
-        if self._is_identity_on(v):
-            return tuple(v)
-        return tuple(
-            sum((v[k] * self.adapted_basis[k][j] for k in range(self.dim)), Fraction(0))
-            for j in range(self.dim)
-        )
+        return self._change(1, v)
 
 
 def gradation(series_or_spec) -> Gradation:
@@ -325,15 +321,14 @@ def gradation(series_or_spec) -> Gradation:
         raise StructuralError("adapted basis construction lost rank")
 
     basis = tuple(adapted_rows)
+    inverse = ratlin.mat_inv(tuple(zip(*basis)))  # inverse of column matrix
+    to_adapted = ratlin.IntPolys.linear("to_adapted", inverse)
     tensor = spec.tensor()
     adapted: Tensor = {}
     for a in range(dim):
         for b in range(a + 1, dim):
             vec = bracket(tensor, dim, basis[a], basis[b])
-            if ratlin.is_zero_vec(vec):
-                continue
-            coeffs = ratlin.solve_in_basis(basis, vec)
-            entry = {k: c for k, c in enumerate(coeffs) if c != 0}
+            entry = {k: c for k, c in enumerate(to_adapted.at(vec)) if c != 0}
             if entry:
                 adapted[(a, b)] = entry
     graded: Tensor = {}
@@ -352,7 +347,6 @@ def gradation(series_or_spec) -> Gradation:
                     f"bracket target X{k+1} shallower than degree sum at ({a+1},{b+1})"
                 )
 
-    inverse = ratlin.mat_inv(tuple(zip(*basis)))  # inverse of column matrix
     return Gradation(
         spec=spec,
         series=series,

@@ -3,21 +3,20 @@
 For a nilpotent algebra of step r the Dynkin expansion truncates at
 bracket depth r, so log(exp(u)exp(v)) is a polynomial map.  The
 coefficients are computed once per algebra as exact rational
-polynomials in the 2m coordinate variables; the same table is evaluated
-over integer numerators for all-Fraction operands, term by term for any
-other scalars, and compiled to flat float arrays for the Monte Carlo
-kernels.
+polynomials in the 2m coordinate variables.  All-Fraction operands are
+multiplied through the law's ratlin.IntPolys table of the nonlinear terms,
+the linear part added apart; any other scalars go term by term, and the
+kernels compile the same polynomials to flat float arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from hashlib import sha256
-from math import factorial, lcm
+from math import factorial
 
-from . import ratlin
 from .algebra import (
     BUILTIN_ALGEBRAS,
     Gradation,
@@ -28,13 +27,9 @@ from .algebra import (
     gradation,
     lower_central_series,
 )
+from .ratlin import IntPolys, Poly, numerators
 
 MAX_STEP = 6
-
-# A monomial is a sorted tuple of (variable, exponent); variables
-# 0..m-1 are coordinates of the left factor, m..2m-1 of the right.
-Mono = tuple[tuple[int, int], ...]
-Poly = dict[Mono, Fraction]
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
@@ -108,7 +103,8 @@ def dynkin_word_coefficients(max_len: int) -> tuple[tuple[tuple[int, ...], Fract
 
 
 def bch_polynomials(tensor: Tensor, dim: int, step: int) -> list[Poly]:
-    """Coordinatewise polynomials of the product log(exp(u) exp(v))."""
+    """Coordinatewise polynomials of the product log(exp(u) exp(v)), with
+    variables 0..m-1 the coordinates of u and m..2m-1 those of v."""
     x_vec: list[Poly] = [{((k, 1),): Fraction(1)} for k in range(dim)]
     y_vec: list[Poly] = [{((dim + k, 1),): Fraction(1)} for k in range(dim)]
     letters = (x_vec, y_vec)
@@ -139,20 +135,12 @@ class GroupLaw:
     dim: int
     degrees: tuple[int, ...]
     polys: tuple  # tuple of (mono, coeff) tuples per coordinate
-    # Per coordinate: (coefficient denominator, top degree, terms as
-    # (integer coefficient, degree padding, mono)); see _mul_fractions.
-    int_polys: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        table = []
-        for terms in self.polys:
-            den = lcm(*(c.denominator for _, c in terms))
-            top = max((sum(e for _, e in mono) for mono, _ in terms), default=1)
-            table.append((den, top, tuple(
-                (c.numerator * (den // c.denominator),
-                 top - sum(e for _, e in mono), mono)
-                for mono, c in terms)))
-        object.__setattr__(self, "int_polys", tuple(table))
+    @cached_property
+    def table(self) -> IntPolys:
+        """The nonlinear terms over integer numerators; see _mul_fractions."""
+        return IntPolys.of(f"{self.law} law", [dict(t) for t in self.polys],
+                           scaled=2 * self.dim)
 
     def identity(self) -> tuple:
         return (Fraction(0),) * self.dim
@@ -180,27 +168,22 @@ class GroupLaw:
         """Exact product of all-Fraction operands over integer numerators.
 
         With every input written as n_v / d over one common denominator
-        d, coordinate k of the product is
-        ((n_k + n_{m+k}) q d^(top-1) + sum_t c_t n^mono_t d^pad_t) / (q d^top),
-        where q is the coordinate's coefficient denominator, c_t = q * coeff_t
-        are integers and pad_t = top - deg(mono_t).  Only the final
-        quotient is a Fraction.
+        d, coordinate k of the product is the linear part (n_k + n_{m+k}) / d
+        plus the table's nonlinear terms; only the final quotient is a
+        Fraction.
         """
         m = self.dim
-        d = lcm(*(x.denominator for x in vals))
-        nums = [x.numerator * (d // x.denominator) for x in vals]
-        pows = [1]
+        table = self.table
+        nums, d = numerators(vals)
+        pows = table.powers(d)
         out = []
-        for k, (den, top, terms) in enumerate(self.int_polys):
-            while len(pows) <= top:
-                pows.append(pows[-1] * d)
-            acc = (nums[k] + nums[m + k]) * den * pows[top - 1]
-            for c, pad, mono in terms:
-                term = c * pows[pad]
-                for v, e in mono:
-                    term *= nums[v] ** e
-                acc += term
-            out.append(Fraction(acc, den * pows[top]))
+        for k, terms in enumerate(table.terms):
+            lin = nums[k] + nums[m + k]
+            if terms:
+                num, den = table.value(k, nums, pows)
+                out.append(Fraction(lin * (den // d) + num, den))
+            else:
+                out.append(Fraction(lin, d))
         return tuple(out)
 
     def inv(self, a) -> tuple:
@@ -272,9 +255,6 @@ class NilpotentGroup:
         if tag == "graded":
             return self.law_graded
         raise StructuralError(f"unknown law tag {tag!r}")
-
-    def to_adapted(self, v) -> tuple:
-        return self.grad.to_adapted(ratlin.as_vec(v))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"NilpotentGroup({self.name}, dim={self.dim}, step={self.step})"

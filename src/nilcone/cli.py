@@ -96,6 +96,8 @@ def _finite_float(text: str) -> float:
 def _parse_scalar(tok: str):
     try:
         return Fraction(tok)
+    except ZeroDivisionError:
+        raise StructuralError(f"coordinate {tok.strip()!r} has a zero denominator") from None
     except ValueError:
         val = float(tok)
     if not math.isfinite(val):
@@ -103,64 +105,69 @@ def _parse_scalar(tok: str):
     return val
 
 
-def _parse_point(group, text: str) -> tuple:
-    """Point syntax: 'e2', 'e1*e2', or comma-separated coordinates."""
-    grp = get_group(group)
-    law = grp.law_group
-    text = text.strip()
-    if "," in text:
-        coords = tuple(_parse_scalar(t) for t in text.split(","))
-        if len(coords) != grp.dim:
-            raise StructuralError(
-                f"expected {grp.dim} coordinates, got {len(coords)}")
-        return coords
-    acc = law.identity()
-    for tok in text.split("*"):
-        tok = tok.strip()
-        neg = tok.startswith("-")
-        if neg:
-            tok = tok[1:]
-        if not (tok.startswith("e") and tok[1:].isdigit()):
-            raise StructuralError(f"bad point token {tok!r}")
-        k = int(tok[1:])
-        if not 1 <= k <= grp.dim:
-            raise StructuralError(f"basis index {k} out of range")
-        pt = tuple(Fraction(1 if i == k - 1 else 0) for i in range(grp.dim))
-        if neg:
-            pt = law.inv(pt)
-        acc = law.mul(acc, pt)
-    return acc
-
-
-def _parse_g(group, text: str) -> tuple:
-    """Parse a --g cone point, naming it on failure; its coordinates must
-    convert to finite floats, as the derivative and the float lane read them."""
-    try:
-        g = _parse_point(group, text)
-        for c in g:
-            float(c)  # OverflowError past the float range
-    except (StructuralError, ValueError, OverflowError) as exc:
-        raise StructuralError(f"--g {text!r}: {exc}") from exc
-    return g
-
-
 @contextlib.contextmanager
-def _naming_g(text: str):
-    """Name --g and its value when its approximants pass the float lane's limit."""
+def _naming(flag: str, text, errors=(StructuralError, ValueError, OverflowError)):
+    """Name the flag and its value in the errors its value raises."""
     try:
         yield
-    except PrecisionLimit as exc:
-        raise StructuralError(f"--g {text!r}: {exc}") from exc
+    except errors as exc:
+        raise StructuralError(f"{flag} {text!r}: {exc}") from exc
+
+
+def _parse_point(group, flag: str, text: str, finite: bool = False) -> tuple:
+    """Point syntax: 'e2', 'e1*e2', or comma-separated coordinates; errors
+    name the flag.  A finite point (a cone point) must convert to finite
+    floats, as the derivative and the float lane read it."""
+    grp = get_group(group)
+    law = grp.law_group
+    with _naming(flag, text):
+        if "," in text:
+            pt = tuple(_parse_scalar(t) for t in text.split(","))
+            if len(pt) != grp.dim:
+                raise StructuralError(f"expected {grp.dim} coordinates, got {len(pt)}")
+        else:
+            pt = law.identity()
+            for tok in text.split("*"):
+                tok = tok.strip()
+                neg = tok.startswith("-")
+                if neg:
+                    tok = tok[1:]
+                if not (tok.startswith("e") and tok[1:].isdigit()):
+                    raise StructuralError(f"bad point token {tok!r}")
+                k = int(tok[1:])
+                if not 1 <= k <= grp.dim:
+                    raise StructuralError(f"basis index {k} out of range")
+                e = tuple(Fraction(1 if i == k - 1 else 0) for i in range(grp.dim))
+                pt = law.mul(pt, law.inv(e) if neg else e)
+        if finite:
+            for c in pt:
+                float(c)  # OverflowError past the float range
+    return pt
 
 
 def _parse_box(text: str, dim: int):
-    pairs = []
-    for part in text.split(","):
-        lo, _, hi = part.partition(":")
-        pairs.append((_parse_scalar(lo), _parse_scalar(hi)))
-    if len(pairs) != dim:
-        raise StructuralError(f"box needs {dim} lo:hi pairs")
+    with _naming("--box", text):
+        pairs = []
+        for part in text.split(","):
+            lo, _, hi = part.partition(":")
+            pair = (_parse_scalar(lo), _parse_scalar(hi))
+            for v in pair:
+                float(v)  # OverflowError past the float range
+            pairs.append(pair)
+        if len(pairs) != dim:
+            raise StructuralError(f"box needs {dim} lo:hi pairs")
     return tuple(pairs)
+
+
+_COUNT_FLAGS = ("samples", "phi_samples", "triples", "horizon", "workers")
+
+
+def _require_counts(args) -> None:
+    """Refuse any count flag below 1, naming it."""
+    for name in _COUNT_FLAGS:
+        val = getattr(args, name, None)
+        if val is not None and val < 1:
+            raise StructuralError(f"--{name.replace('_', '-')} must be >= 1, got {val}")
 
 
 def _parse_word(text: str):
@@ -209,12 +216,12 @@ def _emit_plan(args, **extra) -> bool:
     return False
 
 
-def _add_common(p, seed: bool = False, workers: bool = True):
+def _add_common(p, seed: bool = False, workers: bool = False):
     p.add_argument("--dry-run", action="store_true",
                    help="print the resolved plan and exit")
     p.add_argument("--out", default=None,
                    help="artifact directory (default $NILCONE_OUT or ./out)")
-    if workers:
+    if workers:  # only commands that split their samples into streams
         p.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
                        help="worker streams shaping the sample split")
     if seed:
@@ -247,11 +254,11 @@ def _cmd_group(args) -> int:
     law = grp.law(args.law)
     if _emit_plan(args):
         return EXIT_OK
-    x = _parse_point(grp, args.x)
+    x = _parse_point(grp, "--x", args.x)
     if args.op == "mul":
-        res = law.mul(x, _parse_point(grp, args.y))
+        res = law.mul(x, _parse_point(grp, "--y", args.y))
     elif args.op == "comm":
-        res = law.comm(x, _parse_point(grp, args.y))
+        res = law.comm(x, _parse_point(grp, "--y", args.y))
     else:
         res = law.pow(x, args.k)
     print(",".join(str(c) for c in res))
@@ -315,6 +322,8 @@ def _cmd_derivative_estimate(args) -> int:
     if _emit_plan(args, coupling=cp.name):
         return EXIT_OK
     grp = cp.ambient()
+    gamma = (_parse_point(grp, "--gamma", args.gamma, finite=True)
+             if args.gamma else None)
     gens = generating_set(grp)
     header = ["generator", "mean_norm", "ci_low", "ci_high", "samples", "seed"]
     rows = []
@@ -329,9 +338,8 @@ def _cmd_derivative_estimate(args) -> int:
         _out_dir(args) / f"integrability_{cp.name}_seed{args.seed}.csv",
         header, rows)
     print(f"wrote {path}")
-    if args.gamma:
-        ma = mean_abelianization(cp, _parse_point(grp, args.gamma),
-                                 args.samples, args.seed, args.workers)
+    if gamma:
+        ma = mean_abelianization(cp, gamma, args.samples, args.seed, args.workers)
         print("mean abelianization:",
               ",".join(repr(v) for v in ma.vector))
     return EXIT_OK
@@ -342,7 +350,7 @@ def _cmd_derivative_phi(args) -> int:
     if _emit_plan(args, coupling=cp.name):
         return EXIT_OK
     grp = cp.ambient()
-    g = _parse_g(grp, args.g) if args.g else None
+    g = _parse_point(grp, "--g", args.g, finite=True) if args.g else None
     deriv = build_phi(cp, args.samples, args.seed, args.workers,
                       side=args.side)
     img = None if g is None else phi_apply(deriv, g).coords
@@ -392,9 +400,10 @@ def _cmd_derivative_recurrence(args) -> int:
         return EXIT_OK
     grp = cp.ambient()
     box = _parse_box(args.box, grp.dim)
-    with _naming_g(args.g):
-        rep = recurrence_search(cp, _parse_g(grp, args.g), args.delta, box,
-                                args.horizon, args.samples, args.seed)
+    g = _parse_point(grp, "--g", args.g, finite=True)
+    with _naming("--g", args.g, PrecisionLimit):
+        rep = recurrence_search(cp, g, args.delta, box, args.horizon,
+                                args.samples, args.seed)
     header, rows = rep.csv_rows()
     path = reports.write_csv(
         _out_dir(args) / f"recurrence_{cp.name}_seed{args.seed}.csv",
@@ -409,12 +418,11 @@ def _cmd_derivative_recurrence(args) -> int:
 
 def _run_main_theorem(args, cp: CouplingSpec) -> int:
     grp = cp.ambient()
-    g = _parse_g(grp, args.g)
+    g = _parse_point(grp, "--g", args.g, finite=True)
+    target = (_parse_point(grp, "--target", args.target, finite=True)
+              if args.target else None)
     deriv = build_phi(cp, args.phi_samples, args.seed, args.workers)
-    target = None
-    if args.target:
-        target = tuple(_parse_scalar(t) for t in args.target.split(","))
-    with _naming_g(args.g):
+    with _naming("--g", args.g, PrecisionLimit):
         rep = main_theorem_experiment(
             cp, deriv, g, _parse_int_list(args.n), args.eps, args.samples,
             args.seed, args.workers, target=target)
@@ -436,7 +444,7 @@ def _run_main_theorem(args, cp: CouplingSpec) -> int:
 
 def _run_iterates(args, cp: CouplingSpec) -> int:
     grp = cp.ambient()
-    gamma = _parse_point(grp, args.gamma)
+    gamma = _parse_point(grp, "--gamma", args.gamma, finite=True)
     rep = iterate_diagnostics(cp, gamma, _parse_int_list(args.n),
                               args.samples, args.seed, args.workers)
     header, rows = rep.csv_rows()
@@ -538,8 +546,7 @@ def _cmd_run(args) -> int:
     missing = [k for k in ("coupling", "experiment") if not getattr(args, k)]
     if missing:
         raise StructuralError(f"missing config keys: {', '.join(missing)}")
-    if args.samples < 1:
-        raise StructuralError("samples must be >= 1")
+    _require_counts(args)  # the config's counts too
     cp = _load_coupling(args.coupling)
     if _emit_plan(args, coupling=cp.name):
         return EXIT_OK
@@ -611,7 +618,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coupling", required=True)
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--gamma", default=None)
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, workers=True)
     p.set_defaults(func=_cmd_derivative_estimate)
     p = dv_sub.add_parser("phi",
                           help="estimate the derivative map")
@@ -619,7 +626,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=1 << 14)
     p.add_argument("--side", choices=("alpha", "beta"), default="alpha")
     p.add_argument("--g", default=None, help="optionally apply to this point")
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, workers=True)
     p.set_defaults(func=_cmd_derivative_phi)
     p = dv_sub.add_parser("kappa",
                           help="sup-distance grids for the rescaled cocycle")
@@ -630,7 +637,7 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=_finite_float, default=2.0)
     p.add_argument("--grid-step", type=_finite_float, default=0.5)
     p.add_argument("--eps", type=_finite_float, default=0.3)
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, workers=True)
     p.set_defaults(func=_cmd_derivative_kappa)
     p = dv_sub.add_parser("recurrence",
                           help="lattice return-time search near a cone point")
@@ -641,8 +648,7 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, default=256)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--min-success", type=_finite_float, default=0.0)
-    # recurrence_search draws every sample from one stream
-    _add_common(p, seed=True, workers=False)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_derivative_recurrence)
 
     ex_sub = _group(sub, "experiment")
@@ -663,7 +669,7 @@ def build_parser() -> _Parser:
         else:
             p.add_argument("--word", default="e1:n,e2:sqrt")
             p.add_argument("--eps", type=_finite_float, default=0.2)
-        _add_common(p, seed=True)
+        _add_common(p, seed=True, workers=True)
         p.set_defaults(func=_cmd_experiment, experiment=name)
 
     p = sub.add_parser("run",
@@ -685,6 +691,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_ERROR
     try:
+        _require_counts(args)
         return args.func(args)
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

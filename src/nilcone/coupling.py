@@ -8,12 +8,12 @@ Reduction to the fundamental domain of the right action is exact digit
 peeling after pushing forward through the twist; the left action's
 domain is the plain Mal'cev box.
 
-The exact layer runs on integers: the twist is an integer numerator
-matrix over one denominator, and the peel and the cocycle's lattice
-point are the integer polynomials of wordmetric, so one reduction forms
-no GroupLaw product.  The float layer runs the same polynomials on
-float64 and int64 columns (peel_batch, digit_coords), its twist a float
-matrix around the peel; PrecisionLimit refuses a batch past its limit.
+The exact layer runs on integers: the twist, the peel and the cocycle's
+lattice point are ratlin.IntPolys tables (the twist a linear one), so
+one reduction forms no GroupLaw product.  The float layer runs the same
+polynomials on float64 and int64 columns (peel_batch, digit_coords), its
+twist a float matrix around the peel; PrecisionLimit refuses a batch
+past its limit.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ class AutomorphismSpec:
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def apply(self, coords):
-        return self._int_matrix.apply(coords)
+        return self._table.at(coords)
 
     @cached_property
-    def _int_matrix(self) -> ratlin.IntMat:
-        return ratlin.IntMat(self.matrix)
+    def _table(self) -> ratlin.IntPolys:
+        return ratlin.IntPolys.linear(f"twist {self.name}", self.matrix)
 
     def inverse(self) -> "AutomorphismSpec":
         return self._inverse

@@ -1,22 +1,41 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra over the rationals, and the integer table.
 
 Everything in the algebra layer runs on ``fractions.Fraction`` so that
 structural facts (Jacobi, nilpotency, basis adaptation) are decided
 exactly, never by thresholding floats.  Matrices are plain tuples of
 tuples, row convention: ``rows[i]`` is the i-th vector.
+
+IntPolys is the exact lane's one integer evaluator: polynomials with
+rational coefficients kept as integer numerators, evaluated on integer
+numerators with one Fraction per coordinate at the end.  It holds the
+BCH product's nonlinear terms, the twist automorphism, both directions
+of the adapted-basis change and the Mal'cev exp map and peel, and its
+column loop runs the same tables on int64 and float64 arrays.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
+# A monomial is a sorted tuple of (variable, exponent).
+Mono = tuple[tuple[int, int], ...]
+Poly = dict[Mono, Fraction]
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
+INT64_LIMIT = 1 << 63
+
+
+class CapExceeded(RuntimeError):
+    """BFS state count, or an int64 digit computation, exceeded its cap."""
 
 
 def as_vec(values: Iterable) -> Vec:
@@ -31,37 +50,15 @@ def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
 def numerators(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of Fractions over their least common denominator."""
+    """Integer numerators of Fractions (or ints) over their least common
+    denominator."""
     d = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v], d
-
-
-class IntMat:
-    """A rational matrix as integer numerators over one denominator.
-
-    apply multiplies a column vector of rationals exactly, with integer
-    arithmetic up to one Fraction per output entry.
-    """
-
-    __slots__ = ("den", "rows")
-
-    def __init__(self, m: Mat):
-        self.den = math.lcm(*(Fraction(x).denominator for row in m for x in row))
-        self.rows = tuple(tuple(int(Fraction(x) * self.den) for x in row) for row in m)
-
-    def apply(self, v) -> Vec:
-        nums, d = numerators([x if type(x) is Fraction else Fraction(x) for x in v])
-        den = self.den * d
-        return tuple(Fraction(sum(a * n for a, n in zip(row, nums)), den)
-                     for row in self.rows)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Mat, tuple[int, ...]]:
@@ -110,25 +107,6 @@ def mat_inv(m: Mat) -> Mat:
     return tuple(tuple(reduced[i][n:]) for i in range(n))
 
 
-def solve_in_basis(basis: Mat, v: Vec) -> Vec:
-    """Coefficients of v as a combination of the basis rows.
-
-    Raises ValueError when v is outside the span or the rows are
-    dependent (callers only pass genuine bases).
-    """
-    n = len(basis)
-    dim = len(v)
-    # Solve basis^T c = v by row reducing [basis^T | v].
-    aug = [[basis[j][i] for j in range(n)] + [v[i]] for i in range(dim)]
-    reduced, pivots = rref(aug)
-    coeffs = [ZERO] * n
-    for row, p in zip(reduced, pivots):
-        if p == n:
-            raise ValueError("vector not in span of basis")
-        coeffs[p] = row[n]
-    return tuple(coeffs)
-
-
 def spanning_inverse(keyed_vectors, size: int) -> tuple[list, Mat]:
     """The keys of the first ``size`` linearly independent vectors of
     (key, vector) pairs, in order, and the inverse of the matrix with
@@ -142,3 +120,94 @@ def spanning_inverse(keyed_vectors, size: int) -> tuple[list, Mat]:
             if len(vectors) == size:
                 return keys, mat_inv(tuple(zip(*vectors)))
     raise ValueError(f"the vectors span fewer than {size} dimensions")
+
+
+@dataclass(frozen=True)
+class IntPolys:
+    """Polynomials as integer numerators over dens[k].
+
+    Variables below `scaled` stand for numerators over one common
+    denominator d (the coordinates of a point); the rest are integers
+    (digits).  Each term (coefficient, pad, mono) carries the power d^pad
+    that lifts it to tops[k], the top degree of coordinate k in the
+    scaled variables, so coordinate k is numerator / (dens[k] d^tops[k]).
+    """
+
+    what: str  # names the map in an overflow error
+    dens: tuple[int, ...]
+    tops: tuple[int, ...]
+    terms: tuple[tuple[tuple[int, int, Mono], ...], ...]
+
+    @classmethod
+    def of(cls, what: str, polys: list[Poly], scaled: int = 0) -> "IntPolys":
+        dens = tuple(math.lcm(*(c.denominator for c in p.values())) for p in polys)
+        degs = [{mono: sum(e for v, e in mono if v < scaled) for mono in p}
+                for p in polys]
+        tops = tuple(max(deg.values(), default=0) for deg in degs)
+        return cls(what, dens, tops, tuple(
+            tuple((int(c * den), top - deg[mono], mono) for mono, c in p.items())
+            for p, den, top, deg in zip(polys, dens, tops, degs)))
+
+    @classmethod
+    def linear(cls, what: str, m) -> "IntPolys":
+        """The map v -> m v of a rational matrix."""
+        return cls.of(what, [{((j, 1),): c for j, c in enumerate(row) if c}
+                             for row in m], scaled=len(m[0]))
+
+    def powers(self, d: int) -> list[int]:
+        """d^0 .. d^max(tops), for value."""
+        pows = [1]
+        for _ in range(max(self.tops, default=0)):
+            pows.append(pows[-1] * d)
+        return pows
+
+    def value(self, k: int, vals, pows) -> tuple[int, int]:
+        """Coordinate k at the Python ints vals, as (numerator, denominator),
+        where scaled variables are numerators over d and pows = powers(d)."""
+        acc = 0
+        for c, pad, mono in self.terms[k]:
+            term = c * pows[pad] if pad else c
+            for v, e in mono:
+                term *= vals[v] ** e if e > 1 else vals[v]
+            acc += term
+        return acc, self.dens[k] * pows[self.tops[k]]
+
+    def at(self, point) -> Vec:
+        """The polynomials at a point of Fractions or ints, exactly.
+
+        A point with a non-integer coordinate needs every variable scaled.
+        """
+        vals, d = numerators(point)
+        pows = self.powers(d)
+        return tuple(Fraction(*self.value(k, vals, pows))
+                     for k in range(len(self.terms)))
+
+    def column(self, k: int, cols, top, guard) -> np.ndarray:
+        """Numerator of coordinate k, variable v the int64 or float64 column
+        cols[v], once guard(k, sum |coefficient| * prod top[v]^e) passes: with
+        top[v] >= max|cols[v]| that bounds every term and partial sum."""
+        guard(k, sum(abs(c) * math.prod(top[v] ** e for v, e in mono)
+                     for c, _, mono in self.terms[k]))
+        acc = np.zeros(len(cols[0]), dtype=cols[0].dtype)
+        for c, _, mono in self.terms[k]:
+            term = c
+            for v, e in mono:
+                for _ in range(e):
+                    term = term * cols[v]
+            acc += term
+        return acc
+
+    def numerators(self, rows: np.ndarray) -> np.ndarray:
+        """Column-major numerators at each int64 digit row, refusing any
+        int64 overflow by the bound."""
+        cols = [rows[:, v] for v in range(rows.shape[1])]
+        top = [int(v) for v in np.abs(rows).max(axis=0, initial=0)]
+
+        def guard(k: int, bound: int) -> None:
+            if bound >= INT64_LIMIT:
+                raise CapExceeded(f"{self.what} coordinate {k} could pass int64 "
+                                  f"at digits up to {max(top)}")
+        out = np.empty((len(rows), len(self.terms)), dtype=np.int64, order="F")
+        for k in range(len(self.terms)):
+            out[:, k] = self.column(k, cols, top, guard)
+        return out

@@ -8,18 +8,19 @@ recovered by coordinate-by-coordinate peeling, which also yields the
 fundamental box of the left and right translation actions.
 
 The exact lane runs on P. Hall's integer-valued polynomials, derived
-once per lattice from the BCH tables (LatticeSpec.polys): the exp map
-(the exponential coordinates of the point with digits c, in either
-order) and, per peeling side, q_i (coordinate i of the partly peeled
-point over lead_i, a polynomial in the point and the earlier digits).
-The peel evaluates q_i on integer numerators over the point's common
-denominator, takes c_i = floor(q_i) (or the nearest integer) and reads
-remainder coordinate i as lead_i * (q_i - c_i): the basis is triangular
-and graded, so no later step moves it.  member() and point_digits() are
-integrality checks of the q_i, and digits_to_point evaluates the exp map
-on Python ints; no GroupLaw product is formed.  The float lane's
-peel_batch and digit_coords, and the ball below, run the same tables
-through one guarded column loop (_IntPolys.column).
+once per lattice from the BCH tables (LatticeSpec.polys) and kept as
+ratlin.IntPolys tables: the exp map (the exponential coordinates of the
+point with digits c, in either order) and, per peeling side, q_i
+(coordinate i of the partly peeled point over lead_i, a polynomial in
+the point and the earlier digits).  The peel evaluates q_i on integer
+numerators over the point's common denominator, takes c_i = floor(q_i)
+(or the nearest integer) and reads remainder coordinate i as
+lead_i * (q_i - c_i): the basis is triangular and graded, so no later
+step moves it.  member() and point_digits() are integrality checks of
+the q_i, and digits_to_point evaluates the exp map on Python ints; no
+GroupLaw product is formed.  The float lane's peel_batch and
+digit_coords, and the ball below, run the same tables through one
+guarded column loop (IntPolys.column).
 
 The Cayley ball runs on the digits alone.  For each generator s the
 digits of c * s (a generator step) are the right-peel polynomials
@@ -42,12 +43,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .algebra import StructuralError
-from .bch import GroupPoint, Mono, Poly, _poly_axpy, _poly_mul, get_group
-from .ratlin import numerators
-
-
-class CapExceeded(RuntimeError):
-    """BFS state count, or an int64 digit computation, exceeded its cap."""
+from .bch import GroupPoint, _poly_axpy, _poly_mul, get_group
+from .ratlin import INT64_LIMIT, CapExceeded, IntPolys, Poly, numerators
 
 
 class PrecisionLimit(StructuralError):
@@ -57,7 +54,7 @@ class PrecisionLimit(StructuralError):
 # Float peel digits match the exact lane while every term and partial sum
 # of q_i, in lattice units, leaves FRACTION_BITS of a double's 53 bits
 # below the binary point: a batch is refused once the term bound of some
-# q_i (_IntPolys.column) reaches 2^(53 - FRACTION_BITS).  A bound on the
+# q_i (IntPolys.column) reaches 2^(53 - FRACTION_BITS).  A bound on the
 # point's coordinates alone let heisenberg gamma = (2^24, 2^24, 0)
 # through, whose q_2 terms reach 2^48.6: 6 of 400 float digits differed.
 FRACTION_BITS = 12
@@ -75,7 +72,6 @@ def _float_guard(k: int, mag: float) -> None:
 
 DEFAULT_RADIUS_CAP = 25
 DEFAULT_STATE_CAP = 10_000_000
-_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -231,12 +227,7 @@ def digits_to_point(lat: LatticeSpec, digits, order: str = "desc") -> GroupPoint
     vals = [int(c) for c in digits]
     if len(vals) != lat.dim:
         raise StructuralError(f"expected {lat.dim} digits, got {len(vals)}")
-    exp = lat.polys.exp[order]
-    coords = []
-    for k in range(lat.dim):
-        num, den = exp.value(k, vals)
-        coords.append(Fraction(num) if den == 1 else Fraction(num, den))
-    return GroupPoint(tuple(coords), "group", lat.group)
+    return GroupPoint(lat.polys.exp[order].at(vals), "group", lat.group)
 
 
 def _integral_digits(lat: LatticeSpec, g):
@@ -344,84 +335,6 @@ def _basis_power(lat: LatticeSpec, i: int, exponent: Poly) -> list[Poly]:
     return [_scaled(exponent, b) for b in lat.basis[i]]
 
 
-@dataclass(frozen=True)
-class _IntPolys:
-    """Polynomials as integer numerators over dens[k].
-
-    Variables below `scaled` stand for numerators over one common
-    denominator d (the coordinates of a point); the rest are integers
-    (digits).  Each term (coefficient, pad, mono) carries the power d^pad
-    that lifts it to tops[k], the top degree of coordinate k in the
-    scaled variables, so coordinate k is numerator / (dens[k] d^tops[k]),
-    as in GroupLaw._mul_fractions (whose evaluation stays its own: the
-    law's linear part is added apart, which this generic form would
-    slow by 10-30% per product).
-    """
-
-    what: str  # names the map in an overflow error
-    dens: tuple[int, ...]
-    tops: tuple[int, ...]
-    terms: tuple[tuple[tuple[int, int, Mono], ...], ...]
-
-    @classmethod
-    def of(cls, what: str, polys: list[Poly], scaled: int = 0) -> "_IntPolys":
-        dens = tuple(math.lcm(*(c.denominator for c in p.values())) for p in polys)
-        degs = [{mono: sum(e for v, e in mono if v < scaled) for mono in p}
-                for p in polys]
-        tops = tuple(max(deg.values(), default=0) for deg in degs)
-        return cls(what, dens, tops, tuple(
-            tuple((int(c * den), top - deg[mono], mono) for mono, c in p.items())
-            for p, den, top, deg in zip(polys, dens, tops, degs)))
-
-    def powers(self, d: int) -> list[int]:
-        """d^0 .. d^max(tops), for value."""
-        pows = [1]
-        for _ in range(max(self.tops, default=0)):
-            pows.append(pows[-1] * d)
-        return pows
-
-    def value(self, k: int, vals, pows=(1,)) -> tuple[int, int]:
-        """Coordinate k at the Python ints vals, as (numerator, denominator),
-        with pows = powers(d) when scaled variables are numerators over d."""
-        acc = 0
-        for c, pad, mono in self.terms[k]:
-            term = c * pows[pad] if pad else c
-            for v, e in mono:
-                term *= vals[v] ** e if e > 1 else vals[v]
-            acc += term
-        return acc, self.dens[k] * pows[self.tops[k]]
-
-    def column(self, k: int, cols, top, guard) -> np.ndarray:
-        """Numerator of coordinate k, variable v the int64 or float64 column
-        cols[v], once guard(k, sum |coefficient| * prod top[v]^e) passes: with
-        top[v] >= max|cols[v]| that bounds every term and partial sum."""
-        guard(k, sum(abs(c) * math.prod(top[v] ** e for v, e in mono)
-                     for c, _, mono in self.terms[k]))
-        acc = np.zeros(len(cols[0]), dtype=cols[0].dtype)
-        for c, _, mono in self.terms[k]:
-            term = c
-            for v, e in mono:
-                for _ in range(e):
-                    term = term * cols[v]
-            acc += term
-        return acc
-
-    def numerators(self, rows: np.ndarray) -> np.ndarray:
-        """Column-major numerators at each int64 digit row, refusing any
-        int64 overflow by the bound."""
-        cols = [rows[:, v] for v in range(rows.shape[1])]
-        top = [int(v) for v in np.abs(rows).max(axis=0, initial=0)]
-
-        def guard(k: int, bound: int) -> None:
-            if bound >= _INT64_LIMIT:
-                raise CapExceeded(f"{self.what} coordinate {k} could pass int64 "
-                                  f"at digits up to {max(top)}")
-        out = np.empty((len(rows), len(self.terms)), dtype=np.int64, order="F")
-        for k in range(len(self.terms)):
-            out[:, k] = self.column(k, cols, top, guard)
-        return out
-
-
 def _exp_polys(law, lat: LatticeSpec, order: str) -> list[Poly]:
     """Exp coordinates of the product of u_i^{c_i} in the given order."""
     m = lat.dim
@@ -469,14 +382,14 @@ class _DigitPolys:
         self.law = get_group(lat.group).law_group
         self.exp_desc = _exp_polys(self.law, lat, "desc")
         self.peel_right = _peel_polys(self.law, lat, "right")
-        self.exp = {"desc": _IntPolys.of("exp map", self.exp_desc),
-                    "asc": _IntPolys.of("exp map", _exp_polys(self.law, lat, "asc"))}
+        self.exp = {"desc": IntPolys.of("exp map", self.exp_desc),
+                    "asc": IntPolys.of("exp map", _exp_polys(self.law, lat, "asc"))}
         self.peel = {
-            "right": _IntPolys.of("peel", self.peel_right, scaled=lat.dim),
-            "left": _IntPolys.of("peel", _peel_polys(self.law, lat, "left"),
+            "right": IntPolys.of("peel", self.peel_right, scaled=lat.dim),
+            "left": IntPolys.of("peel", _peel_polys(self.law, lat, "left"),
                                  scaled=lat.dim)}
 
-    def generator_step(self, s) -> _IntPolys:
+    def generator_step(self, s) -> IntPolys:
         """Digits of c * s as polynomials in the digits c: the right-peel
         polynomials composed with the exp map times the lattice point s."""
         point = _poly_point_mul(self.law, self.exp_desc,
@@ -485,7 +398,7 @@ class _DigitPolys:
         powers: dict = {}
         for q in self.peel_right:
             digits.append(_compose(q, point + digits, powers))
-        return _IntPolys.of("generator step", digits)
+        return IntPolys.of("generator step", digits)
 
 
 # ------------------------------------------------------------------ row keys
@@ -496,7 +409,7 @@ class _RowIndex:
     def __init__(self, table: np.ndarray):
         self.lo = table.min(axis=0)
         self.span = table.max(axis=0) - self.lo + 1
-        if math.prod(int(s) for s in self.span) >= _INT64_LIMIT:
+        if math.prod(int(s) for s in self.span) >= INT64_LIMIT:
             raise CapExceeded(f"packed row keys over spans {self.span.tolist()} "
                               f"would pass int64")
         keys = self._pack(table)
@@ -648,7 +561,7 @@ def word_norm_bfs(lat: LatticeSpec, g, radius_cap: int = DEFAULT_RADIUS_CAP,
                   state_cap: int = DEFAULT_STATE_CAP) -> int | None:
     """Exact word length of a lattice point, or None beyond radius_cap."""
     digits = point_digits(lat, g)
-    if any(abs(c) >= _INT64_LIMIT for c in digits):
+    if any(abs(c) >= INT64_LIMIT for c in digits):
         return None  # farther than any ball whose digits fit in int64
     w = int(word_norms(lat, [digits], radius_cap, state_cap)[0])
     return None if w < 0 else w

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrix_models import MODELS
-from nilcone.algebra import StructuralError
+from nilcone.algebra import NilpotentAlgebraSpec, StructuralError
 from nilcone.bch import GroupPoint, bch_product, commutator, get_group, point
 
 GROUPS = ("heisenberg3", "heisenberg5", "engel4", "free_nilpotent_2_3",
@@ -91,6 +91,34 @@ def test_mul_matches_term_by_term(name, tag):
         for x, y in ((fa, fb), (a, fb), (fa, b), (e, fb)):
             assert list(map(repr, law.mul(x, y))) == \
                 list(map(repr, term_by_term(law, x, y)))
+
+
+def filiform(step):
+    """The filiform algebra [X1, Xk] = X(k+1) of the given step."""
+    dim = step + 1
+    return NilpotentAlgebraSpec.from_brackets(
+        dim, {(1, k): {k + 1: 1} for k in range(2, dim)}, name=f"filiform{dim}")
+
+
+@pytest.mark.parametrize("step", (4, 5, 6))
+@pytest.mark.parametrize("tag", ("group", "graded"))
+def test_filiform_products_up_to_the_top_step(step, tag):
+    # the integer table at BCH degrees 4 to 6, which no builtin reaches
+    grp = get_group(filiform(step))
+    assert grp.step == step
+    law = grp.law(tag)
+    rng = random.Random(step)
+    for _ in range(30):
+        a, b, c = (rand_pt(rng, grp.dim) for _ in range(3))
+        ab = law.mul(a, b)
+        assert ab == term_by_term(law, a, b)
+        assert all(type(v) is Fraction for v in ab)
+        assert law.mul(ab, c) == law.mul(a, law.mul(b, c))
+
+
+def test_step_seven_is_refused():
+    with pytest.raises(StructuralError, match="step 7"):
+        get_group(filiform(7))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

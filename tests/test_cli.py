@@ -1,5 +1,6 @@
 """Command line entry points, exit codes, and artifact determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcone.cli import main
+from nilcone.cli import build_parser, main
 
 GOLDEN = [
     "experiment", "main-theorem",
@@ -499,3 +500,138 @@ def test_numeric_flags_fuzz_exit_cleanly(command, data):
         finite = True  # malformed text: refused as a usage error
     if flags[flag] == "float" and not finite:
         assert rc == 1 and "error: " in err.getvalue()
+
+
+def test_run_defaults_match_the_experiment_defaults(capsys):
+    # _RUN_DEFAULTS repeats the subparser defaults; a dry run of each shows
+    # both resolved, so neither can drift from the other
+    common = ["--coupling", "heisenberg-identity", "--seed", "1", "--dry-run"]
+    for experiment in ("main-theorem", "iterates", "arbitrary-word"):
+        plans = []
+        for argv in (["run", "--experiment", experiment], ["experiment", experiment]):
+            assert main(argv + common) == 0
+            plans.append(json.loads(capsys.readouterr().out.strip()[5:]))
+        run, sub = plans
+        shared = set(run) & set(sub) - {"command"}  # "run" vs "experiment"
+        assert shared >= {"n", "samples", "workers"}
+        assert {k: run[k] for k in shared} == {k: sub[k] for k in shared}
+
+
+NO_SAMPLE_COMMANDS = {
+    "algebra check": [],
+    "group mul": ["--x", "e1", "--y", "e2"],
+    "group pow": ["--x", "e1", "--k", "2"],
+    "group comm": ["--x", "e1", "--y", "e2"],
+    "metric ball": ["--radius", "1"],
+    "metric guivarch": ["--radius", "1"],
+    "coupling verify": ["--coupling", "heisenberg-identity", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(NO_SAMPLE_COMMANDS))
+def test_commands_that_split_no_samples_take_no_workers(tmp_path, capsys, command):
+    # --workers used to be accepted and ignored here
+    rc = main(command.split() + NO_SAMPLE_COMMANDS[command]
+              + ["--workers", "7", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "unrecognized arguments: --workers 7" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+SEEDED = ["--coupling", "heisenberg-identity", "--seed", "1"]
+FLAG_REFUSALS = {
+    # a zero denominator used to end in a ZeroDivisionError traceback
+    "pow --x": (["group", "pow", "--k", "3", "--x", "1/0,0,0"], "--x '1/0,0,0'"),
+    "mul --y": (["group", "mul", "--x", "e1", "--y", "0,1/0,0"], "--y '0,1/0,0'"),
+    "phi --g": (["derivative", "phi"] + SEEDED + ["--g", "1/0,0,0"], "--g '1/0,0,0'"),
+    "recurrence --g": (["derivative", "recurrence"] + SEEDED + ["--g", "1/0,0,0"],
+                       "--g '1/0,0,0'"),
+    "recurrence --box": (["derivative", "recurrence"] + SEEDED
+                         + ["--box", "0:1/0,0:1,0:1"], "--box '0:1/0,0:1,0:1'"),
+    "main-theorem --g": (["experiment", "main-theorem"] + SEEDED + ["--g", "1/0,0,0"],
+                         "--g '1/0,0,0'"),
+    "iterates --gamma": (["experiment", "iterates"] + SEEDED + ["--gamma", "1/0,0,0"],
+                         "--gamma '1/0,0,0'"),
+    # estimate used to write its CSV before it read --gamma
+    "estimate --gamma": (["derivative", "estimate"] + SEEDED + ["--gamma", "0,1e400,0"],
+                         "--gamma '0,1e400,0'"),
+    "recurrence --box 1e400": (["derivative", "recurrence"] + SEEDED
+                               + ["--box", "0:1,0:1e400,0:1"], "--box '0:1,0:1e400,0:1'"),
+    "run --target": (["run", "--experiment", "main-theorem"] + SEEDED
+                     + ["--target", "1/0,0,0"], "--target '1/0,0,0'"),
+    # a target of the wrong length used to fail inside bch_batch
+    "main-theorem --target": (["experiment", "main-theorem"] + SEEDED
+                              + ["--target", "1,2"], "--target '1,2': expected 3"),
+    # zero and negative counts used to report success after no work
+    "verify --samples": (["coupling", "verify"] + SEEDED
+                         + ["--samples", "-5", "--triples", "-1"], "--samples must be >= 1"),
+    "verify --triples": (["coupling", "verify"] + SEEDED + ["--triples", "0"],
+                         "--triples must be >= 1"),
+    "recurrence --horizon": (["derivative", "recurrence"] + SEEDED
+                             + ["--horizon", "0"], "--horizon must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(FLAG_REFUSALS))
+def test_bad_values_are_refused_naming_the_flag(tmp_path, capsys, case):
+    argv, message = FLAG_REFUSALS[case]
+    rc = main(argv + ["--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def _leaf_commands(parser, prefix=()):
+    """(argv prefix, parser) of every subcommand below parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(prefix), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_commands(child, prefix + (name,))
+
+
+LEAVES = {" ".join(argv): parser for argv, parser in _leaf_commands(build_parser())}
+# Each swept value goes into one coordinate of a point flag's value.
+POINT_FLAGS = {"--x": "{},0,0", "--y": "0,{},0", "--g": "{},0,0",
+               "--gamma": "0,{},0", "--target": "{},0,0", "--box": "0:1,0:{},0:1",
+               "--n": "{}"}
+# Values for required flags and small sample counts, for each subcommand
+# that has the flag; a swept flag given again overrides its entry.
+TINY = {"--coupling": "heisenberg-identity", "--seed": "1", "--x": "e1",
+        "--y": "e2", "--k": "2", "--experiment": "main-theorem", "--samples": "4",
+        "--phi-samples": "32", "--triples": "2", "--n": "2,4", "--horizon": "2",
+        "--radius": "1", "--grid-step": "1"}
+SWEEP_VALUES = ("1/0", "nan", "1e400", "0", "-1")
+
+
+def _swept_flags(parser) -> list[str]:
+    """The numeric and point flags of a subcommand."""
+    return sorted(a.option_strings[0] for a in parser._actions if a.option_strings
+                  and (a.type is not None or a.option_strings[0] in POINT_FLAGS))
+
+
+@pytest.mark.parametrize("command", [c for c, p in LEAVES.items() if _swept_flags(p)])
+def test_every_numeric_and_point_flag_exits_without_a_traceback(tmp_path, command):
+    parser = LEAVES[command]
+    given = {a.option_strings[0] for a in parser._actions if a.option_strings}
+    base = [t for flag in sorted(given & set(TINY)) for t in (flag, TINY[flag])]
+    bad = []
+    for flag in _swept_flags(parser):
+        for value in SWEEP_VALUES:
+            text = POINT_FLAGS.get(flag, "{}").format(value)
+            argv = command.split() + base + [flag, text, "--out", str(tmp_path)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except Exception as exc:  # what the console would print as a traceback
+                    rc = f"{type(exc).__name__}: {exc}"
+            if rc not in (0, 1, 2) or "Traceback" in err.getvalue():
+                bad.append(f"{flag} {text}: {rc}")
+    assert bad == []
