@@ -3,10 +3,11 @@
 For a nilpotent algebra of step r the Dynkin expansion truncates at
 bracket depth r, so log(exp(u)exp(v)) is a polynomial map.  The
 coefficients are computed once per algebra as exact rational
-polynomials in the 2m coordinate variables.  All-Fraction operands are
-multiplied through the law's ratlin.IntPolys table of the nonlinear terms,
-the linear part added apart; any other scalars go term by term, and the
-kernels compile the same polynomials to flat float arrays.
+polynomials in the 2m coordinate variables, and kept as one
+ratlin.IntPolys table of the nonlinear terms (GroupLaw.table), the linear
+part added apart.  Exact operands (Fractions and ints) are multiplied
+through it on integer numerators; float operands through its float
+coefficients, term by term, as kernels.bch_batch does on float columns.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from hashlib import sha256
-from math import factorial
+from math import factorial, prod
 
 from .algebra import (
     BUILTIN_ALGEBRAS,
@@ -147,25 +148,18 @@ class GroupLaw:
 
     def mul(self, a, b) -> tuple:
         vals = tuple(a) + tuple(b)
-        if all(type(x) is Fraction for x in vals):
+        if all(type(x) in (Fraction, int) for x in vals):
             return self._mul_fractions(vals)
-        out = list(a)
-        for k in range(self.dim):
-            out[k] = out[k] + b[k]
-        for k, terms in enumerate(self.polys):
-            acc = out[k]
-            for mono, c in terms:
-                term = c
-                for v, e in mono:
-                    base = vals[v]
-                    for _ in range(e):
-                        term = term * base
-                acc = acc + term
-            out[k] = acc
+        out = []
+        for k, terms in enumerate(self.table.flat):
+            acc = a[k] + b[k]
+            for _, coef, factors in terms:  # left to right, as bch_batch
+                acc = acc + prod((vals[v] for v in factors), start=coef)
+            out.append(acc)
         return tuple(out)
 
     def _mul_fractions(self, vals: tuple) -> tuple:
-        """Exact product of all-Fraction operands over integer numerators.
+        """Exact product of Fraction or int operands over integer numerators.
 
         With every input written as n_v / d over one common denominator
         d, coordinate k of the product is the linear part (n_k + n_{m+k}) / d

@@ -33,12 +33,14 @@ from .coupling import (
     verify_coupling,
 )
 from .derivative import (
+    BoxError,
     arbitrary_element_experiment,
     build_phi,
     iterate_diagnostics,
     kappa_grid,
     main_theorem_experiment,
     mean_abelianization,
+    parse_schedule,
     phi_apply,
     recurrence_search,
 )
@@ -71,17 +73,15 @@ class _Parser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- arg parsing
 
-def _parse_int_list(spec) -> list[int]:
+def _parse_int_list(text: str) -> list[int]:
+    """--n: ascending depths >= 1."""
     try:
-        if isinstance(spec, str):
-            vals = [int(t) for t in spec.split(",") if t.strip()]
-        else:
-            vals = [int(v) for v in spec]
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"bad integer list {spec!r}") from exc
+        vals = [int(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise StructuralError(f"--n {text!r}: not a list of integers") from exc
     if not vals or vals[0] < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
         raise StructuralError(
-            f"n list must be nonempty, ascending and >= 1, got {spec!r}")
+            f"--n {text!r}: depths must be nonempty, ascending and >= 1")
     return vals
 
 
@@ -163,20 +163,27 @@ _COUNT_FLAGS = ("samples", "phi_samples", "triples", "horizon", "workers")
 
 
 def _require_counts(args) -> None:
-    """Refuse any count flag below 1, naming it."""
+    """Refuse any count flag below 1 and a negative seed, naming the flag."""
     for name in _COUNT_FLAGS:
         val = getattr(args, name, None)
         if val is not None and val < 1:
             raise StructuralError(f"--{name.replace('_', '-')} must be >= 1, got {val}")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise StructuralError(f"--seed must be >= 0, got {args.seed}")
 
 
-def _parse_word(text: str):
+def _parse_word(grp, text: str):
+    """--word: letter:schedule pairs, a letter e<k>, s<k> or a 0-based index."""
     word = []
-    for part in text.split(","):
-        tok, _, sched = part.partition(":")
-        tok = tok.strip()
-        idx = int(tok[1:]) - 1 if tok[:1] in ("e", "s") and tok[1:].isdigit() else int(tok)
-        word.append((idx, sched.strip() or "n"))
+    with _naming("--word", text):
+        for part in text.split(","):
+            tok, _, sched = part.partition(":")
+            tok = tok.strip()
+            idx = (int(tok[1:]) - 1 if tok[:1] in ("e", "s") and tok[1:].isdigit()
+                   else int(tok))
+            if not 0 <= idx < 2 * grp.abelian_dim:
+                raise StructuralError(f"generator index {idx} out of range")
+            word.append((idx, parse_schedule(sched.strip() or "n")))
     return word
 
 
@@ -376,10 +383,14 @@ def _cmd_derivative_phi(args) -> int:
 
 def _cmd_derivative_kappa(args) -> int:
     cp = _load_coupling(args.coupling)
+    for flag, val in (("--radius", args.radius), ("--grid-step", args.grid_step)):
+        if not val > 0:
+            raise StructuralError(f"{flag} must be > 0, got {val}")
     if _emit_plan(args, coupling=cp.name):
         return EXIT_OK
+    n_list = _parse_int_list(args.n)
     deriv = build_phi(cp, args.phi_samples, args.seed, args.workers)
-    rep = kappa_grid(cp, deriv, args.samples, _parse_int_list(args.n),
+    rep = kappa_grid(cp, deriv, args.samples, n_list,
                      args.radius, args.grid_step, args.seed, eps=args.eps,
                      workers=args.workers)
     header, rows = rep.csv_rows()
@@ -401,7 +412,7 @@ def _cmd_derivative_recurrence(args) -> int:
     grp = cp.ambient()
     box = _parse_box(args.box, grp.dim)
     g = _parse_point(grp, "--g", args.g, finite=True)
-    with _naming("--g", args.g, PrecisionLimit):
+    with _naming("--g", args.g, PrecisionLimit), _naming("--box", args.box, BoxError):
         rep = recurrence_search(cp, g, args.delta, box, args.horizon,
                                 args.samples, args.seed)
     header, rows = rep.csv_rows()
@@ -421,10 +432,11 @@ def _run_main_theorem(args, cp: CouplingSpec) -> int:
     g = _parse_point(grp, "--g", args.g, finite=True)
     target = (_parse_point(grp, "--target", args.target, finite=True)
               if args.target else None)
+    n_list = _parse_int_list(args.n)
     deriv = build_phi(cp, args.phi_samples, args.seed, args.workers)
     with _naming("--g", args.g, PrecisionLimit):
         rep = main_theorem_experiment(
-            cp, deriv, g, _parse_int_list(args.n), args.eps, args.samples,
+            cp, deriv, g, n_list, args.eps, args.samples,
             args.seed, args.workers, target=target)
     header, rows = rep.csv_rows()
     stem = f"main-theorem_{cp.name}_seed{args.seed}"
@@ -460,7 +472,7 @@ def _run_iterates(args, cp: CouplingSpec) -> int:
 
 
 def _run_arbitrary_word(args, cp: CouplingSpec) -> int:
-    word = _parse_word(args.word)
+    word = _parse_word(cp.ambient(), args.word)
     rep = arbitrary_element_experiment(cp, word, _parse_int_list(args.n),
                                        args.samples, args.seed, eps=args.eps,
                                        workers=args.workers)

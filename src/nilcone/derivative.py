@@ -607,6 +607,10 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
 
 # --------------------------------------------------------------- recurrence
 
+class BoxError(StructuralError):
+    """A recurrence box that is empty or leaves the fundamental domain."""
+
+
 @dataclass
 class RecurrenceReport:
     coupling: str
@@ -642,12 +646,15 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
     lo = np.asarray([float(a) for a, _ in box_a], dtype=np.float64)
     hi = np.asarray([float(b) for _, b in box_a], dtype=np.float64)
     if lo.shape != (grp.dim,) or np.any(hi <= lo):
-        raise StructuralError("box must be per-coordinate (low, high) pairs")
+        raise BoxError("box must be per-coordinate (low, high) pairs, low < high")
     rng = np.random.Generator(np.random.PCG64(seed_lineage(seed, _TAG_RECUR)))
     x = rng.uniform(lo, hi, size=(samples, grp.dim))
-    dg0, _ = ck.reduce(x)
-    if np.any(dg0 != 0):
-        raise StructuralError("box is not inside the fundamental domain")
+    try:
+        outside = np.any(ck.reduce(x)[0] != 0)
+    except PrecisionLimit:  # too far out to peel
+        outside = True
+    if outside:
+        raise BoxError("box is not inside the fundamental domain")
     target = _float_coords(g)
     perts = np.asarray(
         [[float(c) for c in p] for p in ball_points(coupling.gamma_lattice, max_word_len)],

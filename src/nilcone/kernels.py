@@ -1,11 +1,12 @@
 """Batch float kernels: the group law, dilations and quasi-norms.
 
 The exact Fraction layer is the reference implementation; these kernels
-run the same polynomial tables over float64 arrays for Monte Carlo
-work.  Every kernel is vectorised over rows with numpy: a loop over the
-terms of the law, each term formed by repeated multiplication of whole
-coordinate columns, so every row sees the same sequence of float
-operations whatever the batch size or memory layout.
+run its tables over float64 arrays for Monte Carlo work.  bch_batch
+evaluates the law's one table (GroupLaw.table, which the exact lane
+multiplies by) through IntPolys.column: a loop over the terms of the
+law, each term formed by repeated multiplication of whole coordinate
+columns, so every row sees the same sequence of float operations
+whatever the batch size or memory layout, as a scalar float product does.
 
 Column order.  The kernels read and write whole coordinate columns
 x[:, v] of (n, m) batches, so the lane keeps its batches in Fortran
@@ -25,69 +26,34 @@ earlier peel by m sequential products, is kept for the benchmark figures.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from .algebra import StructuralError
 from .bch import GroupLaw
+from .ratlin import IntPolys
 
 
-class KernelTable:
-    """Flattened nonlinear terms of a polynomial group law.
-
-    terms holds one (out, coeff, factors) triple per term: the term
-    adds coeff * prod(vals[v] for v in factors) to coordinate out,
-    where vals is the length-2m concatenation of the two factors and a
-    variable repeats once per power.  The linear part of the law is
-    always the coordinate sum and is handled separately.
-    """
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, law: GroupLaw):
-        self.dim = law.dim
-        self.terms = tuple(
-            (k, float(c), tuple(v for v, e in mono for _ in range(e)))
-            for k, poly in enumerate(law.polys) for mono, c in poly)
+def law_table(law: GroupLaw) -> IntPolys:
+    """The law's one polynomial table, the one the exact lane multiplies by."""
+    return law.table
 
 
-law_table = cache(KernelTable)  # GroupLaw is frozen: keyed by content
-
-
-# ---------------------------------------------------------------- kernels
-
-def _bch_numpy(tab: KernelTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise product; a (1, m) operand acts on every row of the other."""
-    z = x + y
-    cols = [x[:, v] for v in range(tab.dim)] + [y[:, v] for v in range(tab.dim)]
-    for k, coeff, factors in tab.terms:
-        term = coeff * cols[factors[0]]
-        for v in factors[1:]:
-            if term.size < cols[v].size:  # a one-row operand's term widens
-                term = term * cols[v]
-            else:
-                term *= cols[v]
-        z[:, k] += term
-    return z
-
-
-def _outer(c: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """The column-major (n, m) array c[r] * row[j]."""
-    return np.multiply.outer(row, c).T
-
-
-def bch_batch(tab: KernelTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def bch_batch(tab: IntPolys, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise group product of (n, m) arrays, or of a (1, m) and an (n, m)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if (x.ndim != 2 or y.ndim != 2 or not x.shape[1] == y.shape[1] == tab.dim
+    m = len(tab.terms)
+    if (x.ndim != 2 or y.ndim != 2 or not x.shape[1] == y.shape[1] == m
             or (1 not in (len(x), len(y)) and len(x) != len(y))):
         raise ValueError("bch_batch expects (n, dim) arrays with n equal or 1")
-    return _bch_numpy(tab, x, y)
+    z = x + y
+    cols = [x[:, v] for v in range(m)] + [y[:, v] for v in range(m)]
+    for k in range(m):
+        tab.column(k, cols, acc=z[:, k], unit=True)
+    return z
 
 
-def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
+def reduce_batch(tab: IntPolys, gen_logs: np.ndarray, leads: np.ndarray,
                  omega: np.ndarray, side: str = "right",
                  mode: str = "floor") -> tuple[np.ndarray, np.ndarray]:
     """Peel Mal'cev digits off each row of omega.
@@ -101,14 +67,14 @@ def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
     column-major.
     """
     p = np.asarray(omega, dtype=np.float64, order="F")
-    if p.ndim != 2 or p.shape[1] != tab.dim:
+    if p.ndim != 2 or p.shape[1] != len(tab.terms):
         raise ValueError("reduce_batch expects an (n, dim) array")
     gen_logs = np.asarray(gen_logs, dtype=np.float64)
     leads = np.asarray(leads, dtype=np.float64)
     right = {"right": True, "left": False}[side]
     floor = {"floor": True, "round": False}[mode]
     digits = np.zeros(p.shape, dtype=np.int64, order="F")
-    for i in range(tab.dim):
+    for i in range(len(tab.terms)):
         q = p[:, i] / leads[i]
         c = np.floor(q) if floor else np.rint(q)
         # NaN fails the comparison too; past 2^63 the int64 cast is garbage
@@ -116,8 +82,8 @@ def reduce_batch(tab: KernelTable, gen_logs: np.ndarray, leads: np.ndarray,
             raise StructuralError(
                 f"digit {i} is not finite or does not fit in int64")
         digits[:, i] = c
-        step = _outer(-c, gen_logs[i])
-        p = _bch_numpy(tab, p, step) if right else _bch_numpy(tab, step, p)
+        step = np.multiply.outer(gen_logs[i], -c).T  # column-major
+        p = bch_batch(tab, p, step) if right else bch_batch(tab, step, p)
     return digits, p
 
 

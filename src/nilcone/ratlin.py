@@ -5,18 +5,21 @@ structural facts (Jacobi, nilpotency, basis adaptation) are decided
 exactly, never by thresholding floats.  Matrices are plain tuples of
 tuples, row convention: ``rows[i]`` is the i-th vector.
 
-IntPolys is the exact lane's one integer evaluator: polynomials with
-rational coefficients kept as integer numerators, evaluated on integer
-numerators with one Fraction per coordinate at the end.  It holds the
-BCH product's nonlinear terms, the twist automorphism, both directions
-of the adapted-basis change and the Mal'cev exp map and peel, and its
-column loop runs the same tables on int64 and float64 arrays.
+IntPolys is the package's one polynomial table: polynomials with
+rational coefficients kept as integer numerators, evaluated exactly on
+integer numerators with one Fraction per coordinate at the end.  It holds
+the BCH product's nonlinear terms, the twist automorphism, both
+directions of the adapted-basis change and the Mal'cev exp map and peel.
+Its column loop, the only numpy polynomial loop, runs the same tables on
+int64 and float64 arrays: the batch product, the float peel, the exp map
+on digits and the Cayley ball.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -182,18 +185,35 @@ class IntPolys:
         return tuple(Fraction(*self.value(k, vals, pows))
                      for k in range(len(self.terms)))
 
-    def column(self, k: int, cols, top, guard) -> np.ndarray:
-        """Numerator of coordinate k, variable v the int64 or float64 column
-        cols[v], once guard(k, sum |coefficient| * prod top[v]^e) passes: with
-        top[v] >= max|cols[v]| that bounds every term and partial sum."""
-        guard(k, sum(abs(c) * math.prod(top[v] ** e for v, e in mono)
-                     for c, _, mono in self.terms[k]))
-        acc = np.zeros(len(cols[0]), dtype=cols[0].dtype)
-        for c, _, mono in self.terms[k]:
-            term = c
-            for v, e in mono:
-                for _ in range(e):
+    @cached_property
+    def flat(self) -> tuple[tuple[tuple[int, float, tuple[int, ...]], ...], ...]:
+        """Per coordinate, (numerator, numerator / dens[k], factors) per term,
+        a variable repeated in factors once per power."""
+        return tuple(
+            tuple((c, c / den, tuple(v for v, e in mono for _ in range(e)))
+                  for c, _, mono in terms)
+            for terms, den in zip(self.terms, self.dens))
+
+    def bound(self, k: int, top) -> int | float:
+        """sum |numerator| * prod top[v]^e over the terms of coordinate k: with
+        top[v] >= max|cols[v]| it bounds every term and partial sum of column."""
+        return sum(abs(c) * math.prod(top[v] ** e for v, e in mono)
+                   for c, _, mono in self.terms[k])
+
+    def column(self, k: int, cols, acc=None, unit: bool = False) -> np.ndarray:
+        """Coordinate k with variable v the int64 or float64 column cols[v],
+        its terms added one by one into acc (zeros by default): the numerator,
+        or with unit the value, coefficients numerator / dens[k] in float.
+        Columns may mix n rows and one row; a one-row term widens."""
+        if acc is None:
+            acc = np.zeros(len(cols[0]), dtype=cols[0].dtype)
+        for num, coef, factors in self.flat[k]:
+            term = coef if unit else num
+            for i, v in enumerate(factors):
+                if i == 0 or term.size < cols[v].size:
                     term = term * cols[v]
+                else:
+                    term *= cols[v]
             acc += term
         return acc
 
@@ -202,12 +222,10 @@ class IntPolys:
         int64 overflow by the bound."""
         cols = [rows[:, v] for v in range(rows.shape[1])]
         top = [int(v) for v in np.abs(rows).max(axis=0, initial=0)]
-
-        def guard(k: int, bound: int) -> None:
-            if bound >= INT64_LIMIT:
-                raise CapExceeded(f"{self.what} coordinate {k} could pass int64 "
-                                  f"at digits up to {max(top)}")
         out = np.empty((len(rows), len(self.terms)), dtype=np.int64, order="F")
         for k in range(len(self.terms)):
-            out[:, k] = self.column(k, cols, top, guard)
+            if self.bound(k, top) >= INT64_LIMIT:
+                raise CapExceeded(f"{self.what} coordinate {k} could pass int64 "
+                                  f"at digits up to {max(top)}")
+            out[:, k] = self.column(k, cols)
         return out

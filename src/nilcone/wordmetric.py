@@ -19,8 +19,9 @@ lead_i * (q_i - c_i): the basis is triangular and graded, so no later
 step moves it.  member() and point_digits() are integrality checks of
 the q_i, and digits_to_point evaluates the exp map on Python ints; no
 GroupLaw product is formed.  The float lane's peel_batch and
-digit_coords, and the ball below, run the same tables through one
-guarded column loop (IntPolys.column).
+digit_coords, and the ball below, run the same tables through the one
+column loop (IntPolys.column), each guarding its own term bound
+(IntPolys.bound) first.
 
 The Cayley ball runs on the digits alone.  For each generator s the
 digits of c * s (a generator step) are the right-peel polynomials
@@ -271,7 +272,8 @@ def peel_batch(lat: LatticeSpec, omega, mode: str = "floor", side: str = "right"
     digits = np.empty(w.shape, dtype=np.int64, order="F")
     rem = np.empty(w.shape, dtype=np.float64, order="F")
     for i, (lead, den) in enumerate(zip(lat.leads(), tables.dens)):
-        q = tables.column(i, cols, top, lambda k, b: _float_guard(k, b / den)) / den
+        _float_guard(i, tables.bound(i, top) / den)
+        q = tables.column(i, cols) / den
         c = rounding(q)
         digits[:, i] = c
         rem[:, i] = float(lead) * (q - c)

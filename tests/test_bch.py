@@ -84,13 +84,15 @@ def test_mul_matches_term_by_term(name, tag):
             got = law.mul(x, y)
             assert got == term_by_term(law, x, y)
             assert all(type(v) is Fraction for v in got)
-        # Float and mixed operands: bitwise the loop above (repr of a
-        # float round-trips exactly and names the type).
+        # Float operands: bitwise the loop above (repr of a float
+        # round-trips exactly and names the type).  With any float operand
+        # the product is the float product of the operands rounded to float.
         fa = tuple(float(v) for v in a)
         fb = tuple(rng.uniform(-10.0, 10.0) for _ in range(grp.dim))
         for x, y in ((fa, fb), (a, fb), (fa, b), (e, fb)):
+            fx, fy = tuple(map(float, x)), tuple(map(float, y))
             assert list(map(repr, law.mul(x, y))) == \
-                list(map(repr, term_by_term(law, x, y)))
+                list(map(repr, term_by_term(law, fx, fy)))
 
 
 def filiform(step):

@@ -1,12 +1,15 @@
 """Command line entry points, exit codes, and artifact determinism."""
 
 import argparse
+import ast
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +156,27 @@ def test_golden_run_byte_identical(tmp_path):
     assert main(GOLDEN + ["--out", str(out2)]) == 0
     name = "main-theorem_heisenberg-identity_seed4.csv"
     assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _recorded_golden_prefixes() -> dict:
+    """GOLDEN_PREFIXES of perfbench/workloads.py, read from its source."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "GOLDEN_PREFIXES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} assigns no GOLDEN_PREFIXES")
+
+
+def test_golden_run_matches_the_recorded_prefixes(tmp_path):
+    # the first 16 hex digits of each artifact's sha256, as recorded
+    prefixes = _recorded_golden_prefixes()
+    assert sorted(prefixes) == ["csv", "json", "svg"]
+    assert main(GOLDEN + ["--out", str(tmp_path)]) == 0
+    stem = "main-theorem_heisenberg-identity_seed4"
+    got = {ext: hashlib.sha256((tmp_path / f"{stem}.{ext}").read_bytes()).hexdigest()[:16]
+           for ext in prefixes}
+    assert got == prefixes
 
 
 def test_control_target_fails_with_exit_two(tmp_path):
@@ -571,6 +595,33 @@ FLAG_REFUSALS = {
                          "--triples must be >= 1"),
     "recurrence --horizon": (["derivative", "recurrence"] + SEEDED
                              + ["--horizon", "0"], "--horizon must be >= 1"),
+    # these named no flag: numpy's message for a negative seed, and the
+    # box, grid, depth and word checks of the experiments
+    "verify --seed": (["coupling", "verify", "--coupling", "heisenberg-identity",
+                       "--seed", "-1"], "--seed must be >= 0"),
+    "estimate --seed": (["derivative", "estimate", "--coupling", "heisenberg-identity",
+                         "--seed", "-1"], "--seed must be >= 0"),
+    "run --seed": (["run", "--experiment", "main-theorem", "--coupling",
+                    "heisenberg-identity", "--seed", "-1"], "--seed must be >= 0"),
+    "recurrence empty --box": (["derivative", "recurrence"] + SEEDED
+                               + ["--box", "0:1,0:0,0:1"], "--box '0:1,0:0,0:1'"),
+    "recurrence outside --box": (["derivative", "recurrence"] + SEEDED
+                                 + ["--box", "0:2,0:1,0:1"], "--box '0:2,0:1,0:1'"),
+    "recurrence far --box": (["derivative", "recurrence"] + SEEDED
+                             + ["--box", "0:1,0:1e300,0:1"], "--box '0:1,0:1e300,0:1'"),
+    "kappa --radius": (["derivative", "kappa"] + SEEDED + ["--radius", "0"],
+                       "--radius must be > 0"),
+    "kappa --grid-step": (["derivative", "kappa"] + SEEDED + ["--grid-step", "-1"],
+                          "--grid-step must be > 0"),
+    "kappa --n": (["derivative", "kappa"] + SEEDED + ["--n", "0"], "--n '0'"),
+    "main-theorem --n": (["experiment", "main-theorem"] + SEEDED + ["--n", "8,4"],
+                         "--n '8,4'"),
+    "arbitrary-word --word": (["experiment", "arbitrary-word"] + SEEDED
+                              + ["--word", "x"], "--word 'x'"),
+    "arbitrary-word --word index": (["experiment", "arbitrary-word"] + SEEDED
+                                    + ["--word", "e9:n"], "--word 'e9:n'"),
+    "arbitrary-word --word schedule": (["experiment", "arbitrary-word"] + SEEDED
+                                       + ["--word", "e1:bogus"], "--word 'e1:bogus'"),
 }
 
 
@@ -617,6 +668,7 @@ def _swept_flags(parser) -> list[str]:
 
 @pytest.mark.parametrize("command", [c for c, p in LEAVES.items() if _swept_flags(p)])
 def test_every_numeric_and_point_flag_exits_without_a_traceback(tmp_path, command):
+    # and every refusal (exit 1) names the swept flag
     parser = LEAVES[command]
     given = {a.option_strings[0] for a in parser._actions if a.option_strings}
     base = [t for flag in sorted(given & set(TINY)) for t in (flag, TINY[flag])]
@@ -634,4 +686,6 @@ def test_every_numeric_and_point_flag_exits_without_a_traceback(tmp_path, comman
                     rc = f"{type(exc).__name__}: {exc}"
             if rc not in (0, 1, 2) or "Traceback" in err.getvalue():
                 bad.append(f"{flag} {text}: {rc}")
+            elif rc == 1 and flag not in err.getvalue():
+                bad.append(f"{flag} {text}: {err.getvalue().strip()}")
     assert bad == []

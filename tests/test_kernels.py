@@ -15,7 +15,7 @@ from nilcone import (
     get_group,
     phi_batch,
 )
-from nilcone.algebra import StructuralError
+from nilcone.algebra import BUILTIN_ALGEBRAS, StructuralError
 from nilcone.geometry import quasi_norm_m
 from nilcone.kernels import (
     bch_batch,
@@ -181,6 +181,23 @@ def test_translate_batch_matches_mul():
         want_r = [float(c) for c in law.mul(xt, gt)]
         assert np.max(np.abs(left[i] - want_l)) <= 1e-12
         assert np.max(np.abs(right[i] - want_r)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_ALGEBRAS))
+@pytest.mark.parametrize("tag", ("group", "graded"))
+def test_scalar_and_batch_products_agree_bitwise(name, tag):
+    # both read the law's one table: same coefficients, same float operations
+    law = get_group(name).law(tag)
+    tab = law_table(law)
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(40, law.dim)) * 3.0
+    y = rng.normal(size=(40, law.dim)) * 3.0
+    g = rng.normal(size=(1, law.dim)) * 3.0
+    for a, b in ((x, y), (y, x), (g, x), (x, g)):
+        got = bch_batch(tab, a, b)
+        for i in range(len(got)):
+            want = law.mul(tuple(a[min(i, len(a) - 1)]), tuple(b[min(i, len(b) - 1)]))
+            assert got[i].tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
 
 def test_bch_batch_rejects_mismatched_rows():

@@ -12,7 +12,7 @@ from nilcone.algebra import NilpotentAlgebraSpec, StructuralError
 from nilcone.bch import NilpotentGroup, bch_product, get_group, point
 from nilcone.coupling import CouplingSpec, builtin_coupling, coupling_kernels
 from nilcone.geometry import evaluate_factorization, horizontal_factorization
-from nilcone.kernels import KernelTable, law_table
+from nilcone.kernels import law_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENGEL = {(1, 2): {3: 1}, (1, 3): {4: 1}}
@@ -89,11 +89,13 @@ def test_unnamed_specs_get_distinct_resolvable_names():
 
 def test_law_table_is_never_stale():
     # Throwaway groups are built outside the registry and dropped at once:
-    # a table cached by id(law) would be served to a later law at that id.
+    # a table cached by id(law) would be served to a later law at that id,
+    # so the batch product must read the table the law itself holds.
     for i in range(300):
         spec = NilpotentAlgebraSpec.from_brackets(3, {(1, 2): {3: i + 1}})
         law = NilpotentGroup(spec, "throwaway").law_group
-        assert law_table(law).terms == KernelTable(law).terms
+        assert law_table(law) is law.table
+        assert [coef for _, coef, _ in law.table.flat[2]] == [(i + 1) / 2, -(i + 1) / 2]
 
 
 def test_equal_couplings_share_kernels():
