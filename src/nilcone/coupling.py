@@ -328,7 +328,7 @@ def domain_samples(coupling: CouplingSpec, n: int, seed: int,
     side "alpha" samples the right-action domain (the lambda box pulled
     back through the twist), side "beta" the left-action domain (the
     plain gamma box).  Per-worker streams come from the documented seed
-    split; chunks are concatenated in worker order, so output is a pure
+    split; chunks are written in worker order, so output is a pure
     function of (seed, workers, tags).  Workers shape the stream only;
     execution is sequential.  The array is column-major, the layout
     of the batch kernels.
@@ -344,14 +344,15 @@ def domain_samples(coupling: CouplingSpec, n: int, seed: int,
         leads = ck.gamma_leads
     else:
         raise StructuralError(f"unknown cocycle side {side!r}")
-    chunks = []
+    u = np.empty((n, len(leads)), dtype=np.float64, order="F")
+    start = 0
     for w, size in enumerate(_chunk_sizes(n, workers)):
         if size == 0:
             continue
         rng = np.random.Generator(np.random.PCG64(seed_lineage(seed, *tags, w)))
-        chunks.append(rng.uniform(np.zeros_like(leads), leads,
-                                  size=(size, len(leads))))
-    u = np.asfortranarray(np.concatenate(chunks, axis=0))
+        # the bits of rng.uniform(0, leads), which computes 0.0 + leads * U
+        np.multiply(rng.random((size, len(leads))), leads, out=u[start:start + size])
+        start += size
     if side == "alpha" and ck.twisted:
         return (ck.theta_inv @ u.T).T
     return u

@@ -16,6 +16,7 @@ difference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -568,6 +569,11 @@ def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float,
     return pts_t[:, keep].T
 
 
+# Rows per kappa block: 2^14 float64 rows are 128 KiB per coordinate
+# column, which stays in L2 while a block passes through every kernel.
+_KAPPA_ROWS = 1 << 14
+
+
 def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
                x_samples: int, n_list, radius: float, grid_step: float,
                seed: int, eps: float = 0.3,
@@ -577,11 +583,22 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     kappa_{x,n}(g) rescales the cocycle at the lattice rounding of the
     n-dilated grid point; the report tracks the fraction of samples
     whose sup-distance over the whole grid stays below eps.
+
+    Samples run in blocks of B = 2^14 // grid size of them (at least one),
+    stacked as B * grid rows, so that a small grid pays each kernel call's
+    fixed cost once per block instead of once per sample, and a block's
+    columns stay in cache.  Every kernel works row by row, so each sup has
+    the bits of a one-sample pass; only the guards (the peel's precision
+    limit, the exp map's int64 bound) read the block's maxima.
     """
     grp = coupling.ambient()
     ck = coupling_kernels(coupling)
     grid = _quasi_ball_grid(grp, radius, grid_step)
+    size = len(grid)
+    block = min(x_samples, max(1, _KAPPA_ROWS // size))
     phi_vals = phi_batch(deriv, grid)
+    if block > 1:
+        phi_vals = np.asfortranarray(np.tile(phi_vals, (block, 1)))
     rows = []
     try:
         for i, n in enumerate(n_list):
@@ -589,18 +606,26 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
             dil = dilate_batch(grp.degrees, float(n), grid)
             digits, _ = peel_batch(ck.gamma_lattice, dil, mode="round")
             jn = digit_coords(ck.gamma_lattice, digits)
+            if block > 1:
+                jn = np.asfortranarray(np.tile(jn, (block, 1)))
             x = domain_samples(coupling, x_samples, seed, workers, _TAG_KAPPA, i)
             sups = np.empty(x_samples, dtype=np.float64)
-            for xi in range(x_samples):
-                dg, _ = ck.reduce(bch_batch(ck.table, jn, x[xi][None]))
+            for start in range(0, x_samples, block):
+                b = min(block, x_samples - start)
+                if block > 1:  # each sample's row, size times, column-major
+                    xs = np.repeat(x[start:start + b].T, size, axis=1).T
+                else:
+                    xs = x[start][None]
+                dg, _ = ck.reduce(bch_batch(ck.table, jn[:b * size], xs))
                 scaled = dilate_batch(grp.degrees, 1.0 / n, ck.lambda_coords(dg))
-                sups[xi] = float(_graded_dist(grp, scaled, phi_vals).max())
+                dist = _graded_dist(grp, scaled, phi_vals[:b * size])
+                sups[start:start + b] = dist.reshape(b, size).max(axis=1)
             rows.append(_convergence_row(n, sups, eps, seed))
     except PrecisionLimit as exc:
         raise PrecisionLimit(f"at depth {n}, {exc}") from exc
     return KappaReport(
         coupling=coupling.name, radius=float(radius),
-        grid_step=float(grid_step), grid_size=int(grid.shape[0]),
+        grid_step=float(grid_step), grid_size=size,
         eps=eps, rows=tuple(rows), seed=seed,
     )
 
@@ -647,14 +672,14 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
     hi = np.asarray([float(b) for _, b in box_a], dtype=np.float64)
     if lo.shape != (grp.dim,) or np.any(hi <= lo):
         raise BoxError("box must be per-coordinate (low, high) pairs, low < high")
+    # The domain is the lambda box [0, lead) pulled back through the twist,
+    # a linear map, so a box lies in its closure when all 2^m corners do.
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    w = corners @ ck.theta.T if ck.twisted else corners
+    if not np.all((w >= 0) & (w <= ck.lambda_leads)):  # NaN fails too
+        raise BoxError("box is not inside the fundamental domain")
     rng = np.random.Generator(np.random.PCG64(seed_lineage(seed, _TAG_RECUR)))
     x = rng.uniform(lo, hi, size=(samples, grp.dim))
-    try:
-        outside = np.any(ck.reduce(x)[0] != 0)
-    except PrecisionLimit:  # too far out to peel
-        outside = True
-    if outside:
-        raise BoxError("box is not inside the fundamental domain")
     target = _float_coords(g)
     perts = np.asarray(
         [[float(c) for c in p] for p in ball_points(coupling.gamma_lattice, max_word_len)],

@@ -20,6 +20,14 @@ strided reads, where a copy would cost more than a small product.  It is
 the one product: a (1, m) operand on either side acts on every row of
 the other, its coordinates as scalars, with no broadcast copy.
 
+Batch size.  Each kernel call costs a few microseconds of numpy and
+Python overhead per coordinate whatever its row count, so a caller with
+many small batches stacks them: derivative.kappa_grid runs blocks of
+about 2^14 (sample, grid point) rows, 128 KiB per float64 column, small
+enough that a block's columns stay in L2 through the whole pipeline.
+Every kernel works row by row, so a row's bits do not depend on the
+batch it runs in.
+
 Lattice digits are peeled by wordmetric.peel_batch; reduce_batch, the
 earlier peel by m sequential products, is kept for the benchmark figures.
 """
@@ -48,8 +56,9 @@ def bch_batch(tab: IntPolys, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("bch_batch expects (n, dim) arrays with n equal or 1")
     z = x + y
     cols = [x[:, v] for v in range(m)] + [y[:, v] for v in range(m)]
-    for k in range(m):
-        tab.column(k, cols, acc=z[:, k], unit=True)
+    for k, terms in enumerate(tab.flat):
+        if terms:  # a coordinate without nonlinear terms is x + y
+            tab.column(k, cols, acc=z[:, k], unit=True)
     return z
 
 

@@ -609,6 +609,11 @@ FLAG_REFUSALS = {
                                  + ["--box", "0:2,0:1,0:1"], "--box '0:2,0:1,0:1'"),
     "recurrence far --box": (["derivative", "recurrence"] + SEEDED
                              + ["--box", "0:1,0:1e300,0:1"], "--box '0:1,0:1e300,0:1'"),
+    # checked on 4 random samples, none of which fell outside
+    "recurrence edge --box": (["derivative", "recurrence"] + SEEDED
+                              + ["--samples", "4", "--horizon", "8",
+                                 "--box", "0:1.02,0:0.5,0:0.5"],
+                              "--box '0:1.02,0:0.5,0:0.5'"),
     "kappa --radius": (["derivative", "kappa"] + SEEDED + ["--radius", "0"],
                        "--radius must be > 0"),
     "kappa --grid-step": (["derivative", "kappa"] + SEEDED + ["--grid-step", "-1"],

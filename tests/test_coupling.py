@@ -9,6 +9,7 @@ import pytest
 
 from nilcone.coupling import (
     AutomorphismSpec,
+    CouplingSpec,
     StructuralError,
     alpha,
     beta,
@@ -30,7 +31,14 @@ from nilcone.coupling import (
 from nilcone import wordmetric
 from nilcone.bch import get_group
 from nilcone.derivative import gamma_sequence
-from nilcone.wordmetric import PrecisionLimit, ball_profile, digits_to_point, member
+from nilcone.wordmetric import (
+    LatticeSpec,
+    PrecisionLimit,
+    ball_profile,
+    builtin_lattice,
+    digits_to_point,
+    member,
+)
 
 BUILTINS = (
     "engel-identity",
@@ -237,6 +245,36 @@ def test_domain_samples_beta_side_is_the_gamma_box():
         domain_samples(c, 16, 21, side="gamma")
     with pytest.raises(StructuralError):
         domain_samples(c, 16, 21, 0)
+
+
+def _index4_coupling():
+    """heisenberg3 acted on by its index-4 sublattice: leads 2, 1, 2 (every
+    builtin lattice has leads 1)."""
+    basis = tuple(tuple(Fraction(v) for v in row)
+                  for row in ((2, 0, 0), (0, 1, 0), (0, 0, 2)))
+    return CouplingSpec("heisenberg-index4", "heisenberg3", builtin_lattice("heisenberg3"),
+                        LatticeSpec("heisenberg3-index4", "heisenberg3", basis, ()), None)
+
+
+@pytest.mark.parametrize("name", ("heisenberg-identity", "heisenberg-shear",
+                                  "engel-identity", "heisenberg-index4"))
+@pytest.mark.parametrize("side", ("alpha", "beta"))
+@pytest.mark.parametrize("n, workers", ((1, 4), (7, 4), (1023, 4), (10, 3)))
+def test_domain_samples_equal_rng_uniform_bitwise(name, side, n, workers):
+    c = _index4_coupling() if name == "heisenberg-index4" else builtin_coupling(name)
+    lat = c.lambda_lattice if side == "alpha" else c.gamma_lattice
+    leads = np.asarray([float(v) for v in lat.leads()])
+    chunks = []
+    for w in range(workers):
+        size = n // workers + (w < n % workers)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(31, spawn_key=(5, w))))
+        chunks.append(rng.uniform(np.zeros_like(leads), leads, size=(size, len(leads))))
+    want = np.concatenate(chunks)
+    if side == "alpha" and c.twist is not None:
+        want = (c.twist.inverse().float_matrix() @ want.T).T
+    got = domain_samples(c, n, 31, workers, 5, side=side)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_twist_inverse_computed_once():

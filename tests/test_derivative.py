@@ -9,12 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcone import derivative
 from nilcone.bch import get_group
-from nilcone.coupling import alpha, builtin_coupling
+from nilcone.coupling import (
+    DEFAULT_WORKERS,
+    alpha,
+    builtin_coupling,
+    coupling_kernels,
+    domain_samples,
+)
 from nilcone.derivative import (
+    BoxError,
     GeneratorImageTable,
     PansuDerivative,
     StructuralError,
+    _KAPPA_ROWS,
+    _TAG_KAPPA,
+    _convergence_row,
+    _graded_dist,
     _quasi_ball_grid,
     arbitrary_element_experiment,
     build_phi,
@@ -38,7 +50,8 @@ from nilcone.geometry import (
     horizontal_factorization,
     quasi_norm_m,
 )
-from nilcone.wordmetric import builtin_lattice
+from nilcone.kernels import bch_batch, dilate_batch
+from nilcone.wordmetric import builtin_lattice, digit_coords, peel_batch
 
 
 def test_mean_abelianization_identity_gamma_is_zero():
@@ -353,6 +366,66 @@ def test_kappa_grid_converges():
     fracs = [r.fraction_within_eps for r in rep.rows]
     assert nondecreasing(median3_smooth(fracs))
     assert fracs[-1] >= 0.9
+
+
+def _kappa_sups_by_sample(c, deriv, x_samples, n_list, radius, step, seed):
+    """kappa's sups as one pipeline per sample, in the samples' order."""
+    grp = c.ambient()
+    ck = coupling_kernels(c)
+    grid = _quasi_ball_grid(grp, radius, step)
+    phi_vals = phi_batch(deriv, grid)
+    sups = []
+    for i, n in enumerate(n_list):
+        dil = dilate_batch(grp.degrees, float(n), grid)
+        digits, _ = peel_batch(ck.gamma_lattice, dil, mode="round")
+        jn = digit_coords(ck.gamma_lattice, digits)
+        x = domain_samples(c, x_samples, seed, DEFAULT_WORKERS, _TAG_KAPPA, i)
+        for row in x:
+            dg, _ = ck.reduce(bch_batch(ck.table, jn, row[None]))
+            scaled = dilate_batch(grp.degrees, 1.0 / n, ck.lambda_coords(dg))
+            sups.append(_graded_dist(grp, scaled, phi_vals).max())
+    return np.asarray(sups)
+
+
+@pytest.mark.parametrize("name, x_samples, radius, step, block", [
+    ("heisenberg-identity", 25, 2.0, 0.5, 11),  # 1,377 points; a short last block
+    ("heisenberg-shear", 15, 2.0, 0.5, 11),  # twisted
+    ("engel-identity", 5, 1.5, 0.5, 2),  # 5,733 points
+    ("heisenberg-identity", 3, 2.0, 0.2, 1),  # 18,081 points: one sample a pass
+])
+def test_blocked_kappa_equals_the_per_sample_loop_bitwise(
+        monkeypatch, name, x_samples, radius, step, block):
+    c = builtin_coupling(name)
+    deriv = build_phi(c, 256, 3)
+    seen = []
+
+    def record(n, dist, eps, seed):
+        seen.append(dist.copy())
+        return _convergence_row(n, dist, eps, seed)
+    monkeypatch.setattr(derivative, "_convergence_row", record)
+    rep = kappa_grid(c, deriv, x_samples, (8, 32), radius, step, 13)
+    assert max(1, _KAPPA_ROWS // rep.grid_size) == block
+    want = _kappa_sups_by_sample(c, deriv, x_samples, (8, 32), radius, step, 13)
+    assert np.concatenate(seen).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, box, inside", [
+    ("heisenberg-identity", "0:1,0:0.5,0:0.5", True),
+    ("heisenberg-identity", "0:1.02,0:0.5,0:0.5", False),
+    ("heisenberg-shear", "0:0.5,0:0.5,0:0.5", True),  # its image reaches x1 + x3 = 1
+    ("heisenberg-shear", "0:1,0:0.5,0:0.5", False),  # (1, 0, 0.5) maps to x3 = 1.5
+])
+def test_recurrence_box_is_checked_at_its_corners(name, box, inside):
+    # a box partly outside the domain used to pass when no sample fell outside
+    c = builtin_coupling(name)
+    pairs = tuple(tuple(float(v) for v in p.split(":")) for p in box.split(","))
+    for seed in (1, 2, 3):
+        if inside:
+            rep = recurrence_search(c, (1, 0, 0), 0.3, pairs, 2, 4, seed)
+            assert len(rep.first_depths) == 4
+        else:
+            with pytest.raises(BoxError, match="not inside"):
+                recurrence_search(c, (1, 0, 0), 0.3, pairs, 2, 4, seed)
 
 
 def test_recurrence_search_returns_quickly():

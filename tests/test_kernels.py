@@ -24,6 +24,7 @@ from nilcone.kernels import (
     quasi_norm_batch,
     reduce_batch,
 )
+from nilcone.ratlin import IntPolys
 from nilcone.wordmetric import (
     PrecisionLimit,
     digit_coords,
@@ -198,6 +199,48 @@ def test_scalar_and_batch_products_agree_bitwise(name, tag):
         for i in range(len(got)):
             want = law.mul(tuple(a[min(i, len(a) - 1)]), tuple(b[min(i, len(b) - 1)]))
             assert got[i].tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+def _column_by_terms(tab, k, cols, acc, unit):
+    """IntPolys.column as its terms added one by one to zeros or to acc."""
+    out = np.zeros(len(cols[0]), dtype=cols[0].dtype) if acc is None else acc.copy()
+    for num, coef, factors in tab.flat[k]:
+        term = coef if unit else num
+        for v in factors:
+            term = term * cols[v]
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("dtype", (np.int64, np.float64))
+@pytest.mark.parametrize("with_acc", (False, True))
+def test_column_equals_the_sum_of_its_terms(dtype, with_acc):
+    F = Fraction
+    tab = IntPolys.of("test", [
+        {((0, 1), (1, 1)): F(1, 3), ((1, 2),): F(-2), ((0, 1),): F(5, 2)},
+        {(): F(3), ((0, 1),): F(1), ((1, 1),): F(-1)},  # a constant first
+        {((0, 1),): F(-1), ((0, 2),): F(-2)},  # every term 0 where x0 = 0
+        {((1, 1),): F(1), ((0, 1),): F(-1)},  # sums to 0 where x0 = x1
+        {},
+    ])
+    rng = np.random.default_rng(41)
+    x0 = rng.integers(-9, 10, size=64).astype(dtype)
+    x0[:8] = 0
+    x1 = rng.integers(-9, 10, size=64).astype(dtype)
+    x1[8:16] = x0[8:16]
+    for cols in ([x0, x1], [x0, x1[:1]]):  # n rows, and n rows with one row
+        for k in range(len(tab.terms)):
+            for unit in ((False, True) if dtype is np.float64 else (False,)):
+                acc = rng.integers(-5, 6, size=64).astype(dtype) if with_acc else None
+                want = _column_by_terms(tab, k, cols, acc, unit)
+                got = tab.column(k, cols, None if acc is None else acc.copy(), unit)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert not any(np.shares_memory(got, c) for c in cols)
+                if with_acc:
+                    assert got.tobytes() == want.tobytes()
+                else:  # starting from the first term can differ only in
+                    # the sign of a zero sum
+                    assert np.array_equal(got, want)
 
 
 def test_bch_batch_rejects_mismatched_rows():
