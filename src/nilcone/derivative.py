@@ -595,10 +595,8 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     ck = coupling_kernels(coupling)
     grid = _quasi_ball_grid(grp, radius, grid_step)
     size = len(grid)
-    block = min(x_samples, max(1, _KAPPA_ROWS // size))
-    phi_vals = phi_batch(deriv, grid)
-    if block > 1:
-        phi_vals = np.asfortranarray(np.tile(phi_vals, (block, 1)))
+    block = max(1, min(x_samples, _KAPPA_ROWS // size))
+    phi_vals = np.asfortranarray(np.tile(phi_batch(deriv, grid), (block, 1)))
     rows = []
     try:
         for i, n in enumerate(n_list):
@@ -606,16 +604,13 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
             dil = dilate_batch(grp.degrees, float(n), grid)
             digits, _ = peel_batch(ck.gamma_lattice, dil, mode="round")
             jn = digit_coords(ck.gamma_lattice, digits)
-            if block > 1:
-                jn = np.asfortranarray(np.tile(jn, (block, 1)))
+            jn = np.asfortranarray(np.tile(jn, (block, 1)))
             x = domain_samples(coupling, x_samples, seed, workers, _TAG_KAPPA, i)
             sups = np.empty(x_samples, dtype=np.float64)
             for start in range(0, x_samples, block):
                 b = min(block, x_samples - start)
-                if block > 1:  # each sample's row, size times, column-major
-                    xs = np.repeat(x[start:start + b].T, size, axis=1).T
-                else:
-                    xs = x[start][None]
+                # each sample's row, size times, column-major
+                xs = np.repeat(x[start:start + b].T, size, axis=1).T
                 dg, _ = ck.reduce(bch_batch(ck.table, jn[:b * size], xs))
                 scaled = dilate_batch(grp.degrees, 1.0 / n, ck.lambda_coords(dg))
                 dist = _graded_dist(grp, scaled, phi_vals[:b * size])

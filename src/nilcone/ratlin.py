@@ -202,13 +202,11 @@ class IntPolys:
 
     def column(self, k: int, cols, acc=None, unit: bool = False) -> np.ndarray:
         """Coordinate k with variable v the int64 or float64 column cols[v],
-        its terms added one by one into acc: the numerator, or with unit the
-        value, coefficients numerator / dens[k] in float.  Without acc the
-        sum starts from the first term of len(cols[0]) rows, or from zeros
-        before a constant or one-row term; only the sign of a float zero
-        can differ from adding that term to zeros.  Columns may mix n rows
-        and one row; a one-row term widens."""
-        n = len(cols[0])
+        its terms added one by one into acc (zeros by default): the numerator,
+        or with unit the value, coefficients numerator / dens[k] in float.
+        Columns may mix n rows and one row; a one-row term widens."""
+        if acc is None:
+            acc = np.zeros(len(cols[0]), dtype=cols[0].dtype)
         for num, coef, factors in self.flat[k]:
             term = coef if unit else num
             for i, v in enumerate(factors):
@@ -216,14 +214,7 @@ class IntPolys:
                     term = term * cols[v]
                 else:
                     term *= cols[v]
-            if acc is not None:
-                acc += term
-            elif factors and term.size == n:  # a fresh array: keep it
-                acc = term
-            else:
-                acc = np.zeros(n, dtype=cols[0].dtype) + term
-        if acc is None:
-            acc = np.zeros(n, dtype=cols[0].dtype)
+            acc += term
         return acc
 
     def numerators(self, rows: np.ndarray) -> np.ndarray:

@@ -273,15 +273,12 @@ def peel_batch(lat: LatticeSpec, omega, mode: str = "floor", side: str = "right"
     rem = np.empty(w.shape, dtype=np.float64, order="F")
     for i, (lead, den) in enumerate(zip(lat.leads(), tables.dens)):
         _float_guard(i, tables.bound(i, top) / den)
-        q = tables.column(i, cols)
-        if den != 1:
-            q /= den
+        q = tables.column(i, cols) / den
         c = rounding(q)
         digits[:, i] = c
         rem[:, i] = float(lead) * (q - c)
         cols.append(c)
-        if i + 1 < lat.dim:  # the bounds of later q_i read it
-            top.append(np.abs(c).max(initial=0.0))
+        top.append(np.abs(c).max(initial=0.0))
     return digits, rem
 
 

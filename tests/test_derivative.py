@@ -409,6 +409,12 @@ def test_blocked_kappa_equals_the_per_sample_loop_bitwise(
     assert np.concatenate(seen).tobytes() == want.tobytes()
 
 
+def test_kappa_without_samples_is_refused():
+    c = builtin_coupling("heisenberg-identity")
+    with pytest.raises(StructuralError, match="at least one sample"):
+        kappa_grid(c, build_phi(c, 256, 3), 0, (8,), 1.0, 0.5, 13)
+
+
 @pytest.mark.parametrize("name, box, inside", [
     ("heisenberg-identity", "0:1,0:0.5,0:0.5", True),
     ("heisenberg-identity", "0:1.02,0:0.5,0:0.5", False),
