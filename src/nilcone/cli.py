@@ -407,9 +407,10 @@ def _cmd_derivative_kappa(args) -> int:
 
 def _cmd_derivative_recurrence(args) -> int:
     cp = _load_coupling(args.coupling)
+    grp = cp.ambient()
+    args.box = ",".join(["0:0.5"] * grp.dim) if args.box is None else args.box
     if _emit_plan(args, coupling=cp.name):
         return EXIT_OK
-    grp = cp.ambient()
     box = _parse_box(args.box, grp.dim)
     g = _parse_point(grp, "--g", args.g, finite=True)
     with _naming("--g", args.g, PrecisionLimit), _naming("--box", args.box, BoxError):
@@ -656,7 +657,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coupling", required=True)
     p.add_argument("--g", default="e1")
     p.add_argument("--delta", type=_finite_float, default=0.3)
-    p.add_argument("--box", default="0:0.5,0:0.5,0:0.5")
+    p.add_argument("--box", default=None, help="default 0:0.5 per coordinate")
     p.add_argument("--horizon", type=int, default=256)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--min-success", type=_finite_float, default=0.0)

@@ -50,6 +50,10 @@ _TAG_KAPPA = 3
 _TAG_RECUR = 4
 _TAG_WORD = 6
 
+# Rows per float-lane block in _scaled_dist and kappa_grid: 2^14 float64 rows
+# are 128 KiB per coordinate column, which stays in L2 through every kernel.
+_BLOCK_ROWS = 1 << 14
+
 
 def median3_smooth(values):
     """Median-of-3 smoothing with clamped ends."""
@@ -442,8 +446,12 @@ def _float_or_inf(c) -> float:
 def _scaled_dist(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
                  x: np.ndarray, s: float, target: np.ndarray) -> np.ndarray:
     """Per-sample distance of the cocycle at gamma, dilated by 1/s, to target."""
-    lam = _cocycle_coords_batch(ck, gamma_coords, x)
-    return _graded_dist(grp, dilate_batch(grp.degrees, 1.0 / s, lam), target)
+    dist = np.empty(len(x))
+    for i in range(0, len(x), _BLOCK_ROWS):
+        lam = _cocycle_coords_batch(ck, gamma_coords, x[i:i + _BLOCK_ROWS])
+        dist[i:i + len(lam)] = _graded_dist(
+            grp, dilate_batch(grp.degrees, 1.0 / s, lam), target)
+    return dist
 
 
 # ------------------------------------------------------- theorem experiments
@@ -569,11 +577,6 @@ def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float,
     return pts_t[:, keep].T
 
 
-# Rows per kappa block: 2^14 float64 rows are 128 KiB per coordinate
-# column, which stays in L2 while a block passes through every kernel.
-_KAPPA_ROWS = 1 << 14
-
-
 def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
                x_samples: int, n_list, radius: float, grid_step: float,
                seed: int, eps: float = 0.3,
@@ -584,18 +587,20 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     n-dilated grid point; the report tracks the fraction of samples
     whose sup-distance over the whole grid stays below eps.
 
-    Samples run in blocks of B = 2^14 // grid size of them (at least one),
-    stacked as B * grid rows, so that a small grid pays each kernel call's
-    fixed cost once per block instead of once per sample, and a block's
-    columns stay in cache.  Every kernel works row by row, so each sup has
-    the bits of a one-sample pass; only the guards (the peel's precision
-    limit, the exp map's int64 bound) read the block's maxima.
+    Each pass runs at most _BLOCK_ROWS (sample, grid point) rows, whose
+    columns stay in cache: B = _BLOCK_ROWS // grid size samples of a small
+    grid (paying each kernel call's fixed cost once per B samples), or one
+    sample and a chunk of _BLOCK_ROWS points of a larger grid, whose sup is
+    the max over its chunks.  Every kernel works row by row, so each sup
+    has the bits of a one-sample pass; only the guards (the peel's
+    precision limit, the exp map's int64 bound) read the pass's maxima.
     """
     grp = coupling.ambient()
     ck = coupling_kernels(coupling)
     grid = _quasi_ball_grid(grp, radius, grid_step)
     size = len(grid)
-    block = max(1, min(x_samples, _KAPPA_ROWS // size))
+    block = max(1, min(x_samples, _BLOCK_ROWS // size))
+    chunk = min(size, _BLOCK_ROWS)  # grid points a pass; below size, B is 1
     phi_vals = np.asfortranarray(np.tile(phi_batch(deriv, grid), (block, 1)))
     rows = []
     try:
@@ -606,16 +611,17 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
             jn = digit_coords(ck.gamma_lattice, digits)
             jn = np.asfortranarray(np.tile(jn, (block, 1)))
             x = domain_samples(coupling, x_samples, seed, workers, _TAG_KAPPA, i)
-            sups = np.empty(x_samples, dtype=np.float64)
-            for start in range(0, x_samples, block):
-                b = min(block, x_samples - start)
-                # each sample's row, size times, column-major
-                xs = np.repeat(x[start:start + b].T, size, axis=1).T
-                dg, _ = ck.reduce(bch_batch(ck.table, jn[:b * size], xs))
+            sups = np.empty((x_samples, -(-size // chunk)))  # a column a chunk
+            for start, lo in itertools.product(range(0, x_samples, block),
+                                               range(0, size, chunk)):
+                b, c = min(block, x_samples - start), min(chunk, size - lo)
+                # each sample's row, c times, column-major
+                xs = np.repeat(x[start:start + b].T, c, axis=1).T
+                dg, _ = ck.reduce(bch_batch(ck.table, jn[lo:lo + b * c], xs))
                 scaled = dilate_batch(grp.degrees, 1.0 / n, ck.lambda_coords(dg))
-                dist = _graded_dist(grp, scaled, phi_vals[:b * size])
-                sups[start:start + b] = dist.reshape(b, size).max(axis=1)
-            rows.append(_convergence_row(n, sups, eps, seed))
+                dist = _graded_dist(grp, scaled, phi_vals[lo:lo + b * c])
+                sups[start:start + b, lo // chunk] = dist.reshape(b, c).max(axis=1)
+            rows.append(_convergence_row(n, sups.max(axis=1), eps, seed))
     except PrecisionLimit as exc:
         raise PrecisionLimit(f"at depth {n}, {exc}") from exc
     return KappaReport(

@@ -21,12 +21,13 @@ the one product: a (1, m) operand on either side acts on every row of
 the other, its coordinates as scalars, with no broadcast copy.
 
 Batch size.  Each kernel call costs a few microseconds of numpy and
-Python overhead per coordinate whatever its row count, so a caller with
-many small batches stacks them: derivative.kappa_grid runs blocks of
-about 2^14 (sample, grid point) rows, 128 KiB per float64 column, small
-enough that a block's columns stay in L2 through the whole pipeline.
-Every kernel works row by row, so a row's bits do not depend on the
-batch it runs in.
+Python overhead per coordinate whatever its row count, and a batch whose
+columns outgrow L2 runs slower per row, so the float lane runs blocks of
+derivative._BLOCK_ROWS = 2^14 rows (128 KiB per float64 column): samples
+in derivative._scaled_dist, (sample, grid point) rows in kappa_grid.
+Every kernel works row by row, so a row's bits do not depend on its
+block; the guards that read a batch's maxima (the precision limit of
+wordmetric.peel_batch, the int64 bound of digit_coords) read a block's.
 
 Lattice digits are peeled by wordmetric.peel_batch; reduce_batch, the
 earlier peel by m sequential products, is kept for the benchmark figures.

@@ -258,9 +258,10 @@ def peel_batch(lat: LatticeSpec, omega, mode: str = "floor", side: str = "right"
     """peel over the float rows of omega: digits and remainders, column-major.
 
     Each q_i is the exact lane's polynomial evaluated on float columns of
-    the point and of the earlier digits.  A batch whose q_i terms could
-    reach 2^(53 - FRACTION_BITS) lattice units, or that holds a NaN, is
-    refused with PrecisionLimit before q_i is formed.
+    the point and of the earlier digits.  A batch (a caller's block) whose
+    q_i terms could reach 2^(53 - FRACTION_BITS) lattice units by its
+    column maxima, or that holds a NaN, is refused with PrecisionLimit
+    before q_i is formed.
     """
     w = np.asarray(omega, dtype=np.float64, order="F")
     if w.ndim != 2 or w.shape[1] != lat.dim:
@@ -285,7 +286,8 @@ def peel_batch(lat: LatticeSpec, omega, mode: str = "floor", side: str = "right"
 def digit_coords(lat: LatticeSpec, digits, order: str = "desc") -> np.ndarray:
     """Float coordinates of the lattice points with the given digit rows,
     column-major: the exp map of digits_to_point, exact on int64 digits,
-    then rounded once."""
+    then rounded once; the int64 bound reads the batch's (a caller's
+    block's) digit maxima."""
     exp = lat.polys.exp[order]
     nums = exp.numerators(np.asarray(digits, dtype=np.int64))
     return nums / np.asarray(exp.dens, dtype=np.float64)

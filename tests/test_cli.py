@@ -313,6 +313,16 @@ def test_recurrence_command(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("name", ["heisenberg-identity", "heisenberg-scale2",
+                                  "heisenberg-shear", "z2-identity", "engel-identity"])
+def test_recurrence_default_box_fits_every_builtin_coupling(tmp_path, capsys, name):
+    # the default box was three 0:0.5 pairs, refused on engel4 and abelian2
+    rc = main(["derivative", "recurrence", "--coupling", name, "--horizon", "4",
+               "--samples", "4", "--seed", "2", "--out", str(tmp_path)])
+    assert "box needs" not in capsys.readouterr().err
+    assert rc == 0
+
+
 def test_kappa_command(tmp_path):
     rc = main(["derivative", "kappa", "--coupling", "heisenberg-identity",
                "--samples", "16", "--phi-samples", "512", "--n", "8,16,32",

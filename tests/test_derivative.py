@@ -23,11 +23,12 @@ from nilcone.derivative import (
     GeneratorImageTable,
     PansuDerivative,
     StructuralError,
-    _KAPPA_ROWS,
+    _BLOCK_ROWS,
     _TAG_KAPPA,
     _convergence_row,
     _graded_dist,
     _quasi_ball_grid,
+    _scaled_dist,
     arbitrary_element_experiment,
     build_phi,
     gamma_sequence,
@@ -51,7 +52,7 @@ from nilcone.geometry import (
     quasi_norm_m,
 )
 from nilcone.kernels import bch_batch, dilate_batch
-from nilcone.wordmetric import builtin_lattice, digit_coords, peel_batch
+from nilcone.wordmetric import PrecisionLimit, builtin_lattice, digit_coords, peel_batch
 
 
 def test_mean_abelianization_identity_gamma_is_zero():
@@ -392,6 +393,7 @@ def _kappa_sups_by_sample(c, deriv, x_samples, n_list, radius, step, seed):
     ("heisenberg-shear", 15, 2.0, 0.5, 11),  # twisted
     ("engel-identity", 5, 1.5, 0.5, 2),  # 5,733 points
     ("heisenberg-identity", 3, 2.0, 0.2, 1),  # 18,081 points: one sample a pass
+    ("engel-identity", 3, 2.0, 0.5, 1),  # 45,441 points: 3 chunks, the last short
 ])
 def test_blocked_kappa_equals_the_per_sample_loop_bitwise(
         monkeypatch, name, x_samples, radius, step, block):
@@ -404,9 +406,33 @@ def test_blocked_kappa_equals_the_per_sample_loop_bitwise(
         return _convergence_row(n, dist, eps, seed)
     monkeypatch.setattr(derivative, "_convergence_row", record)
     rep = kappa_grid(c, deriv, x_samples, (8, 32), radius, step, 13)
-    assert max(1, _KAPPA_ROWS // rep.grid_size) == block
+    assert max(1, _BLOCK_ROWS // rep.grid_size) == block
     want = _kappa_sups_by_sample(c, deriv, x_samples, (8, 32), radius, step, 13)
     assert np.concatenate(seen).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["heisenberg-shear", "engel-identity"])
+def test_blocked_scaled_dist_equals_one_whole_batch_pass(name):
+    # three blocks, the last one 77 rows
+    c = builtin_coupling(name)
+    grp = c.ambient()
+    ck = coupling_kernels(c)
+    g = tuple(1.0 if d == 1 else 0.5 ** d for d in grp.degrees)
+    gam = [float(v) for v in gamma_sequence(grp.grad, c.gamma_lattice, g, 64).coords]
+    target = phi_batch(build_phi(c, 256, 3), [g])[0]
+    x = domain_samples(c, 2 * _BLOCK_ROWS + 77, 5)
+    dg, _ = ck.alpha_digits(gam, x)
+    want = _graded_dist(grp, dilate_batch(grp.degrees, 1 / 64, ck.lambda_coords(dg)),
+                        target)
+    got = _scaled_dist(ck, grp, gam, x, 64.0, target)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_main_theorem_past_the_precision_limit_is_refused_in_blocks():
+    c = builtin_coupling("engel-identity")
+    with pytest.raises(PrecisionLimit, match="at depth 16384, coordinate 3"):
+        main_theorem_experiment(c, build_phi(c, 256, 3), (1, 0.5, 0.25, 0.125),
+                                (8, 1 << 14), 0.2, 2 * _BLOCK_ROWS + 77, 7)
 
 
 def test_kappa_without_samples_is_refused():
