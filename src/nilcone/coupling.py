@@ -11,9 +11,9 @@ domain is the plain Mal'cev box.
 The exact layer runs on integers: the twist, the peel and the cocycle's
 lattice point are ratlin.IntPolys tables (the twist a linear one), so
 one reduction forms no GroupLaw product.  The float layer runs the same
-polynomials on float64 and int64 columns (peel_batch, digit_coords), its
-twist a float matrix around the peel; PrecisionLimit refuses a batch
-past its limit.
+polynomials on float64 columns (peel_batch, peel_coords), its twist a
+float matrix around the peel; PrecisionLimit refuses a batch past the
+peel's limit or the exp map's 2^53.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from .wordmetric import (
     LatticeSpec,
     _float_guard,
     builtin_lattice,
-    digit_coords,
     digits_to_point,
     fraction_coords,
     member,
     peel_batch,
+    peel_coords,
     peel_digits,
     right_peel,
 )
@@ -284,19 +284,20 @@ class CouplingKernels:
         g = np.asarray([float(c) for c in gamma_coords], dtype=np.float64)
         return self.reduce(bch_batch(self.table, g[None], x))
 
-    def lambda_coords(self, digits: np.ndarray) -> np.ndarray:
-        return digit_coords(self.lambda_lattice, digits, order="desc")
+    def alpha_coords(self, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Coordinates of alpha(gamma_i, x_i) for a (1, m) or an (n, m)
+        gamma, column-major, without digits or induced-action images."""
+        w = bch_batch(self.table, gamma, x)
+        return peel_coords(self.lambda_lattice,
+                           (self.theta @ w.T).T if self.twisted else w)
 
-    def beta_digits(self, lam_coords, y: np.ndarray):
-        """Digits of the left peel of the lam-action, and Y-side images."""
-        lc = np.asarray([float(c) for c in lam_coords], dtype=np.float64)
+    def beta_coords(self, lam: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Coordinates of beta(lam_i, y_i), column-major, for a (1, m) or an
+        (n, m) lam: the inverse of the left peel's lattice point."""
         if self.twisted:
-            lc = lc @ self.theta_inv.T
-        moved = bch_batch(self.table, y, -lc[None])
-        return peel_batch(self.gamma_lattice, moved, side="left")
-
-    def gamma_coords(self, digits: np.ndarray) -> np.ndarray:
-        return digit_coords(self.gamma_lattice, digits, order="asc")
+            lam = lam @ self.theta_inv.T
+        moved = bch_batch(self.table, y, -lam)
+        return -peel_coords(self.gamma_lattice, moved, side="left")
 
 
 coupling_kernels = cache(CouplingKernels)  # CouplingSpec is frozen: keyed by content

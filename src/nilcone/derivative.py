@@ -38,8 +38,8 @@ from .coupling import (
 from .geometry import generating_set, quasi_norm_m
 from .kernels import bch_batch, dilate_batch, law_table, quasi_norm_batch
 from .ratlin import identity, spanning_inverse
-from .wordmetric import PrecisionLimit, ball_points, digit_coords, digits_to_point
-from .wordmetric import peel_batch, round_to_lattice
+from .wordmetric import PrecisionLimit, ball_points, digits_to_point, peel_coords
+from .wordmetric import round_to_lattice
 
 # spawn-key tags keeping the per-operation sample streams disjoint; they
 # seed those streams, so a tag's value never changes
@@ -109,23 +109,14 @@ class MeanAbelianization:
     seed: int
 
 
-def _cocycle_coords_batch(ck: CouplingKernels, gamma_coords, x: np.ndarray,
-                          side: str = "alpha") -> np.ndarray:
-    if side == "alpha":
-        digits, _ = ck.alpha_digits(gamma_coords, x)
-        return ck.lambda_coords(digits)
-    if side == "beta":
-        digits, _ = ck.beta_digits(gamma_coords, x)
-        return -ck.gamma_coords(digits)
-    raise StructuralError(f"unknown cocycle side {side!r}")
-
-
 def _abelian_mean_ci(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
                      x: np.ndarray, side: str
                      ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Sample mean and 95% normal half-width of the abelian cocycle coords."""
+    """Sample mean and 95% normal half-width of the abelian cocycle coords
+    (side "alpha" or "beta", checked where x was drawn)."""
     samples = x.shape[0]
-    lam = _cocycle_coords_batch(ck, gamma_coords, x, side)
+    g = _float_coords(gamma_coords)[None]
+    lam = ck.alpha_coords(g, x) if side == "alpha" else ck.beta_coords(g, x)
     vec = [0.0] * grp.dim
     ci = [0.0] * grp.dim
     for i in _abelian_indices(grp):
@@ -262,11 +253,21 @@ class ConvergenceRow:
     seed: int
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a 1-d array by one selection at the middle, where
+    np.median also selects the end to find NaNs: NaN selects last."""
+    h = a.size // 2
+    p = np.partition(a, h)
+    if np.isnan(p[h:].max()):
+        return math.nan
+    return float(p[h] if a.size % 2 else (p[:h].max() + p[h]) / 2)
+
+
 def _convergence_row(n: int, dist: np.ndarray, eps: float, seed: int) -> ConvergenceRow:
     """The depth-n row of a per-sample distance array."""
     return ConvergenceRow(n=int(n), samples=dist.size,
                           fraction_within_eps=float((dist < eps).mean()),
-                          median_proxy_dist=float(np.median(dist)), seed=seed)
+                          median_proxy_dist=_median(dist), seed=seed)
 
 
 class _ConvergenceRows:
@@ -379,7 +380,7 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     ck = coupling_kernels(coupling)
     for i, n in enumerate(n_list):
         x = domain_samples(coupling, samples, seed, workers, _TAG_ITERATES, i)
-        lam = _cocycle_coords_batch(ck, tuple(n * gcoords), x)
+        lam = ck.alpha_coords(n * gcoords[None], x)
         avg = lam[:, ab] / n
         a_dev = np.sqrt(((avg - target[ab]) ** 2).sum(axis=1))
         com = lam.copy()
@@ -389,9 +390,9 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
         c = _graded_dist(grp, scaled, target)
         rows.append(IterateRow(
             n=int(n), samples=samples,
-            median_ab_dev=float(np.median(a_dev)),
-            median_com_over_n=float(np.median(b)),
-            median_scl_dist=float(np.median(c)),
+            median_ab_dev=_median(a_dev),
+            median_com_over_n=_median(b),
+            median_scl_dist=_median(c),
             seed=seed,
         ))
     return IterateReport(
@@ -446,9 +447,10 @@ def _float_or_inf(c) -> float:
 def _scaled_dist(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
                  x: np.ndarray, s: float, target: np.ndarray) -> np.ndarray:
     """Per-sample distance of the cocycle at gamma, dilated by 1/s, to target."""
+    g = _float_coords(gamma_coords)[None]
     dist = np.empty(len(x))
     for i in range(0, len(x), _BLOCK_ROWS):
-        lam = _cocycle_coords_batch(ck, gamma_coords, x[i:i + _BLOCK_ROWS])
+        lam = ck.alpha_coords(g, x[i:i + _BLOCK_ROWS])
         dist[i:i + len(lam)] = _graded_dist(
             grp, dilate_batch(grp.degrees, 1.0 / s, lam), target)
     return dist
@@ -593,7 +595,7 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     sample and a chunk of _BLOCK_ROWS points of a larger grid, whose sup is
     the max over its chunks.  Every kernel works row by row, so each sup
     has the bits of a one-sample pass; only the guards (the peel's
-    precision limit, the exp map's int64 bound) read the pass's maxima.
+    precision limit, the exp map's 2^53 bound) read the pass's maxima.
     """
     grp = coupling.ambient()
     ck = coupling_kernels(coupling)
@@ -607,8 +609,7 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
         for i, n in enumerate(n_list):
             n = int(n)
             dil = dilate_batch(grp.degrees, float(n), grid)
-            digits, _ = peel_batch(ck.gamma_lattice, dil, mode="round")
-            jn = digit_coords(ck.gamma_lattice, digits)
+            jn = peel_coords(ck.gamma_lattice, dil, mode="round")
             jn = np.asfortranarray(np.tile(jn, (block, 1)))
             x = domain_samples(coupling, x_samples, seed, workers, _TAG_KAPPA, i)
             sups = np.empty((x_samples, -(-size // chunk)))  # a column a chunk
@@ -617,8 +618,8 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
                 b, c = min(block, x_samples - start), min(chunk, size - lo)
                 # each sample's row, c times, column-major
                 xs = np.repeat(x[start:start + b].T, c, axis=1).T
-                dg, _ = ck.reduce(bch_batch(ck.table, jn[lo:lo + b * c], xs))
-                scaled = dilate_batch(grp.degrees, 1.0 / n, ck.lambda_coords(dg))
+                lam = ck.alpha_coords(jn[lo:lo + b * c], xs)
+                scaled = dilate_batch(grp.degrees, 1.0 / n, lam)
                 dist = _graded_dist(grp, scaled, phi_vals[lo:lo + b * c])
                 sups[start:start + b, lo // chunk] = dist.reshape(b, c).max(axis=1)
             rows.append(_convergence_row(n, sups.max(axis=1), eps, seed))

@@ -13,8 +13,8 @@ x[:, v] of (n, m) batches, so the lane keeps its batches in Fortran
 (column) order, where each column is contiguous.  Arrays are made
 column-major where they are created: coupling.domain_samples, the grid
 and the phi images in derivative, and the digits, remainders and
-coordinates of wordmetric.peel_batch and digit_coords; elementwise
-results keep their inputs' layout.
+coordinates of wordmetric.peel_batch, peel_coords and digit_coords;
+elementwise results keep their inputs' layout.
 bch_batch never copies: a row-major caller gets the same bits through
 strided reads, where a copy would cost more than a small product.  It is
 the one product: a (1, m) operand on either side acts on every row of
@@ -27,10 +27,10 @@ derivative._BLOCK_ROWS = 2^14 rows (128 KiB per float64 column): samples
 in derivative._scaled_dist, (sample, grid point) rows in kappa_grid.
 Every kernel works row by row, so a row's bits do not depend on its
 block; the guards that read a batch's maxima (the precision limit of
-wordmetric.peel_batch, the int64 bound of digit_coords) read a block's.
+the float peel, the 2^53 bound of the float exp map) read a block's.
 
-Lattice digits are peeled by wordmetric.peel_batch; reduce_batch, the
-earlier peel by m sequential products, is kept for the benchmark figures.
+Lattice digits are peeled by wordmetric; reduce_batch, the earlier peel
+by m sequential products, is kept for the benchmark figures.
 """
 
 from __future__ import annotations

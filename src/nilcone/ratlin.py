@@ -11,8 +11,8 @@ integer numerators with one Fraction per coordinate at the end.  It holds
 the BCH product's nonlinear terms, the twist automorphism, both
 directions of the adapted-basis change and the Mal'cev exp map and peel.
 Its column loop, the only numpy polynomial loop, runs the same tables on
-int64 and float64 arrays: the batch product, the float peel, the exp map
-on digits and the Cayley ball.
+int64 and float64 arrays: the batch product, the float peel and exp map,
+and the Cayley ball.
 """
 
 from __future__ import annotations

@@ -18,10 +18,12 @@ numerators over the point's common denominator, takes c_i = floor(q_i)
 lead_i * (q_i - c_i): the basis is triangular and graded, so no later
 step moves it.  member() and point_digits() are integrality checks of
 the q_i, and digits_to_point evaluates the exp map on Python ints; no
-GroupLaw product is formed.  The float lane's peel_batch and
-digit_coords, and the ball below, run the same tables through the one
-column loop (IntPolys.column), each guarding its own term bound
-(IntPolys.bound) first.
+GroupLaw product is formed.  The float lane's one peel (peel_batch,
+peel_coords) and its exp map (digit_coords: integer numerators on
+float64 digits, exact below 2^53 and refused past it), and the ball
+below, run the same tables through the one column loop
+(IntPolys.column), each guarding its own term bound (IntPolys.bound)
+first.
 
 The Cayley ball runs on the digits alone.  For each generator s the
 digits of c * s (a generator step) are the right-peel polynomials
@@ -254,43 +256,70 @@ def round_to_lattice(lat: LatticeSpec, g) -> GroupPoint:
     return digits_to_point(lat, peel_digits(lat, g, mode="round"))
 
 
-def peel_batch(lat: LatticeSpec, omega, mode: str = "floor", side: str = "right"):
-    """peel over the float rows of omega: digits and remainders, column-major.
+def _peel_columns(lat: LatticeSpec, omega, mode: str, side: str):
+    """The float peel of the rows of omega: its q_i columns, and its digits
+    c_i as an (n, m) column-major float64 array of exact integers.
 
     Each q_i is the exact lane's polynomial evaluated on float columns of
-    the point and of the earlier digits.  A batch (a caller's block) whose
-    q_i terms could reach 2^(53 - FRACTION_BITS) lattice units by its
-    column maxima, or that holds a NaN, is refused with PrecisionLimit
-    before q_i is formed.
+    the point and of the earlier digits, c_i its floor or nearest integer.
+    A batch (a caller's block) whose q_i terms could reach
+    2^(53 - FRACTION_BITS) lattice units by its column maxima, or that
+    holds a NaN, is refused with PrecisionLimit before q_i is formed.
     """
     w = np.asarray(omega, dtype=np.float64, order="F")
     if w.ndim != 2 or w.shape[1] != lat.dim:
-        raise ValueError("peel_batch expects an (n, dim) array")
+        raise ValueError("a float peel expects an (n, dim) array")
     tables = lat.polys.peel[side]
     rounding = {"floor": np.floor, "round": np.rint}[mode]
     cols = [w[:, v] for v in range(lat.dim)]
     top = list(np.abs(w).max(axis=0, initial=0.0))
-    digits = np.empty(w.shape, dtype=np.int64, order="F")
-    rem = np.empty(w.shape, dtype=np.float64, order="F")
-    for i, (lead, den) in enumerate(zip(lat.leads(), tables.dens)):
+    digits = np.empty(w.shape, order="F")
+    qs = []
+    for i, den in enumerate(tables.dens):
         _float_guard(i, tables.bound(i, top) / den)
-        q = tables.column(i, cols) / den
-        c = rounding(q)
-        digits[:, i] = c
-        rem[:, i] = float(lead) * (q - c)
-        cols.append(c)
-        top.append(np.abs(c).max(initial=0.0))
-    return digits, rem
+        qs.append(tables.column(i, cols) / den)
+        cols.append(rounding(qs[i], out=digits[:, i]))
+        top.append(np.abs(cols[-1]).max(initial=0.0))
+    return qs, digits
+
+
+def peel_batch(lat: LatticeSpec, omega, mode: str = "floor", side: str = "right"):
+    """peel over the float rows of omega: int64 digits and remainders,
+    column-major, refused as _peel_columns refuses."""
+    qs, digits = _peel_columns(lat, omega, mode, side)
+    rem = [float(lead) * (q - c) for lead, q, c in zip(lat.leads(), qs, digits.T)]
+    return digits.astype(np.int64), np.array(rem).T
+
+
+def peel_coords(lat: LatticeSpec, omega, mode: str = "floor",
+                side: str = "right") -> np.ndarray:
+    """Float coordinates of the lattice point each row of omega peels to:
+    digit_coords of the peel's own float digits, in order "desc" on the
+    right side and "asc" on the left."""
+    digits = _peel_columns(lat, omega, mode, side)[1]
+    return digit_coords(lat, digits, "desc" if side == "right" else "asc")
 
 
 def digit_coords(lat: LatticeSpec, digits, order: str = "desc") -> np.ndarray:
     """Float coordinates of the lattice points with the given digit rows,
-    column-major: the exp map of digits_to_point, exact on int64 digits,
-    then rounded once; the int64 bound reads the batch's (a caller's
-    block's) digit maxima."""
+    column-major: the exp map of digits_to_point, integer numerators
+    evaluated on float64 digit columns, then divided once.  Below 2^53
+    every term and partial sum of integers is exact in float64, so a
+    batch whose numerator bound (IntPolys.bound at its digit maxima)
+    reaches 2^53 is refused with PrecisionLimit."""
     exp = lat.polys.exp[order]
-    nums = exp.numerators(np.asarray(digits, dtype=np.int64))
-    return nums / np.asarray(exp.dens, dtype=np.float64)
+    d = np.asarray(digits, dtype=np.float64, order="F")
+    cols = [d[:, v] for v in range(lat.dim)]
+    top = [int(v) for v in np.abs(d).max(axis=0, initial=0.0)]
+    out = np.empty(d.shape, order="F")
+    for k, den in enumerate(exp.dens):
+        bound = exp.bound(k, top)
+        if bound >= 1 << 53:
+            raise PrecisionLimit(f"coordinate {k} of the lattice point reaches "
+                                 f"{bound:.3g} numerator units, past 2^53: its "
+                                 f"float exp map would not be exact")
+        np.divide(exp.column(k, cols), den, out=out[:, k])
+    return out
 
 
 # ------------------------------------------------------------ digit polynomials

@@ -363,13 +363,13 @@ def test_float_digits_refused_past_the_precision_limit(name):
     x = domain_samples(c, 50, 3)
     gam = gamma_sequence(grp.grad, c.gamma_lattice, g, 1 << 12)
     ck.alpha_digits(gam.coords, x)
-    ck.beta_digits(gam.coords, x)
+    ck.beta_coords(np.asarray([float(v) for v in gam.coords])[None], x)
     if name == "engel-identity":
         deep = gamma_sequence(grp.grad, c.gamma_lattice, g, 1 << 20)
         with pytest.raises(PrecisionLimit, match="coordinate 3 .* reaches"):
             ck.alpha_digits(deep.coords, x)
         with pytest.raises(PrecisionLimit, match="coordinate 3 .* reaches"):
-            ck.beta_digits(deep.coords, x)
+            ck.beta_coords(np.asarray([float(v) for v in deep.coords])[None], x)
 
 
 @pytest.mark.parametrize("e", [20, 24])

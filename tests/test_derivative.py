@@ -27,6 +27,7 @@ from nilcone.derivative import (
     _TAG_KAPPA,
     _convergence_row,
     _graded_dist,
+    _median,
     _quasi_ball_grid,
     _scaled_dist,
     arbitrary_element_experiment,
@@ -369,6 +370,20 @@ def test_kappa_grid_converges():
     assert fracs[-1] >= 0.9
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0, 1e6),
+                       min_size=1, max_size=40),
+       nans=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_median_equals_np_median_bitwise(values, nans, seed):
+    # non-negative like every distance it reads; ties come from the few
+    # sampled values, odd and even sizes and size 1 from the lengths
+    a = np.abs(np.asarray(values))
+    assert np.float64(_median(a)).tobytes() == np.median(a).tobytes()
+    rng = np.random.default_rng(seed)
+    with_nan = np.insert(a, rng.integers(0, a.size + 1, size=nans), np.nan)
+    assert math.isnan(_median(with_nan)) and math.isnan(np.median(with_nan))
+
+
 def _kappa_sups_by_sample(c, deriv, x_samples, n_list, radius, step, seed):
     """kappa's sups as one pipeline per sample, in the samples' order."""
     grp = c.ambient()
@@ -383,7 +398,7 @@ def _kappa_sups_by_sample(c, deriv, x_samples, n_list, radius, step, seed):
         x = domain_samples(c, x_samples, seed, DEFAULT_WORKERS, _TAG_KAPPA, i)
         for row in x:
             dg, _ = ck.reduce(bch_batch(ck.table, jn, row[None]))
-            scaled = dilate_batch(grp.degrees, 1.0 / n, ck.lambda_coords(dg))
+            scaled = dilate_batch(grp.degrees, 1.0 / n, digit_coords(ck.lambda_lattice, dg))
             sups.append(_graded_dist(grp, scaled, phi_vals).max())
     return np.asarray(sups)
 
@@ -421,9 +436,8 @@ def test_blocked_scaled_dist_equals_one_whole_batch_pass(name):
     gam = [float(v) for v in gamma_sequence(grp.grad, c.gamma_lattice, g, 64).coords]
     target = phi_batch(build_phi(c, 256, 3), [g])[0]
     x = domain_samples(c, 2 * _BLOCK_ROWS + 77, 5)
-    dg, _ = ck.alpha_digits(gam, x)
-    want = _graded_dist(grp, dilate_batch(grp.degrees, 1 / 64, ck.lambda_coords(dg)),
-                        target)
+    lam = ck.alpha_coords(np.asarray(gam)[None], x)
+    want = _graded_dist(grp, dilate_batch(grp.degrees, 1 / 64, lam), target)
     got = _scaled_dist(ck, grp, gam, x, 64.0, target)
     assert got.tobytes() == want.tobytes()
 

@@ -31,6 +31,7 @@ from nilcone.wordmetric import (
     digits_to_point,
     peel,
     peel_batch,
+    peel_coords,
 )
 
 GROUPS = ("abelian2", "heisenberg3", "engel4", "heisenberg5", "free_nilpotent_2_3")
@@ -115,6 +116,47 @@ def test_peel_batch_matches_the_exact_peel(name, side, mode, bits, seed):
         d, r = peel(lat, tuple(Fraction(v) for v in row), mode=mode, side=side)
         assert tuple(digits[0]) == d
         assert np.max(np.abs(rem[0] - [float(c) for c in r])) <= 2.0 ** -12
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(GROUPS), side=st.sampled_from(["right", "left"]),
+       mode=st.sampled_from(["floor", "round"]), bits=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_peel_coords_equal_the_coords_of_the_peeled_digits(name, side, mode, bits,
+                                                            seed):
+    # peel_coords runs the exp map on the peel's own float digit columns:
+    # each row is refused where peel_batch or digit_coords refuses it, and
+    # otherwise has the bits of digit_coords on peel_batch's int64 digits
+    # and the exact lattice point, rounded once.  Rows as in the peel test.
+    lat = builtin_lattice(name)
+    grp = get_group(lat.group)
+    order = "desc" if side == "right" else "asc"
+    rng = np.random.default_rng(seed)
+    t = 2.0 ** rng.uniform(0, 45 / max(grp.degrees), size=(30, 1))
+    scale = t ** np.asarray(grp.degrees, dtype=np.float64) * 2 ** bits
+    omega = np.round(rng.uniform(-1, 1, size=(30, lat.dim)) * scale) / 2 ** bits
+    for row in omega:
+        try:
+            digits, _ = peel_batch(lat, row[None], mode=mode, side=side)
+            want = digit_coords(lat, digits, order=order)
+        except PrecisionLimit:
+            with pytest.raises(PrecisionLimit):
+                peel_coords(lat, row[None], mode=mode, side=side)
+            continue
+        got = peel_coords(lat, row[None], mode=mode, side=side)
+        assert got.tobytes() == want.tobytes()
+        point = digits_to_point(lat, digits[0], order=order)
+        assert got[0].tolist() == [float(c) for c in point.coords]
+
+
+def test_float_exp_map_is_refused_where_a_numerator_reaches_2_53():
+    # heisenberg3's coordinate 2 has the numerator term c1 * c2
+    lat = builtin_lattice("heisenberg3")
+    digits = np.array([[1 << 26, 1 << 26, 0]])  # bound 2^52
+    want = digits_to_point(lat, digits[0])
+    assert digit_coords(lat, digits)[0].tolist() == [float(c) for c in want.coords]
+    with pytest.raises(PrecisionLimit, match=r"coordinate 2 .* past 2\^53"):
+        digit_coords(lat, np.array([[1 << 26, 1 << 27, 0]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0 ** 41])
@@ -271,6 +313,7 @@ def _layout_outputs(name, x, y, g, digits):
     for side in ("left", "right"):
         for mode in ("floor", "round"):
             outs.extend(peel_batch(lat, x, mode=mode, side=side))
+            outs.append(peel_coords(lat, x, mode=mode, side=side))
     for order in ("asc", "desc"):
         outs.append(digit_coords(lat, digits, order=order))
     return outs
@@ -315,5 +358,6 @@ def test_batch_lane_outputs_are_column_major():
     assert digits.flags.f_contiguous and rem.flags.f_contiguous
     assert digit_coords(lat, digits).flags.f_contiguous
     assert digit_coords(lat, np.ascontiguousarray(digits)).flags.f_contiguous
+    assert peel_coords(lat, x).flags.f_contiguous
     deriv = build_phi(cp, 256, 1)
     assert phi_batch(deriv, x).flags.f_contiguous
