@@ -258,14 +258,12 @@ def round_to_lattice(lat: LatticeSpec, g) -> GroupPoint:
 
 def _peel_columns(lat: LatticeSpec, omega, mode: str, side: str):
     """The float peel of the rows of omega: its q_i columns, and its digits
-    c_i as an (n, m) column-major float64 array of exact integers.
-
-    Each q_i is the exact lane's polynomial evaluated on float columns of
-    the point and of the earlier digits, c_i its floor or nearest integer.
-    A batch (a caller's block) whose q_i terms could reach
-    2^(53 - FRACTION_BITS) lattice units by its column maxima, or that
-    holds a NaN, is refused with PrecisionLimit before q_i is formed.
-    """
+    c_i (the floor or nearest integer of q_i) as an (n, m) column-major
+    float64 array.  Each q_i is the exact lane's polynomial evaluated on
+    float columns of the point and of the earlier digits.  A batch (a
+    caller's block) whose q_i terms could reach 2^(53 - FRACTION_BITS)
+    lattice units by its column maxima, or that holds a NaN, is refused
+    with PrecisionLimit before q_i is formed."""
     w = np.asarray(omega, dtype=np.float64, order="F")
     if w.ndim != 2 or w.shape[1] != lat.dim:
         raise ValueError("a float peel expects an (n, dim) array")
