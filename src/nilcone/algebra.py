@@ -32,7 +32,10 @@ def _parse_rational(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise StructuralError(f"coefficient {v!r} has a zero denominator") from None
     if isinstance(v, float):
         raise StructuralError(
             f"structure constants must be exact rationals, got float {v!r}"
@@ -99,20 +102,24 @@ class NilpotentAlgebraSpec:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "NilpotentAlgebraSpec":
+        """The presentation of a JSON object; any malformed part is a
+        StructuralError."""
         try:
-            dim = int(obj["dim"])
-            raw = obj.get("brackets", [])
-        except (KeyError, TypeError, ValueError) as exc:
+            dim = obj["dim"]
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+                raise StructuralError(f"dim must be an integer >= 1, got {dim!r}")
+            brackets: dict = {}
+            for entry in obj.get("brackets", []):
+                i, j = int(entry["i"]), int(entry["j"])
+                coeffs = {int(k): _parse_rational(v) for k, v in entry["coeffs"].items()}
+                if (i, j) in brackets:
+                    raise StructuralError(f"duplicate bracket entry for ({i},{j})")
+                brackets[i, j] = coeffs
+            return NilpotentAlgebraSpec.from_brackets(dim, brackets, name=obj.get("name", ""))
+        except KeyError as exc:
+            raise StructuralError(f"malformed algebra JSON: missing key {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
             raise StructuralError(f"malformed algebra JSON: {exc}") from exc
-        brackets: dict = {}
-        for entry in raw:
-            i, j = int(entry["i"]), int(entry["j"])
-            coeffs = {int(k): _parse_rational(v) for k, v in entry["coeffs"].items()}
-            key = (i, j)
-            if key in brackets:
-                raise StructuralError(f"duplicate bracket entry for ({i},{j})")
-            brackets[key] = coeffs
-        return NilpotentAlgebraSpec.from_brackets(dim, brackets, name=obj.get("name", ""))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -142,6 +149,8 @@ class ValidationReport:
     jacobi_violations: tuple[tuple[int, int, int], ...]
     nonnilpotent_witness: Mat | None
     messages: tuple[str, ...]
+    # g^1, g^2, ... to the fixed point, when the bracket passed the checks
+    series_terms: tuple[Mat, ...] = field(default=(), repr=False)
 
 
 def validate_algebra(spec: NilpotentAlgebraSpec) -> ValidationReport:
@@ -185,6 +194,7 @@ def validate_algebra(spec: NilpotentAlgebraSpec) -> ValidationReport:
 
     step: int | None = None
     witness: Mat | None = None
+    terms: list[Mat] = []
     if not anti and not jacobi:
         terms = _series_terms(tensor, dim)
         if terms[-1]:
@@ -201,6 +211,7 @@ def validate_algebra(spec: NilpotentAlgebraSpec) -> ValidationReport:
         jacobi_violations=tuple(jacobi),
         nonnilpotent_witness=witness,
         messages=tuple(messages),
+        series_terms=tuple(terms),
     )
 
 
@@ -231,8 +242,7 @@ def lower_central_series(spec: NilpotentAlgebraSpec) -> LowerCentralSeries:
     report = validate_algebra(spec)
     if not report.ok:
         raise StructuralError(f"invalid algebra {spec.name!r}: {'; '.join(report.messages)}")
-    terms = _series_terms(spec.tensor(), spec.dim)
-    return LowerCentralSeries(terms=tuple(terms[:-1]), step=len(terms) - 1)
+    return LowerCentralSeries(terms=report.series_terms[:-1], step=report.step)
 
 
 @dataclass(frozen=True)
@@ -241,10 +251,11 @@ class Gradation:
 
     ``adapted_basis`` rows express the adapted vectors in presentation
     coordinates, ordered by non-decreasing degree; ``degrees[k]`` is the
-    layer of the k-th adapted vector.  ``adapted_tensor`` rewrites the
-    original bracket in the adapted basis and ``graded_tensor`` keeps
-    only the weight-homogeneous part (targets with d_k = d_i + d_j),
-    which is the bracket of the associated graded algebra.
+    layer of the k-th adapted vector.  Derived on construction:
+    ``adapted_tensor`` rewrites the original bracket in the adapted basis
+    and ``graded_tensor`` keeps only the weight-homogeneous part (targets
+    with d_k = d_i + d_j), which is the bracket of the associated graded
+    algebra.
     """
 
     spec: NilpotentAlgebraSpec
@@ -252,18 +263,43 @@ class Gradation:
     degrees: tuple[int, ...]
     adapted_basis: Mat
     adapted_inverse: Mat
-    adapted_tensor: Tensor = field(repr=False)
-    graded_tensor: Tensor = field(repr=False)
+    adapted_tensor: Tensor = field(init=False, repr=False)
+    graded_tensor: Tensor = field(init=False, repr=False)
     identity_basis: bool = field(init=False, repr=False, compare=False)
     # to_adapted and from_adapted, as linear integer tables
     _changes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "identity_basis", self.adapted_basis == ratlin.identity(self.dim))
+        dim, basis, degrees = self.dim, self.adapted_basis, self.degrees
+        to_adapted = ratlin.IntPolys.linear("to_adapted", self.adapted_inverse)
+        object.__setattr__(self, "identity_basis", basis == ratlin.identity(dim))
         object.__setattr__(self, "_changes", (
-            ratlin.IntPolys.linear("to_adapted", self.adapted_inverse),
-            ratlin.IntPolys.linear("from_adapted", tuple(zip(*self.adapted_basis)))))
+            to_adapted, ratlin.IntPolys.linear("from_adapted", tuple(zip(*basis)))))
+        tensor = self.spec.tensor()
+        adapted: Tensor = {}
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                vec = bracket(tensor, dim, basis[a], basis[b])
+                entry = {k: c for k, c in enumerate(to_adapted.at(vec)) if c != 0}
+                if entry:
+                    adapted[(a, b)] = entry
+        graded: Tensor = {}
+        for (a, b), coeffs in adapted.items():
+            kept = {
+                k: c for k, c in coeffs.items() if degrees[k] == degrees[a] + degrees[b]
+            }
+            if kept:
+                graded[(a, b)] = kept
+        # Superadditivity of degrees makes dropped targets strictly deeper;
+        # a shallower target would contradict [g^i, g^j] <= g^{i+j}.
+        for (a, b), coeffs in adapted.items():
+            for k in coeffs:
+                if degrees[k] < degrees[a] + degrees[b]:
+                    raise StructuralError(
+                        f"bracket target X{k+1} shallower than degree sum at ({a+1},{b+1})"
+                    )
+        object.__setattr__(self, "adapted_tensor", adapted)
+        object.__setattr__(self, "graded_tensor", graded)
 
     @property
     def dim(self) -> int:
@@ -321,40 +357,12 @@ def gradation(series_or_spec) -> Gradation:
         raise StructuralError("adapted basis construction lost rank")
 
     basis = tuple(adapted_rows)
-    inverse = ratlin.mat_inv(tuple(zip(*basis)))  # inverse of column matrix
-    to_adapted = ratlin.IntPolys.linear("to_adapted", inverse)
-    tensor = spec.tensor()
-    adapted: Tensor = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            vec = bracket(tensor, dim, basis[a], basis[b])
-            entry = {k: c for k, c in enumerate(to_adapted.at(vec)) if c != 0}
-            if entry:
-                adapted[(a, b)] = entry
-    graded: Tensor = {}
-    for (a, b), coeffs in adapted.items():
-        kept = {
-            k: c for k, c in coeffs.items() if degrees[k] == degrees[a] + degrees[b]
-        }
-        if kept:
-            graded[(a, b)] = kept
-    # Superadditivity of degrees makes dropped targets strictly deeper;
-    # a shallower target would contradict [g^i, g^j] <= g^{i+j}.
-    for (a, b), coeffs in adapted.items():
-        for k in coeffs:
-            if degrees[k] < degrees[a] + degrees[b]:
-                raise StructuralError(
-                    f"bracket target X{k+1} shallower than degree sum at ({a+1},{b+1})"
-                )
-
     return Gradation(
         spec=spec,
         series=series,
         degrees=tuple(degrees),
         adapted_basis=basis,
-        adapted_inverse=inverse,
-        adapted_tensor=adapted,
-        graded_tensor=graded,
+        adapted_inverse=ratlin.mat_inv(tuple(zip(*basis))),  # of the column matrix
     )
 
 

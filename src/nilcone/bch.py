@@ -28,34 +28,9 @@ from .algebra import (
     gradation,
     lower_central_series,
 )
-from .ratlin import IntPolys, Poly, numerators
+from .ratlin import IntPolys, Poly, numerators, poly_axpy, poly_mul
 
 MAX_STEP = 6
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            merged: dict[int, int] = {}
-            for v, e in ma:
-                merged[v] = merged.get(v, 0) + e
-            for v, e in mb:
-                merged[v] = merged.get(v, 0) + e
-            key = tuple(sorted(merged.items()))
-            c = ca * cb
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _poly_axpy(target: Poly, scale: Fraction, src: Poly) -> None:
-    for mono, c in src.items():
-        v = target.get(mono, Fraction(0)) + scale * c
-        if v == 0:
-            target.pop(mono, None)
-        else:
-            target[mono] = v
 
 
 def _poly_bracket(tensor: Tensor, dim: int, u: list[Poly], v: list[Poly]) -> list[Poly]:
@@ -64,12 +39,12 @@ def _poly_bracket(tensor: Tensor, dim: int, u: list[Poly], v: list[Poly]) -> lis
         if not u[i] and not v[j] and not u[j] and not v[i]:
             continue
         f: Poly = {}
-        _poly_axpy(f, Fraction(1), _poly_mul(u[i], v[j]))
-        _poly_axpy(f, Fraction(-1), _poly_mul(u[j], v[i]))
+        poly_axpy(f, Fraction(1), poly_mul(u[i], v[j]))
+        poly_axpy(f, Fraction(-1), poly_mul(u[j], v[i]))
         if not f:
             continue
         for k, c in coeffs.items():
-            _poly_axpy(out[k], c, f)
+            poly_axpy(out[k], c, f)
     return out
 
 
@@ -119,7 +94,7 @@ def bch_polynomials(tensor: Tensor, dim: int, step: int) -> list[Poly]:
         else:
             for k in range(dim):
                 if cur[k]:
-                    _poly_axpy(out[k], weight, cur[k])
+                    poly_axpy(out[k], weight, cur[k])
     return out
 
 

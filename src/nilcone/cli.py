@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -240,8 +241,7 @@ def _add_common(p, seed: bool = False, workers: bool = False):
 
 def _cmd_algebra_check(args) -> int:
     if args.json:
-        spec = NilpotentAlgebraSpec.from_json(
-            Path(args.json).read_text(encoding="utf-8"))
+        spec = _read_json("--json", args.json, NilpotentAlgebraSpec.from_json_dict)
     else:
         spec = builtin_algebra(args.algebra)
     if _emit_plan(args, algebra=spec.name):
@@ -272,19 +272,12 @@ def _cmd_group(args) -> int:
     return EXIT_OK
 
 
-def _at_radius(query, lat, radius: int):
-    """Run a ball query; a radius it refuses is reported as the flag's."""
-    try:
-        return query(lat, radius)
-    except StructuralError as exc:
-        raise StructuralError(f"--radius {radius}: {exc}") from None
-
-
 def _cmd_metric_ball(args) -> int:
     lat = builtin_lattice(args.lattice)
     if _emit_plan(args, lattice=lat.name):
         return EXIT_OK
-    prof = _at_radius(ball_profile, lat, args.radius)
+    with _naming("--radius", args.radius, StructuralError):
+        prof = ball_profile(lat, args.radius)
     header, rows = prof.csv_rows()
     path = reports.write_csv(
         _out_dir(args) / f"ball_{lat.name}_r{args.radius}.csv", header, rows)
@@ -297,7 +290,8 @@ def _cmd_metric_guivarch(args) -> int:
     lat = builtin_lattice(args.lattice)
     if _emit_plan(args, lattice=lat.name):
         return EXIT_OK
-    gc = _at_radius(guivarch_constants, lat, args.radius)
+    with _naming("--radius", args.radius, StructuralError):
+        gc = guivarch_constants(lat, args.radius)
     obj = {"lattice": lat.name, "radius": args.radius, "c_low": gc.c_low,
            "c_high": gc.c_high, "com_ratio": gc.com_ratio}
     path = reports.write_json(
@@ -484,13 +478,9 @@ def _run_arbitrary_word(args, cp: CouplingSpec) -> int:
     for r in rep.rows:
         print(f"n={r.n} fraction={r.fraction_within_eps} "
               f"median={r.median_proxy_dist}")
-    if not strictly_decreasing_or_flat(rep.medians()):
+    if not rep.medians_decreasing_or_flat():
         raise AssertionFailed("normalized word medians are not decreasing")
     return EXIT_OK
-
-
-def strictly_decreasing_or_flat(vals, tol: float = 1e-12) -> bool:
-    return all(b <= a + tol for a, b in zip(vals, vals[1:])) and vals[-1] < vals[0] + tol
 
 
 _EXPERIMENTS = {
@@ -507,51 +497,39 @@ def _cmd_experiment(args) -> int:
     return _EXPERIMENTS[args.experiment](args, cp)
 
 
-# The flags of the run command that a config file may also set, with the
-# type a config value must have: a float flag also takes an integer.
-_RUN_FLAGS = {
-    "coupling": str, "experiment": str, "g": str, "gamma": str, "word": str,
-    "n": str, "samples": int, "eps": float, "target": str, "phi_samples": int,
-    "out": str, "workers": int, "seed": int,
-}
-_JSON_TYPES = {str: "string", int: "integer", float: "number"}
-
-_RUN_DEFAULTS = {
-    "g": "e1",
-    "gamma": "e1*e2",
-    "word": "e1:n,e2:sqrt",
-    "n": "8,16,32,64",
-    "samples": 4096,
-    "eps": 0.2,
-    "phi_samples": 1 << 14,
-    "workers": DEFAULT_WORKERS,
-}
+# The JSON type a config value must have, by the argparse type of the flag
+# it sets: a float flag also takes an integer.
+_JSON_TYPES = {None: (str, "string"), int: (int, "integer"),
+               _finite_float: ((int, float), "number")}
 
 
-def _config_value(key: str, val, kind: type):
-    """A config value as its flag's type, refusing any other JSON type."""
-    allowed = (int, float) if kind is float else kind
+def _config_value(key: str, val, action):
+    """A config value as the type of the flag it sets, refusing any other."""
+    allowed, kind = _JSON_TYPES[action.type]
     if (isinstance(val, bool) or not isinstance(val, allowed)
-            or kind is float and not math.isfinite(val)):
+            or kind == "number" and not math.isfinite(val)):
         raise StructuralError(f"config key {key!r} must be a finite JSON "
-                              f"{_JSON_TYPES[kind]}, got {val!r}")
-    return kind(val)
+                              f"{kind}, got {val!r}")
+    return float(val) if kind == "number" else val
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(flags: dict, args) -> int:
+    """flags holds the action declaring each flag of run (an experiment
+    subcommand's, or run's own --experiment): a config value must have its
+    type, and its default fills a flag still unset."""
     if args.config:
         cfg = _read_json("--config", args.config)
         if not isinstance(cfg, dict):
             raise StructuralError("config must be a JSON object")
         for key, val in cfg.items():
             attr = key.replace("-", "_")
-            if attr not in _RUN_FLAGS:
+            if attr not in flags:
                 raise StructuralError(f"unknown config key {key!r}")
             if getattr(args, attr) is None:
-                setattr(args, attr, _config_value(key, val, _RUN_FLAGS[attr]))
-    for attr, default in _RUN_DEFAULTS.items():
+                setattr(args, attr, _config_value(key, val, flags[attr]))
+    for attr, action in flags.items():
         if getattr(args, attr) is None:
-            setattr(args, attr, default)
+            setattr(args, attr, action.default)
     if args.seed is None:
         raise StructuralError("seed is required (no implicit entropy)")
     if args.experiment is not None and args.experiment not in _EXPERIMENTS:
@@ -665,6 +643,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_derivative_recurrence)
 
     ex_sub = _group(sub, "experiment")
+    run_flags = {}  # each experiment flag's action, by dest: run takes them all
     for name in ("main-theorem", "iterates", "arbitrary-word"):
         p = ex_sub.add_parser(name,
                               help=f"run the {name} experiment")
@@ -684,15 +663,20 @@ def build_parser() -> _Parser:
             p.add_argument("--eps", type=_finite_float, default=0.2)
         _add_common(p, seed=True, workers=True)
         p.set_defaults(func=_cmd_experiment, experiment=name)
+        for a in p._actions:
+            if a.option_strings and a.dest not in ("help", "dry_run"):
+                run_flags.setdefault(a.dest, a)
 
+    # run's flags are unset (None) until the config and then the
+    # experiment defaults fill them
     p = sub.add_parser("run",
                        help="config-driven experiment run")
     p.add_argument("--config", default=None, help="RunConfig JSON file")
-    for dest, kind in _RUN_FLAGS.items():
-        p.add_argument("--" + dest.replace("_", "-"), default=None,
-                       type={str: None, float: _finite_float}.get(kind, kind))
+    for a in run_flags.values():
+        p.add_argument(*a.option_strings, default=None, type=a.type, help=a.help)
+    run_flags["experiment"] = p.add_argument("--experiment", default=None)
     p.add_argument("--dry-run", action="store_true")
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=functools.partial(_cmd_run, run_flags))
 
     return root
 
@@ -709,11 +693,8 @@ def main(argv=None) -> int:
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (StructuralError, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceeded, OSError, ValueError, KeyError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # StructuralError is a ValueError too
         return EXIT_ERROR
 
 

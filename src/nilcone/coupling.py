@@ -18,6 +18,7 @@ peel's limit or the exp map's 2^53.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -25,20 +26,22 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import ratlin
-from .algebra import StructuralError
+from .algebra import StructuralError, bracket
 from .bch import GroupPoint, NilpotentGroup, get_group
 from .kernels import bch_batch, law_table
 from .wordmetric import (
     LatticeSpec,
-    _float_guard,
     builtin_lattice,
+    digit_quasi_norms,
     digits_to_point,
     fraction_coords,
+    guivarch_constants,
     member,
     peel_batch,
     peel_coords,
     peel_digits,
     right_peel,
+    word_norms,
 )
 
 
@@ -80,12 +83,10 @@ def validate_automorphism(group: NilpotentGroup, auto: AutomorphismSpec,
         raise StructuralError("automorphism matrix has wrong shape")
     tensor = group.grad.adapted_tensor
     basis = ratlin.identity(m)
-    from .algebra import bracket as _bracket
-
     for i in range(m):
         for j in range(i + 1, m):
-            lhs = auto.apply(_bracket(tensor, m, basis[i], basis[j]))
-            rhs = _bracket(tensor, m, auto.apply(basis[i]), auto.apply(basis[j]))
+            lhs = auto.apply(bracket(tensor, m, basis[i], basis[j]))
+            rhs = bracket(tensor, m, auto.apply(basis[i]), auto.apply(basis[j]))
             if lhs != rhs:
                 raise StructuralError(
                     f"matrix is not a Lie algebra automorphism at pair ({i},{j})"
@@ -171,7 +172,10 @@ def coupling_from_json(obj: dict) -> CouplingSpec:
     domain = obj.get("domain", "malcev_box")
     if domain != "malcev_box":
         raise StructuralError(f"unknown domain convention {domain!r}")
-    return make_coupling(obj["group"], obj.get("twist"))
+    twist = obj.get("twist")
+    if not (twist is None or isinstance(twist, str)):
+        raise StructuralError(f"twist must be null or a twist name, got {twist!r}")
+    return make_coupling(obj["group"], twist)
 
 
 # ------------------------------------------------------------ exact layer
@@ -247,13 +251,6 @@ def beta(coupling: CouplingSpec, lam, y) -> GroupPoint:
 
 
 # ------------------------------------------------------------ float layer
-
-def _check_precision(w: np.ndarray, leads: np.ndarray) -> None:
-    """Refuse the float coordinates of lattice points whose coordinates, in
-    units of their leads, pass the float peel's limit."""
-    for k, mag in enumerate(np.abs(w).max(axis=0, initial=0.0) / leads):
-        _float_guard(k, mag)
-
 
 class CouplingKernels:
     """Float batch evaluation of the cocycles for Monte Carlo work."""
@@ -397,8 +394,6 @@ def _word_norm_proxy(coupling: CouplingSpec, digit_rows: np.ndarray) -> np.ndarr
     further by other queries knows the exact norm: the result depends
     only on the rows.
     """
-    from .wordmetric import digit_quasi_norms, guivarch_constants, word_norms
-
     lat = coupling.lambda_lattice
     rows, inv = np.unique(digit_rows, axis=0, return_inverse=True)
     norms = word_norms(lat, rows, radius_cap=_EXACT_NORM_RADIUS).astype(np.float64)
@@ -442,11 +437,9 @@ def verify_coupling(coupling: CouplingSpec, samples: int = 200,
                     seed: int = 0, triple_count: int = 200) -> CouplingVerification:
     """Structural checks: twist validity, commutation, cocycle identity,
     reconstruction, idempotency, and the beta-alpha inversion."""
-    import random as _random
-
     grp = coupling.ambient()
     law = grp.law_group
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     checks = []
 
     theta_inv = coupling.twist.inverse() if coupling.twist is not None else None
@@ -456,13 +449,9 @@ def verify_coupling(coupling: CouplingSpec, samples: int = 200,
         u = tuple(e * Fraction(rng.randrange(0, 256), 256) for e in leads)
         return tuple(theta_inv.apply(u)) if theta_inv is not None else u
 
-    def rand_gamma(scale=3):
+    def rand_point(scale=3, lat=coupling.gamma_lattice):
         digs = [rng.randint(-scale, scale) for _ in range(grp.dim)]
-        return digits_to_point(coupling.gamma_lattice, digs)
-
-    def rand_lam(scale=3):
-        digs = [rng.randint(-scale, scale) for _ in range(grp.dim)]
-        return digits_to_point(coupling.lambda_lattice, digs)
+        return digits_to_point(lat, digs)
 
     if coupling.twist is not None:
         try:
@@ -475,7 +464,7 @@ def verify_coupling(coupling: CouplingSpec, samples: int = 200,
 
     ok = True
     for _ in range(min(samples, 64)):
-        g, l, w = rand_gamma(2).coords, rand_lam(2), rand_x()
+        g, l, w = rand_point(2).coords, rand_point(2, coupling.lambda_lattice), rand_x()
         lhs = lambda_action(coupling, l, law.mul(g, w))
         rhs = law.mul(g, lambda_action(coupling, l, w))
         if lhs != rhs:
@@ -501,7 +490,7 @@ def verify_coupling(coupling: CouplingSpec, samples: int = 200,
 
     ok = True
     for _ in range(triple_count):
-        g1, g2, x = rand_gamma(), rand_gamma(), rand_x()
+        g1, g2, x = rand_point(), rand_point(), rand_x()
         x2 = induced_action(coupling, g2, x)
         lhs = alpha(coupling, law.mul(g1.coords, g2.coords), x)
         rhs = law.mul(alpha(coupling, g1, x2).coords, alpha(coupling, g2, x).coords)
@@ -513,7 +502,7 @@ def verify_coupling(coupling: CouplingSpec, samples: int = 200,
     qualify = 0
     agree = 0
     for _ in range(triple_count):
-        g, x = rand_gamma(1), rand_x()
+        g, x = rand_point(1), rand_x()
         if not in_domain(coupling, x):
             continue
         x2 = induced_action(coupling, g, x)

@@ -30,7 +30,6 @@ from .coupling import (
     DEFAULT_WORKERS,
     CouplingKernels,
     CouplingSpec,
-    _check_precision,
     coupling_kernels,
     domain_samples,
     seed_lineage,
@@ -38,8 +37,8 @@ from .coupling import (
 from .geometry import generating_set, quasi_norm_m
 from .kernels import bch_batch, dilate_batch, law_table, quasi_norm_batch
 from .ratlin import identity, spanning_inverse
-from .wordmetric import PrecisionLimit, ball_points, digits_to_point, peel_coords
-from .wordmetric import round_to_lattice
+from .wordmetric import PrecisionLimit, ball_points, digits_to_point, lane_coords
+from .wordmetric import peel_coords, round_to_lattice
 
 # spawn-key tags keeping the per-operation sample streams disjoint; they
 # seed those streams, so a tag's value never changes
@@ -265,15 +264,20 @@ def _median(a: np.ndarray) -> float:
 
 def _convergence_row(n: int, dist: np.ndarray, eps: float, seed: int) -> ConvergenceRow:
     """The depth-n row of a per-sample distance array."""
-    return ConvergenceRow(n=int(n), samples=dist.size,
+    return ConvergenceRow(n=n, samples=dist.size,
                           fraction_within_eps=float((dist < eps).mean()),
                           median_proxy_dist=_median(dist), seed=seed)
 
 
-class _ConvergenceRows:
-    """Acceptance checks and CSV rows shared by reports of ConvergenceRows."""
+@dataclass
+class ConvergenceReport:
+    """Per-depth acceptance fractions and medians for one experiment."""
 
+    experiment: str
     rows: tuple[ConvergenceRow, ...]
+    seed: int
+    eps: float
+    meta: dict = field(default_factory=dict)
 
     def fractions(self):
         return [r.fraction_within_eps for r in self.rows]
@@ -284,6 +288,12 @@ class _ConvergenceRows:
     def monotone_ok(self, tol: float = 1e-9) -> bool:
         return nondecreasing(median3_smooth(self.fractions()), tol)
 
+    def medians_decreasing_or_flat(self, tol: float = 1e-12) -> bool:
+        """The arbitrary-word verdict: no median rises by more than tol and
+        the last stays below the first plus tol."""
+        vals = [r.median_proxy_dist for r in self.rows]
+        return all(b <= a + tol for a, b in zip(vals, vals[1:])) and vals[-1] < vals[0] + tol
+
     def csv_rows(self):
         header = ["n", "samples", "fraction_within_eps",
                   "median_proxy_dist", "seed"]
@@ -291,20 +301,6 @@ class _ConvergenceRows:
             [r.n, r.samples, r.fraction_within_eps, r.median_proxy_dist, r.seed]
             for r in self.rows
         ]
-
-
-@dataclass
-class ConvergenceReport(_ConvergenceRows):
-    """Per-depth acceptance fractions and medians for one experiment."""
-
-    experiment: str
-    rows: tuple[ConvergenceRow, ...]
-    seed: int
-    eps: float
-    meta: dict = field(default_factory=dict)
-
-    def medians(self):
-        return [r.median_proxy_dist for r in self.rows]
 
     def summary(self) -> dict:
         return {
@@ -324,6 +320,20 @@ class ConvergenceReport(_ConvergenceRows):
             "monotone_ok": self.monotone_ok(),
             **{k: v for k, v in self.meta.items() if isinstance(v, (str, int, float))},
         }
+
+
+def _depth_rows(coupling: CouplingSpec, n_list, samples: int, seed: int,
+                workers: int, tag: int, row_at) -> tuple:
+    """row_at(n, x) at each depth n, x that depth's domain samples; a
+    PrecisionLimit, or a depth past the float range, is refused naming it."""
+    rows = []
+    for i, n in enumerate(n_list):
+        n = int(n)
+        try:
+            rows.append(row_at(n, domain_samples(coupling, samples, seed, workers, tag, i)))
+        except (PrecisionLimit, OverflowError) as exc:
+            raise PrecisionLimit(f"at depth {n}, {exc}") from exc
+    return tuple(rows)
 
 
 # ------------------------------------------------------- iterate asymptotics
@@ -374,31 +384,25 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     abar = mean_abelianization(coupling, gamma, samples, seed, workers)
     target = np.asarray(abar.vector, dtype=np.float64)
     ab = _abelian_indices(grp)
-    com_mask = np.ones(grp.dim, dtype=bool)
-    com_mask[ab] = False
-    rows = []
     ck = coupling_kernels(coupling)
-    for i, n in enumerate(n_list):
-        x = domain_samples(coupling, samples, seed, workers, _TAG_ITERATES, i)
+
+    def row_at(n: int, x: np.ndarray) -> IterateRow:
         lam = ck.alpha_coords(n * gcoords[None], x)
         avg = lam[:, ab] / n
         a_dev = np.sqrt(((avg - target[ab]) ** 2).sum(axis=1))
         com = lam.copy()
-        com[:, ~com_mask] = 0.0
+        com[:, ab] = 0.0  # the commutator part
         b = quasi_norm_batch(grp.degrees, com) / n
         scaled = dilate_batch(grp.degrees, 1.0 / n, lam)
         c = _graded_dist(grp, scaled, target)
-        rows.append(IterateRow(
-            n=int(n), samples=samples,
-            median_ab_dev=_median(a_dev),
-            median_com_over_n=_median(b),
-            median_scl_dist=_median(c),
-            seed=seed,
-        ))
+        return IterateRow(n=n, samples=samples, median_ab_dev=_median(a_dev),
+                          median_com_over_n=_median(b), median_scl_dist=_median(c),
+                          seed=seed)
+
     return IterateReport(
         coupling=coupling.name,
         gamma=tuple(float(v) for v in gcoords),
-        rows=tuple(rows),
+        rows=_depth_rows(coupling, n_list, samples, seed, workers, _TAG_ITERATES, row_at),
         mean_ab=abar.vector,
         seed=seed,
     )
@@ -427,21 +431,6 @@ def gamma_sequence(grad, lattice, g, n: int) -> GroupPoint:
     computed exactly."""
     dil = tuple(Fraction(c) * n ** deg for c, deg in zip(_coords_of(g), grad.degrees))
     return round_to_lattice(lattice, dil)
-
-
-def _lane_coords(ck: CouplingKernels, coords) -> np.ndarray:
-    """Float coordinates of an exact lattice point, refused with
-    PrecisionLimit past the float lane's limit before any float use."""
-    out = np.asarray([_float_or_inf(c) for c in coords], dtype=np.float64)
-    _check_precision(out[None], ck.gamma_leads)
-    return out
-
-
-def _float_or_inf(c) -> float:
-    try:
-        return float(c)
-    except OverflowError:  # an exact value past the float range
-        return math.inf if c > 0 else -math.inf
 
 
 def _scaled_dist(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
@@ -476,20 +465,17 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
     pert = (None if perturb_digits is None
             else digits_to_point(lattice, perturb_digits).coords)
     ck = coupling_kernels(coupling)
-    rows = []
-    try:
-        for i, n in enumerate(n_list):
-            gam = gamma_sequence(grp.grad, lattice, g, int(n)).coords
-            if pert is not None:
-                gam = grp.law_group.mul(pert, gam)
-            gam_coords = _lane_coords(ck, gam)
-            x = domain_samples(coupling, samples, seed, workers, _TAG_MAIN, i)
-            dist = _scaled_dist(ck, grp, gam_coords, x, float(n), target_coords)
-            rows.append(_convergence_row(n, dist, eps, seed))
-    except PrecisionLimit as exc:
-        raise PrecisionLimit(f"at depth {n}, {exc}") from exc
+
+    def row_at(n: int, x: np.ndarray) -> ConvergenceRow:
+        gam = gamma_sequence(grp.grad, lattice, g, n).coords
+        if pert is not None:
+            gam = grp.law_group.mul(pert, gam)
+        dist = _scaled_dist(ck, grp, lane_coords(lattice, gam), x, float(n), target_coords)
+        return _convergence_row(n, dist, eps, seed)
+
+    rows = _depth_rows(coupling, n_list, samples, seed, workers, _TAG_MAIN, row_at)
     return ConvergenceReport(
-        experiment="main-theorem", rows=tuple(rows), seed=seed, eps=eps,
+        experiment="main-theorem", rows=rows, seed=seed, eps=eps,
         meta={"coupling": coupling.name,
               "g": ",".join(str(float(c)) for c in _coords_of(g))},
     )
@@ -541,17 +527,13 @@ def inverse_check(phi: PansuDerivative, psi: PansuDerivative, points,
 
 # ----------------------------------------------------------------- kappa map
 
-@dataclass
-class KappaReport(_ConvergenceRows):
+@dataclass(kw_only=True)
+class KappaReport(ConvergenceReport):
     """Sup-distance convergence of the rounded-dilation cocycle map."""
 
-    coupling: str
     radius: float
     grid_step: float
     grid_size: int
-    eps: float
-    rows: tuple[ConvergenceRow, ...]
-    seed: int
 
 
 def _axis_extent(radius: float, d: int, step: float, cap: int) -> int:
@@ -604,32 +586,27 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     block = max(1, min(x_samples, _BLOCK_ROWS // size))
     chunk = min(size, _BLOCK_ROWS)  # grid points a pass; below size, B is 1
     phi_vals = np.asfortranarray(np.tile(phi_batch(deriv, grid), (block, 1)))
-    rows = []
-    try:
-        for i, n in enumerate(n_list):
-            n = int(n)
-            dil = dilate_batch(grp.degrees, float(n), grid)
-            jn = peel_coords(ck.gamma_lattice, dil, mode="round")
-            jn = np.asfortranarray(np.tile(jn, (block, 1)))
-            x = domain_samples(coupling, x_samples, seed, workers, _TAG_KAPPA, i)
-            sups = np.empty((x_samples, -(-size // chunk)))  # a column a chunk
-            for start, lo in itertools.product(range(0, x_samples, block),
-                                               range(0, size, chunk)):
-                b, c = min(block, x_samples - start), min(chunk, size - lo)
-                # each sample's row, c times, column-major
-                xs = np.repeat(x[start:start + b].T, c, axis=1).T
-                lam = ck.alpha_coords(jn[lo:lo + b * c], xs)
-                scaled = dilate_batch(grp.degrees, 1.0 / n, lam)
-                dist = _graded_dist(grp, scaled, phi_vals[lo:lo + b * c])
-                sups[start:start + b, lo // chunk] = dist.reshape(b, c).max(axis=1)
-            rows.append(_convergence_row(n, sups.max(axis=1), eps, seed))
-    except PrecisionLimit as exc:
-        raise PrecisionLimit(f"at depth {n}, {exc}") from exc
+
+    def row_at(n: int, x: np.ndarray) -> ConvergenceRow:
+        dil = dilate_batch(grp.degrees, float(n), grid)
+        jn = peel_coords(ck.gamma_lattice, dil, mode="round")
+        jn = np.asfortranarray(np.tile(jn, (block, 1)))
+        sups = np.empty((x_samples, -(-size // chunk)))  # a column a chunk
+        for start, lo in itertools.product(range(0, x_samples, block),
+                                           range(0, size, chunk)):
+            b, c = min(block, x_samples - start), min(chunk, size - lo)
+            # each sample's row, c times, column-major
+            xs = np.repeat(x[start:start + b].T, c, axis=1).T
+            lam = ck.alpha_coords(jn[lo:lo + b * c], xs)
+            scaled = dilate_batch(grp.degrees, 1.0 / n, lam)
+            dist = _graded_dist(grp, scaled, phi_vals[lo:lo + b * c])
+            sups[start:start + b, lo // chunk] = dist.reshape(b, c).max(axis=1)
+        return _convergence_row(n, sups.max(axis=1), eps, seed)
+
     return KappaReport(
-        coupling=coupling.name, radius=float(radius),
-        grid_step=float(grid_step), grid_size=size,
-        eps=eps, rows=tuple(rows), seed=seed,
-    )
+        experiment="kappa", seed=seed, eps=eps, meta={"coupling": coupling.name},
+        rows=_depth_rows(coupling, n_list, x_samples, seed, workers, _TAG_KAPPA, row_at),
+        radius=float(radius), grid_step=float(grid_step), grid_size=size)
 
 
 # --------------------------------------------------------------- recurrence
@@ -693,7 +670,8 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
     try:
         for n in range(1, horizon + 1):
             gam = gamma_sequence(grp.grad, coupling.gamma_lattice, g, n)
-            cands = bch_batch(tab, _lane_coords(ck, gam.coords)[None], perts)
+            cands = bch_batch(tab, lane_coords(coupling.gamma_lattice, gam.coords)[None],
+                              perts)
             scaled = dilate_batch(grp.degrees, 1.0 / n, cands)
             dist = _graded_dist(grp, scaled, target)
             for ci in np.nonzero(dist < delta)[0]:
@@ -726,13 +704,14 @@ _SCHEDULES = {
 
 
 def parse_schedule(token):
-    """Integer-valued depth schedules: 'n', 'sqrt', 'log', or 'k*n'."""
+    """Integer-valued depth schedules: 'n', 'sqrt', 'log', or 'k*n' with
+    k >= 1, each at least 1 at every depth."""
     if callable(token):
         return token
     t = str(token).strip().lower()
     if t in _SCHEDULES:
         return _SCHEDULES[t]
-    if t.endswith("n") and t[:-1].isdigit():
+    if t.endswith("n") and t[:-1].isdigit() and int(t[:-1]) >= 1:
         k = int(t[:-1])
         return lambda n, _k=k: _k * int(n)
     raise StructuralError(f"unknown schedule {token!r}")
@@ -761,22 +740,24 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
         parsed.append((idx, parse_schedule(sched)))
     deriv = build_phi(coupling, abar_samples, seed, workers)
     images = deriv.table.entries
+    lattice = coupling.gamma_lattice
     ck = coupling_kernels(coupling)
-    rows = []
-    for i, n in enumerate(n_list):
-        n = int(n)
+
+    def row_at(n: int, x: np.ndarray) -> ConvergenceRow:
         terms = [(idx, sched(n)) for idx, sched in parsed]
         big = max(e for _, e in terms)
-        gam = _lattice_word(coupling.gamma_lattice, terms)
+        # refused before the target's float products can overflow
+        gam = lane_coords(lattice, _lattice_word(lattice, terms).coords)
         tgt = (0.0,) * grp.dim
         for idx, e in terms:
             tgt = graded.mul(tgt, tuple(e * v for v in images[idx]))
-        x = domain_samples(coupling, samples, seed, workers, _TAG_WORD, i)
-        dist = _scaled_dist(ck, grp, gam.coords, x, big,
+        dist = _scaled_dist(ck, grp, gam, x, big,
                             dilate_batch(grp.degrees, 1.0 / big, [tgt]))
-        rows.append(_convergence_row(n, dist, eps, seed))
+        return _convergence_row(n, dist, eps, seed)
+
+    rows = _depth_rows(coupling, n_list, samples, seed, workers, _TAG_WORD, row_at)
     return ConvergenceReport(
-        experiment="arbitrary-word", rows=tuple(rows), seed=seed, eps=eps,
+        experiment="arbitrary-word", rows=rows, seed=seed, eps=eps,
         meta={"coupling": coupling.name,
               "word": ";".join(f"{idx}" for idx, _ in parsed)},
     )

@@ -37,6 +37,33 @@ ONE = Fraction(1)
 INT64_LIMIT = 1 << 63
 
 
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    """The product of two polynomials."""
+    out: Poly = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            merged: dict[int, int] = {}
+            for v, e in ma:
+                merged[v] = merged.get(v, 0) + e
+            for v, e in mb:
+                merged[v] = merged.get(v, 0) + e
+            key = tuple(sorted(merged.items()))
+            c = ca * cb
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def poly_axpy(target: Poly, scale: Fraction, src: Poly) -> None:
+    """target += scale * src, in place, dropping zero terms."""
+    for mono, c in src.items():
+        v = target.get(mono, Fraction(0)) + scale * c
+        if v == 0:
+            target.pop(mono, None)
+        else:
+            target[mono] = v
+
+
 class CapExceeded(RuntimeError):
     """BFS state count, or an int64 digit computation, exceeded its cap."""
 

@@ -46,8 +46,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .algebra import StructuralError
-from .bch import GroupPoint, _poly_axpy, _poly_mul, get_group
-from .ratlin import INT64_LIMIT, CapExceeded, IntPolys, Poly, numerators
+from .bch import GroupPoint, get_group
+from .ratlin import INT64_LIMIT, CapExceeded, IntPolys, Poly, numerators, poly_axpy, poly_mul
 
 
 class PrecisionLimit(StructuralError):
@@ -71,6 +71,22 @@ def _float_guard(k: int, mag: float) -> None:
             f"coordinate {k} of the point to peel reaches {mag:.3g} lattice "
             f"units, past 2^{53 - FRACTION_BITS}: fewer than {FRACTION_BITS} "
             f"fraction bits are left for exact float digits")
+
+
+def _float_or_inf(c) -> float:
+    try:
+        return float(c)
+    except OverflowError:  # an exact value past the float range
+        return math.inf if c > 0 else -math.inf
+
+
+def lane_coords(lat: LatticeSpec, coords) -> np.ndarray:
+    """Float coordinates of an exact point of lat, refused with PrecisionLimit,
+    before any float use, where one over its lead passes the peel's limit."""
+    out = np.asarray([_float_or_inf(c) for c in coords], dtype=np.float64)
+    for k, (c, lead) in enumerate(zip(out, lat.leads())):
+        _float_guard(k, abs(c) / float(lead))
+    return out
 
 
 DEFAULT_RADIUS_CAP = 25
@@ -343,10 +359,10 @@ def _compose(poly, subs: list[Poly], powers: dict | None = None) -> Poly:
             if (v, e) not in powers:
                 base = {(): Fraction(1)}
                 for _ in range(e):
-                    base = _poly_mul(base, subs[v])
+                    base = poly_mul(base, subs[v])
                 powers[v, e] = base
-            term = _poly_mul(term, powers[v, e])
-        _poly_axpy(out, c, term)
+            term = poly_mul(term, powers[v, e])
+        poly_axpy(out, c, term)
     return out
 
 
@@ -355,8 +371,8 @@ def _poly_point_mul(law, a: list[Poly], b: list[Poly]) -> list[Poly]:
     out = []
     for k, terms in enumerate(law.polys):
         acc = _compose(terms, a + b)
-        _poly_axpy(acc, Fraction(1), a[k])
-        _poly_axpy(acc, Fraction(1), b[k])
+        poly_axpy(acc, Fraction(1), a[k])
+        poly_axpy(acc, Fraction(1), b[k])
         out.append(acc)
     return out
 
@@ -390,7 +406,7 @@ def _peel_polys(law, lat: LatticeSpec, side: str) -> list[Poly]:
         nxt = _poly_point_mul(law, p, step) if side == "right" else _poly_point_mul(
             law, step, p)
         moved = dict(p[i])
-        _poly_axpy(moved, -lead, {((m + i, 1),): Fraction(1)})
+        poly_axpy(moved, -lead, {((m + i, 1),): Fraction(1)})
         if nxt[:i] != p[:i] or nxt[i] != moved:
             raise StructuralError(
                 f"basis vector {i} is not triangular in graded coordinates")

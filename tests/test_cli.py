@@ -9,6 +9,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,44 @@ def test_algebra_check(capsys):
     assert main(["algebra", "check", "--algebra", "engel4"]) == 0
     out = capsys.readouterr().out
     assert "dim 4" in out and "step 3" in out and "ok" in out
+
+
+HEISENBERG_JSON = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
+BAD_ALGEBRA_FILES = {
+    # the bracket cases ended in TypeError, AttributeError and
+    # ZeroDivisionError tracebacks, the missing "j" in "error: 'j'", the
+    # missing file in an Errno line naming no flag; the dims printed "ok"
+    "brackets 5": {**HEISENBERG_JSON, "brackets": 5},
+    "brackets [5]": {**HEISENBERG_JSON, "brackets": [5]},
+    "coeffs 5": {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": 5}]},
+    "zero denominator": {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1/0"}}]},
+    "no j": {"dim": 3, "brackets": [{"i": 1, "coeffs": {"3": "1"}}]},
+    "dim -2": {**HEISENBERG_JSON, "dim": -2},
+    "dim 0": {"dim": 0},
+    "dim true": {"dim": True},
+    "not JSON": '{"dim": ',
+    "missing file": None,
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ALGEBRA_FILES))
+def test_algebra_check_refuses_a_bad_json_file_naming_the_flag(tmp_path, capsys, case):
+    path = tmp_path / "algebra.json"
+    content = BAD_ALGEBRA_FILES[case]
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    rc = main(["algebra", "check", "--json", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: --json {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
+def test_algebra_check_reads_a_json_file(tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(HEISENBERG_JSON))
+    assert main(["algebra", "check", "--json", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"
 
 
 def test_metric_ball_artifact(tmp_path, capsys):
@@ -106,7 +145,9 @@ def test_coupling_verify_reads_json_file(tmp_path, capsys):
     obj = json.loads((tmp_path / "verify_heisenberg3-scale2_seed1.json").read_text())
     assert obj["ok"] is True
     capsys.readouterr()
-    for text in ('{"group": ', "[1, 2]"):
+    # a twist neither null nor a string ended in an AttributeError traceback
+    for text in ('{"group": ', "[1, 2]", '{"group": "heisenberg3", "twist": 5}',
+                 '{"group": "heisenberg3", "twist": ["scale2"]}'):
         cp_path.write_text(text)
         rc = main(["coupling", "verify", "--coupling", str(cp_path),
                    "--seed", "1", "--out", str(tmp_path)])
@@ -335,24 +376,45 @@ def test_kappa_command(tmp_path):
     assert lines[0] == "n,samples,fraction_within_eps,median_proxy_dist,seed"
 
 
+DEEP = str(10 ** 30)
+DEEPEST = str(10 ** 200)
 DEEP_DEPTH_RUNS = {
     # --g 1,1,0 at depth 2^24 reported fraction 1.0 from float digits that
     # differed from the exact lane; the peel terms reach about 2^48
-    "main-theorem": (["experiment", "main-theorem", "--g", "1,1,0"],
+    "main-theorem": (["experiment", "main-theorem", "--g", "1,1,0", "--n", "8,16777216"],
                      "error: --g '1,1,0': at depth 16777216, coordinate 2 "),
-    "kappa": (["derivative", "kappa"], "error: at depth 16777216, coordinate 2 "),
+    "kappa": (["derivative", "kappa", "--n", "8,16777216"],
+              "error: at depth 16777216, coordinate 2 "),
+    # these three named no depth; the last also printed a numpy
+    # RuntimeWarning and then a float division error
+    "iterates": (["experiment", "iterates", "--gamma", "e1", "--n", f"8,{DEEP}"],
+                 f"error: at depth {DEEP}, coordinate 0 "),
+    "arbitrary-word": (["experiment", "arbitrary-word", "--word", "e1:n,e2:n",
+                        "--n", "8,100000000"], "error: at depth 100000000, coordinate 2 "),
+    "arbitrary-word past the float range": (
+        ["experiment", "arbitrary-word", "--word", "e1:n,e2:n", "--n", f"8,{DEEPEST}"],
+        f"error: at depth {DEEPEST}, coordinate 0 "),
+    # a float overflow of the depth itself named no depth
+    "iterates past the float range": (
+        ["experiment", "iterates", "--gamma", "e1", "--n", f"8,{10 ** 400}"],
+        f"error: at depth {10 ** 400}, "),
+    "kappa past the float range": (["derivative", "kappa", "--n", f"8,{DEEPEST}"],
+                                   f"error: at depth {DEEPEST}, "),
 }
 
 
 @pytest.mark.parametrize("case", list(DEEP_DEPTH_RUNS))
 def test_deep_depths_are_refused_naming_the_depth(tmp_path, capsys, case):
     args, message = DEEP_DEPTH_RUNS[case]
-    rc = main(args + ["--coupling", "heisenberg-identity", "--n", "8,16777216",
-                      "--seed", "1", "--out", str(tmp_path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(args + ["--coupling", "heisenberg-identity", "--seed", "1",
+                          "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith(message)
     assert "Traceback" not in captured.err
+    assert [str(w.message) for w in caught] == []
     assert not list(tmp_path.iterdir())
 
 
@@ -537,8 +599,9 @@ def test_numeric_flags_fuzz_exit_cleanly(command, data):
 
 
 def test_run_defaults_match_the_experiment_defaults(capsys):
-    # _RUN_DEFAULTS repeats the subparser defaults; a dry run of each shows
-    # both resolved, so neither can drift from the other
+    # run takes its flags and their defaults from the experiment
+    # subcommands; a dry run of each shows both resolved, so a flag of
+    # run that lost its experiment's default shows here
     common = ["--coupling", "heisenberg-identity", "--seed", "1", "--dry-run"]
     for experiment in ("main-theorem", "iterates", "arbitrary-word"):
         plans = []
@@ -637,6 +700,9 @@ FLAG_REFUSALS = {
                                     + ["--word", "e9:n"], "--word 'e9:n'"),
     "arbitrary-word --word schedule": (["experiment", "arbitrary-word"] + SEEDED
                                        + ["--word", "e1:bogus"], "--word 'e1:bogus'"),
+    # a zero multiple of n ended in a ZeroDivisionError traceback
+    "arbitrary-word --word 0n": (["experiment", "arbitrary-word"] + SEEDED
+                                 + ["--word", "e1:0n"], "--word 'e1:0n'"),
 }
 
 

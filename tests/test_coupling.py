@@ -415,6 +415,9 @@ def test_coupling_json_round_trip():
         coupling_from_json({"twist": "scale2"})
     with pytest.raises(StructuralError):
         coupling_from_json({"group": "heisenberg3", "domain": "ball"})
+    for twist in (5, ["scale2"]):  # an AttributeError before twists were checked
+        with pytest.raises(StructuralError, match="twist must be null or"):
+            coupling_from_json({"group": "heisenberg3", "twist": twist})
     with pytest.raises(StructuralError):
         make_coupling("heisenberg3", twist="spin")
 

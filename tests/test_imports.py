@@ -124,3 +124,23 @@ def test_benchmark_reads_only_names_the_package_has():
     missing = [f"nilcone.{mod}.{name}" for mod, name in sorted(reads)
                if not hasattr(importlib.import_module(f"nilcone.{mod}"), name)]
     assert not missing, f"perfbench reads {', '.join(missing)}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name is its module's own: another module that needs it
+    # needs it public, or the name belongs in that module
+    bad = []
+    for path in sorted((ROOT / "src" / "nilcone").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # package modules imported whole: from . import ratlin
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:
+                    modules |= {a.asname or a.name for a in node.names}
+                    continue
+                bad += [f"{path.name}: {node.module}.{a.name}"
+                        for a in node.names if a.name.startswith("_")]
+        bad += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules]
+    assert bad == []
