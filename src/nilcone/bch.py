@@ -8,6 +8,9 @@ ratlin.IntPolys table of the nonlinear terms (GroupLaw.table), the linear
 part added apart.  Exact operands (Fractions and ints) are multiplied
 through it on integer numerators; float operands through its float
 coefficients, term by term, as kernels.bch_batch does on float columns.
+
+A group element is its coordinate tuple (GroupPoint only wraps it), and
+every product is GroupLaw.mul, inv, pow or comm on coordinates.
 """
 
 from __future__ import annotations
@@ -109,7 +112,6 @@ class GroupLaw:
 
     law: str
     dim: int
-    degrees: tuple[int, ...]
     polys: tuple  # tuple of (mono, coeff) tuples per coordinate
 
     @cached_property
@@ -208,13 +210,11 @@ class NilpotentGroup:
         self.law_group = GroupLaw(
             law="group",
             dim=self.dim,
-            degrees=self.degrees,
             polys=_freeze_polys(group_polys, self.dim),
         )
         self.law_graded = GroupLaw(
             law="graded",
             dim=self.dim,
-            degrees=self.degrees,
             polys=_freeze_polys(graded_polys, self.dim),
         )
 
@@ -275,51 +275,12 @@ def get_group(name_or_spec) -> NilpotentGroup:
 
 @dataclass(frozen=True)
 class GroupPoint:
-    """A group element: exponential coordinates, law tag, algebra id."""
+    """A group element as its exponential coordinates in the adapted basis;
+    its group and its law (original or graded) are the caller's."""
 
     coords: tuple
-    law: str
-    algebra: str
-
-    def __post_init__(self):
-        if self.law not in ("group", "graded"):
-            raise StructuralError(f"unknown law tag {self.law!r}")
 
 
-def point(coords, law: str, algebra) -> GroupPoint:
-    grp = get_group(algebra)
-    coords = tuple(coords)
-    if len(coords) != grp.dim:
-        raise StructuralError(
-            f"expected {grp.dim} coordinates for {grp.name}, got {len(coords)}"
-        )
-    return GroupPoint(coords=coords, law=law, algebra=grp.name)
-
-
-def _resolve(a: GroupPoint, b: GroupPoint | None = None) -> GroupLaw:
-    if b is not None:
-        if a.algebra != b.algebra:
-            raise StructuralError(f"algebra mismatch: {a.algebra} vs {b.algebra}")
-        if a.law != b.law:
-            raise StructuralError(f"law mismatch: {a.law} vs {b.law}")
-    return get_group(a.algebra).law(a.law)
-
-
-def bch_product(a: GroupPoint, b: GroupPoint) -> GroupPoint:
-    law = _resolve(a, b)
-    return GroupPoint(law.mul(a.coords, b.coords), a.law, a.algebra)
-
-
-def inverse(a: GroupPoint) -> GroupPoint:
-    law = _resolve(a)
-    return GroupPoint(law.inv(a.coords), a.law, a.algebra)
-
-
-def power(a: GroupPoint, n) -> GroupPoint:
-    law = _resolve(a)
-    return GroupPoint(law.pow(a.coords, n), a.law, a.algebra)
-
-
-def commutator(a: GroupPoint, b: GroupPoint) -> GroupPoint:
-    law = _resolve(a, b)
-    return GroupPoint(law.comm(a.coords, b.coords), a.law, a.algebra)
+def coords_of(g) -> tuple:
+    """The coordinates of a GroupPoint or of any sequence, as a tuple."""
+    return g.coords if isinstance(g, GroupPoint) else tuple(g)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ratlin
 from .algebra import StructuralError, bracket
-from .bch import GroupPoint, NilpotentGroup, get_group
+from .bch import GroupPoint, NilpotentGroup, coords_of, get_group
 from .kernels import bch_batch, law_table
 from .wordmetric import (
     LatticeSpec,
@@ -188,7 +188,7 @@ def _reduce(coupling: CouplingSpec, omega) -> tuple[tuple[int, ...], GroupPoint]
     digits, u = right_peel(coupling.lambda_lattice,
                            twist.apply(coords) if twist is not None else coords)
     x = twist.inverse().apply(u) if twist is not None else u
-    return digits, GroupPoint(tuple(x), "group", coupling.group)
+    return digits, GroupPoint(tuple(x))
 
 
 def reduce_to_domain(coupling: CouplingSpec, omega) -> tuple[GroupPoint, GroupPoint]:
@@ -244,10 +244,8 @@ def beta(coupling: CouplingSpec, lam, y) -> GroupPoint:
     """Mirror cocycle: the left-lattice element for the lam-action on y."""
     moved = lambda_action(coupling, lam, y)
     digits = peel_digits(coupling.gamma_lattice, moved, side="left")
-    grp = coupling.ambient()
     hat = digits_to_point(coupling.gamma_lattice, digits, order="asc")
-    law = grp.law_group
-    return GroupPoint(law.inv(hat.coords), "group", grp.name)
+    return GroupPoint(coupling.ambient().law_group.inv(hat.coords))
 
 
 # ------------------------------------------------------------ float layer
@@ -410,7 +408,7 @@ def integrability_estimate(coupling: CouplingSpec, s, samples: int, seed: int,
     """Monte Carlo mean word norm of alpha(s, .) with a normal CI."""
     ck = coupling_kernels(coupling)
     x = domain_samples(coupling, samples, seed, workers)
-    coords = s.coords if isinstance(s, GroupPoint) else tuple(s)
+    coords = coords_of(s)
     digits, _ = ck.alpha_digits(coords, x)
     norms = _word_norm_proxy(coupling, digits)
     mean = float(norms.mean())
@@ -501,13 +499,11 @@ def verify_coupling(coupling: CouplingSpec, samples: int = 200,
 
     qualify = 0
     agree = 0
+    # y-side roles need both points inside the left-action box
+    y_leads = coupling.gamma_lattice.leads()
     for _ in range(triple_count):
         g, x = rand_point(1), rand_x()
-        if not in_domain(coupling, x):
-            continue
         x2 = induced_action(coupling, g, x)
-        # y-side roles need both points inside the left-action box
-        y_leads = coupling.gamma_lattice.leads()
         if not all(0 <= c < e for c, e in zip(x2.coords, y_leads)):
             continue
         if not all(0 <= c < e for c, e in zip(x, y_leads)):

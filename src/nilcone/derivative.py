@@ -25,7 +25,7 @@ from functools import cache
 import numpy as np
 
 from .algebra import StructuralError, bracket
-from .bch import GroupPoint, NilpotentGroup, get_group
+from .bch import GroupPoint, NilpotentGroup, coords_of, get_group
 from .coupling import (
     DEFAULT_WORKERS,
     CouplingKernels,
@@ -76,12 +76,8 @@ def strictly_decreasing(values) -> bool:
     return all(b < a for a, b in zip(v, v[1:]))
 
 
-def _coords_of(g) -> tuple:
-    return g.coords if isinstance(g, GroupPoint) else tuple(g)
-
-
 def _float_coords(g) -> np.ndarray:
-    return np.asarray([float(c) for c in _coords_of(g)], dtype=np.float64)
+    return np.asarray([float(c) for c in coords_of(g)], dtype=np.float64)
 
 
 def _abelian_indices(grp: NilpotentGroup) -> list[int]:
@@ -134,7 +130,7 @@ def mean_abelianization(coupling: CouplingSpec, gamma, samples: int, seed: int,
         raise StructuralError("samples must be >= 1")
     x = domain_samples(coupling, samples, seed, workers, _TAG_MEAN_AB, side=side)
     vec, ci = _abelian_mean_ci(coupling_kernels(coupling), coupling.ambient(),
-                               _coords_of(gamma), x, side)
+                               coords_of(gamma), x, side)
     return MeanAbelianization(vector=vec, ci=ci, samples=samples, seed=seed)
 
 
@@ -238,7 +234,7 @@ def phi_batch(deriv: PansuDerivative, points) -> np.ndarray:
 def phi_apply(deriv: PansuDerivative, g) -> GroupPoint:
     """Image of a graded-group point under the derivative map."""
     img = phi_batch(deriv, _float_coords(g)[None, :])[0]
-    return GroupPoint(tuple(img.tolist()), "graded", get_group(deriv.target).name)
+    return GroupPoint(tuple(img.tolist()))
 
 
 # ---------------------------------------------------------------- reports
@@ -357,9 +353,12 @@ class IterateReport:
     seed: int
 
     def medians_decreasing(self) -> bool:
-        """Both decaying medians, commutator part and distance, fall strictly."""
-        return (strictly_decreasing([r.median_com_over_n for r in self.rows])
-                and strictly_decreasing([r.median_scl_dist for r in self.rows]))
+        """Both decaying medians, commutator part and distance, fall strictly
+        from depth to depth, or stay at exactly 0 once there."""
+        return all(b < a or a == b == 0
+                   for col in ([r.median_com_over_n for r in self.rows],
+                               [r.median_scl_dist for r in self.rows])
+                   for a, b in zip(col, col[1:]))
 
     def csv_rows(self):
         header = ["n", "samples", "median_ab_dev", "median_com_over_n",
@@ -423,13 +422,13 @@ def _lattice_word(lattice, terms) -> GroupPoint:
     for idx, e in terms:
         if e:
             acc = law.mul(acc, law.pow(lattice.basis[idx % d], e if idx < d else -e))
-    return GroupPoint(acc, "group", grp.name)
+    return GroupPoint(acc)
 
 
 def gamma_sequence(grad, lattice, g, n: int) -> GroupPoint:
     """The depth-n lattice approximant: the Mal'cev rounding of delta_n g,
     computed exactly."""
-    dil = tuple(Fraction(c) * n ** deg for c, deg in zip(_coords_of(g), grad.degrees))
+    dil = tuple(Fraction(c) * n ** deg for c, deg in zip(coords_of(g), grad.degrees))
     return round_to_lattice(lattice, dil)
 
 
@@ -477,7 +476,7 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
     return ConvergenceReport(
         experiment="main-theorem", rows=rows, seed=seed, eps=eps,
         meta={"coupling": coupling.name,
-              "g": ",".join(str(float(c)) for c in _coords_of(g))},
+              "g": ",".join(str(float(c)) for c in coords_of(g))},
     )
 
 

@@ -20,13 +20,13 @@ from functools import cache, reduce
 from itertools import product
 
 from .algebra import StructuralError
-from .bch import GroupPoint, NilpotentGroup, get_group
+from .bch import GroupPoint, NilpotentGroup, coords_of, get_group
 from .ratlin import Mat, spanning_inverse
 
 
 def quasi_norm_m(grad, g) -> float:
     """Homogeneous quasi-norm max_i |x_i|**(1/d_i) for a Gradation."""
-    coords = g.coords if isinstance(g, GroupPoint) else tuple(g)
+    coords = coords_of(g)
     best = 0.0
     for c, d in zip(coords, grad.degrees):
         v = abs(float(c)) ** (1.0 / d)
@@ -82,7 +82,7 @@ def generating_set(group: NilpotentGroup) -> list[GroupPoint]:
             coords = tuple(
                 Fraction(sign) if k == j else Fraction(0) for k in range(m)
             )
-            out.append(GroupPoint(coords, "graded", group.name))
+            out.append(GroupPoint(coords))
     return out
 
 
@@ -98,7 +98,7 @@ def evaluate_factorization(group: NilpotentGroup, fact: Factorization) -> GroupP
     acc = (0.0,) * group.dim
     for idx, a in fact.terms:
         acc = group.law_graded.mul(acc, _letter(group, idx, a))
-    return GroupPoint(acc, "graded", group.name)
+    return GroupPoint(acc)
 
 
 def _invert_word(d: int, letters: tuple) -> tuple:
@@ -152,7 +152,7 @@ def horizontal_factorization(group, g, order: str = "asc",
     ``tol`` after ``max_passes`` passes.
     """
     group = get_group(group)
-    coords = g.coords if isinstance(g, GroupPoint) else tuple(g)
+    coords = coords_of(g)
     if len(coords) != group.dim:
         raise StructuralError(f"expected {group.dim} coordinates for {group.name}")
     if order not in ("asc", "desc"):

@@ -46,7 +46,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .algebra import StructuralError
-from .bch import GroupPoint, get_group
+from .bch import GroupPoint, coords_of, get_group
 from .ratlin import INT64_LIMIT, CapExceeded, IntPolys, Poly, numerators, poly_axpy, poly_mul
 
 
@@ -164,8 +164,8 @@ def standard_lattice(group, name: str | None = None) -> LatticeSpec:
         basis.append(tuple(found))
     gens = []
     for j in range(d):
-        gens.append(GroupPoint(basis[j], "group", grp.name))
-        gens.append(GroupPoint(law.inv(basis[j]), "group", grp.name))
+        gens.append(GroupPoint(basis[j]))
+        gens.append(GroupPoint(law.inv(basis[j])))
     return LatticeSpec(
         name=name or f"{grp.name}-lattice",
         group=grp.name,
@@ -179,7 +179,7 @@ def fraction_coords(g, dim: int | None = None) -> tuple[Fraction, ...]:
 
     With dim given, a point of any other length is a StructuralError.
     """
-    coords = g.coords if isinstance(g, GroupPoint) else tuple(g)
+    coords = coords_of(g)
     if dim is not None and len(coords) != dim:
         raise StructuralError(f"expected {dim} coordinates")
     return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
@@ -246,7 +246,7 @@ def digits_to_point(lat: LatticeSpec, digits, order: str = "desc") -> GroupPoint
     vals = [int(c) for c in digits]
     if len(vals) != lat.dim:
         raise StructuralError(f"expected {lat.dim} digits, got {len(vals)}")
-    return GroupPoint(lat.polys.exp[order].at(vals), "group", lat.group)
+    return GroupPoint(lat.polys.exp[order].at(vals))
 
 
 def _integral_digits(lat: LatticeSpec, g):

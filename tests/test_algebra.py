@@ -1,10 +1,13 @@
 """Algebra presentations, validation, gradation, and dilations."""
 
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from nilcone import algebra
 from nilcone.algebra import (
     BUILTIN_ALGEBRAS,
     NilpotentAlgebraSpec,
@@ -76,6 +79,50 @@ def test_rejects_non_nilpotent_table():
     report = validate_algebra(spec)
     assert not report.ok
     assert report.nonnilpotent_witness is not None
+
+
+def _random_spec(rng):
+    dim = rng.randint(3, 6)
+    brackets = {}
+    for _ in range(rng.randint(0, 5)):
+        i, j = rng.sample(range(1, dim + 1), 2)
+        brackets[i, j] = {rng.randint(1, dim): rng.choice((-2, -1, 1, Fraction(1, 2)))}
+    return NilpotentAlgebraSpec.from_brackets(dim, brackets)
+
+
+def test_jacobi_violations_match_brute_force():
+    rng = random.Random(7)
+    violated = 0
+    for _ in range(200):
+        spec = _random_spec(rng)
+        tensor, dim = spec.tensor(), spec.dim
+        e = [tuple(Fraction(int(k == i)) for k in range(dim)) for i in range(dim)]
+
+        def br(v, w):
+            return bracket(tensor, dim, v, w)
+
+        want = tuple(
+            (a + 1, b + 1, c + 1) for a, b, c in combinations(range(dim), 3)
+            if any(x + y + z for x, y, z in zip(br(e[a], br(e[b], e[c])),
+                                                 br(e[b], br(e[c], e[a])),
+                                                 br(e[c], br(e[a], e[b])))))
+        assert validate_algebra(spec).jacobi_violations == want
+        violated += bool(want)
+    assert violated > 50
+
+
+def test_jacobi_skips_triples_of_commuting_pairs(monkeypatch):
+    # the lower central series brackets dim^2 pairs; Jacobi adds none here
+    dim = 120
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        assert len(calls) <= dim * dim, "Jacobi bracketed a commuting triple"
+        return bracket(*args)
+
+    monkeypatch.setattr(algebra, "bracket", counted)
+    assert validate_algebra(NilpotentAlgebraSpec.from_brackets(dim, {})).ok
 
 
 def test_gradation_rejects_invalid():
@@ -150,7 +197,8 @@ def test_bracket_t_equals_graded_when_homogeneous():
 
 def test_spec_json_round_trip():
     for spec in BUILTIN_ALGEBRAS.values():
-        again = NilpotentAlgebraSpec.from_json(spec.to_json())
+        text = json.dumps(spec.to_json_dict(), sort_keys=True)
+        again = NilpotentAlgebraSpec.from_json_dict(json.loads(text))
         assert again.dim == spec.dim
         assert again.tensor() == spec.tensor()
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from matrix_models import MODELS
 from nilcone.algebra import NilpotentAlgebraSpec, StructuralError
-from nilcone.bch import GroupPoint, bch_product, commutator, get_group, point
+from nilcone.bch import get_group
 
 GROUPS = ("heisenberg3", "heisenberg5", "engel4", "free_nilpotent_2_3",
           "abelian2")
@@ -176,25 +176,6 @@ def test_heisenberg_graded_equals_group():
         a = rand_pt(rng, 3)
         b = rand_pt(rng, 3)
         assert grp.law_group.mul(a, b) == grp.law_graded.mul(a, b)
-
-
-def test_point_wrappers():
-    g = point((1, 0, 0), "group", "heisenberg3")
-    h = point((0, 1, 0), "group", "heisenberg3")
-    prod = bch_product(g, h)
-    assert prod.coords == (1, 1, Fraction(1, 2))
-    assert commutator(g, h).coords == (0, 0, 1)
-    with pytest.raises(StructuralError):
-        point((1, 0), "group", "heisenberg3")
-    with pytest.raises(StructuralError):
-        GroupPoint((1, 0, 0), "no_such_law", "heisenberg3")
-
-
-def test_mixed_law_product_rejected():
-    g = point((1, 0, 0), "group", "heisenberg3")
-    h = point((0, 1, 0), "graded", "heisenberg3")
-    with pytest.raises(StructuralError):
-        bch_product(g, h)
 
 
 coord = st.fractions(

@@ -228,6 +228,16 @@ def test_control_target_fails_with_exit_two(tmp_path):
     assert rc == 2
 
 
+def test_iterates_on_a_converged_coupling_exits_0(tmp_path, capsys):
+    # on z2-identity the commutator part and the distance are 0 at every depth
+    rc = main(["experiment", "iterates", "--coupling", "z2-identity",
+               "--seed", "1", "--samples", "64", "--n", "8,16",
+               "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert "com/n=0.0 scl_dist=0.0" in out
+    assert rc == 0
+
+
 def test_dry_run_emits_plan_without_artifacts(tmp_path, capsys):
     out = tmp_path / "never"
     rc = main(["experiment", "iterates", "--coupling", "heisenberg-identity",

@@ -17,8 +17,6 @@ READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py"]
 # Public names kept although no reader names them.
 UNREACHED_ALLOWED = {
-    # the typed point API of bch
-    "point", "bch_product", "power", "commutator",
     # the oracle the factorization tests check the peel against
     "evaluate_factorization",
 }

@@ -179,7 +179,7 @@ def test_one_sided_generators_match_brute_force():
     law = get_group("heisenberg3").law_group
     lat = builtin_lattice("heisenberg3")
     e1, e2 = lat.generators[0], lat.generators[2]
-    back = GroupPoint(law.inv(law.mul(e1.coords, e2.coords)), "group", lat.group)
+    back = GroupPoint(law.inv(law.mul(e1.coords, e2.coords)))
     lat = LatticeSpec(name="one-sided", group=lat.group, basis=lat.basis,
                       generators=(e1, e2, back))
     assert tuple(ball_profile(lat, 6).sizes()) == brute_force_ball_sizes(lat, 6)
@@ -353,7 +353,7 @@ def test_word_norms_of_digit_rows_match_word_norm_bfs():
 def test_digit_overflow_is_refused_not_wrapped():
     grp = get_group("heisenberg3")
     big = 1 << 40
-    gens = tuple(GroupPoint(tuple(Fraction(v) for v in coords), "group", grp.name)
+    gens = tuple(GroupPoint(tuple(Fraction(v) for v in coords))
                  for coords in ((big, 0, 0), (-big, 0, 0), (0, 1, 0), (0, -1, 0)))
     lat = LatticeSpec(name="wide", group=grp.name,
                       basis=builtin_lattice("heisenberg3").basis, generators=gens)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nilcone.algebra import NilpotentAlgebraSpec, StructuralError
-from nilcone.bch import NilpotentGroup, bch_product, get_group, point
+from nilcone.bch import NilpotentGroup, get_group
 from nilcone.coupling import CouplingSpec, builtin_coupling, coupling_kernels
 from nilcone.geometry import evaluate_factorization, horizontal_factorization
 from nilcone.kernels import law_table
@@ -78,9 +78,7 @@ def test_unnamed_specs_get_distinct_resolvable_names():
     for grp in groups:
         assert grp.name.startswith("algebra3-")
         assert get_group(grp.name) is grp
-        e1 = point((1, 0, 0), "group", grp.name)
-        e2 = point((0, 1, 0), "group", grp.name)
-        assert bch_product(e1, e2).coords[:2] == (1, 1)
+        assert get_group(grp.name).law_group.mul((1, 0, 0), (0, 1, 0))[:2] == (1, 1)
         fact = horizontal_factorization(grp, (0, 0, Fraction(1)))
         assert [idx for idx, _ in fact.terms] == [0, 1, 2, 3]
         back = evaluate_factorization(grp, fact).coords
