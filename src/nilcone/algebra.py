@@ -18,6 +18,7 @@ from .ratlin import Mat, Vec
 # Structure constants: canonical form keeps only i < j (0-based), each
 # value a map target-index -> nonzero rational coefficient.
 Tensor = dict[tuple[int, int], dict[int, Fraction]]
+MAX_JSON_DIM = 1000  # validation builds dim x dim Fraction matrices first
 
 
 class StructuralError(ValueError):
@@ -104,8 +105,10 @@ class NilpotentAlgebraSpec:
         StructuralError."""
         try:
             dim = obj["dim"]
-            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-                raise StructuralError(f"dim must be an integer >= 1, got {dim!r}")
+            if (isinstance(dim, bool) or not isinstance(dim, int)
+                    or not 1 <= dim <= MAX_JSON_DIM):
+                raise StructuralError(
+                    f"dim must be an integer from 1 to {MAX_JSON_DIM}, got {dim!r}")
             brackets: dict = {}
             for entry in obj.get("brackets", []):
                 i, j = int(entry["i"]), int(entry["j"])
@@ -214,10 +217,10 @@ def _series_terms(tensor: Tensor, dim: int) -> list[Mat]:
     current, _ = ratlin.rref(ratlin.identity(dim))
     terms = [current]
     full = ratlin.identity(dim)
+    active = sorted({i for pair in tensor for i in pair})  # other e_i bracket to 0
     while True:
-        generated = [
-            bracket(tensor, dim, x, w) for x in full for w in terms[-1]
-        ]
+        generated = [bracket(tensor, dim, full[i], w)
+                     for i in active for w in terms[-1]]
         nxt, _ = ratlin.rref([g for g in generated if not ratlin.is_zero_vec(g)])
         terms.append(nxt)
         if len(nxt) == 0 or len(nxt) == len(terms[-2]):

@@ -4,9 +4,7 @@ Exit codes: 0 success, 1 structural/config error, 2 assertion failure
 (a trend or threshold an experiment was asked to certify did not hold).
 Every subcommand accepts --dry-run, which prints the resolved plan and
 performs no computation.  Identical configs and seeds produce
-byte-identical artifacts; the worker count is part of the config (it
-shapes the sample stream), so it defaults to a fixed 4 rather than to
-machine parallelism.
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .algebra import StructuralError, builtin_algebra, validate_algebra
 from .algebra import NilpotentAlgebraSpec
 from .bch import get_group
 from .coupling import (
-    DEFAULT_WORKERS,
     CouplingSpec,
     builtin_coupling,
     coupling_from_json,
@@ -160,7 +157,7 @@ def _parse_box(text: str, dim: int):
     return tuple(pairs)
 
 
-_COUNT_FLAGS = ("samples", "phi_samples", "triples", "horizon", "workers")
+_COUNT_FLAGS = ("samples", "phi_samples", "triples", "horizon")
 
 
 def _require_counts(args) -> None:
@@ -224,14 +221,11 @@ def _emit_plan(args, **extra) -> bool:
     return False
 
 
-def _add_common(p, seed: bool = False, workers: bool = False):
+def _add_common(p, seed: bool = False):
     p.add_argument("--dry-run", action="store_true",
                    help="print the resolved plan and exit")
     p.add_argument("--out", default=None,
                    help="artifact directory (default $NILCONE_OUT or ./out)")
-    if workers:  # only commands that split their samples into streams
-        p.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
-                       help="worker streams shaping the sample split")
     if seed:
         p.add_argument("--seed", type=int, required=True,
                        help="root seed (required, no implicit entropy)")
@@ -323,15 +317,16 @@ def _cmd_derivative_estimate(args) -> int:
     if _emit_plan(args, coupling=cp.name):
         return EXIT_OK
     grp = cp.ambient()
-    gamma = (_parse_point(grp, "--gamma", args.gamma, finite=True)
-             if args.gamma else None)
-    gens = generating_set(grp)
+    ma = None
+    if args.gamma:  # refused before any artifact is written
+        gamma = _parse_point(grp, "--gamma", args.gamma, finite=True)
+        with _naming("--gamma", args.gamma, PrecisionLimit):
+            ma = mean_abelianization(cp, gamma, args.samples, args.seed)
     header = ["generator", "mean_norm", "ci_low", "ci_high", "samples", "seed"]
     rows = []
-    for i, s in enumerate(gens):
+    for i, s in enumerate(generating_set(grp)):
         label = f"s{i + 1}" if i < grp.abelian_dim else f"s{i - grp.abelian_dim + 1}_inv"
-        rep = integrability_estimate(cp, s, args.samples, args.seed,
-                                     args.workers, label=label)
+        rep = integrability_estimate(cp, s, args.samples, args.seed, label=label)
         rows.append(rep.csv_row())
         print(f"{label}: mean |alpha| = {rep.mean:.4f} "
               f"[{rep.ci_low:.4f}, {rep.ci_high:.4f}]")
@@ -339,10 +334,8 @@ def _cmd_derivative_estimate(args) -> int:
         _out_dir(args) / f"integrability_{cp.name}_seed{args.seed}.csv",
         header, rows)
     print(f"wrote {path}")
-    if gamma:
-        ma = mean_abelianization(cp, gamma, args.samples, args.seed, args.workers)
-        print("mean abelianization:",
-              ",".join(repr(v) for v in ma.vector))
+    if ma is not None:
+        print("mean abelianization:", ",".join(repr(v) for v in ma.vector))
     return EXIT_OK
 
 
@@ -352,8 +345,7 @@ def _cmd_derivative_phi(args) -> int:
         return EXIT_OK
     grp = cp.ambient()
     g = _parse_point(grp, "--g", args.g, finite=True) if args.g else None
-    deriv = build_phi(cp, args.samples, args.seed, args.workers,
-                      side=args.side)
+    deriv = build_phi(cp, args.samples, args.seed, side=args.side)
     img = None if g is None else phi_apply(deriv, g).coords
     if img is not None and not all(math.isfinite(c) for c in img):
         raise StructuralError(f"--g {args.g!r}: its image {img} is not finite")
@@ -383,10 +375,9 @@ def _cmd_derivative_kappa(args) -> int:
     if _emit_plan(args, coupling=cp.name):
         return EXIT_OK
     n_list = _parse_int_list(args.n)
-    deriv = build_phi(cp, args.phi_samples, args.seed, args.workers)
+    deriv = build_phi(cp, args.phi_samples, args.seed)
     rep = kappa_grid(cp, deriv, args.samples, n_list,
-                     args.radius, args.grid_step, args.seed, eps=args.eps,
-                     workers=args.workers)
+                     args.radius, args.grid_step, args.seed, eps=args.eps)
     header, rows = rep.csv_rows()
     path = reports.write_csv(
         _out_dir(args) / f"kappa_{cp.name}_seed{args.seed}.csv", header, rows)
@@ -428,11 +419,10 @@ def _run_main_theorem(args, cp: CouplingSpec) -> int:
     target = (_parse_point(grp, "--target", args.target, finite=True)
               if args.target else None)
     n_list = _parse_int_list(args.n)
-    deriv = build_phi(cp, args.phi_samples, args.seed, args.workers)
+    deriv = build_phi(cp, args.phi_samples, args.seed)
     with _naming("--g", args.g, PrecisionLimit):
         rep = main_theorem_experiment(
-            cp, deriv, g, n_list, args.eps, args.samples,
-            args.seed, args.workers, target=target)
+            cp, deriv, g, n_list, args.eps, args.samples, args.seed, target=target)
     header, rows = rep.csv_rows()
     stem = f"main-theorem_{cp.name}_seed{args.seed}"
     path = reports.write_csv(_out_dir(args) / f"{stem}.csv", header, rows)
@@ -452,8 +442,9 @@ def _run_main_theorem(args, cp: CouplingSpec) -> int:
 def _run_iterates(args, cp: CouplingSpec) -> int:
     grp = cp.ambient()
     gamma = _parse_point(grp, "--gamma", args.gamma, finite=True)
-    rep = iterate_diagnostics(cp, gamma, _parse_int_list(args.n),
-                              args.samples, args.seed, args.workers)
+    n_list = _parse_int_list(args.n)
+    with _naming("--gamma", args.gamma, PrecisionLimit):
+        rep = iterate_diagnostics(cp, gamma, n_list, args.samples, args.seed)
     header, rows = rep.csv_rows()
     stem = f"iterates_{cp.name}_seed{args.seed}"
     path = reports.write_csv(_out_dir(args) / f"{stem}.csv", header, rows)
@@ -469,8 +460,7 @@ def _run_iterates(args, cp: CouplingSpec) -> int:
 def _run_arbitrary_word(args, cp: CouplingSpec) -> int:
     word = _parse_word(cp.ambient(), args.word)
     rep = arbitrary_element_experiment(cp, word, _parse_int_list(args.n),
-                                       args.samples, args.seed, eps=args.eps,
-                                       workers=args.workers)
+                                       args.samples, args.seed, eps=args.eps)
     header, rows = rep.csv_rows()
     stem = f"arbitrary-word_{cp.name}_seed{args.seed}"
     path = reports.write_csv(_out_dir(args) / f"{stem}.csv", header, rows)
@@ -609,7 +599,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coupling", required=True)
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--gamma", default=None)
-    _add_common(p, seed=True, workers=True)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_derivative_estimate)
     p = dv_sub.add_parser("phi",
                           help="estimate the derivative map")
@@ -617,7 +607,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=1 << 14)
     p.add_argument("--side", choices=("alpha", "beta"), default="alpha")
     p.add_argument("--g", default=None, help="optionally apply to this point")
-    _add_common(p, seed=True, workers=True)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_derivative_phi)
     p = dv_sub.add_parser("kappa",
                           help="sup-distance grids for the rescaled cocycle")
@@ -628,7 +618,7 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=_finite_float, default=2.0)
     p.add_argument("--grid-step", type=_finite_float, default=0.5)
     p.add_argument("--eps", type=_finite_float, default=0.3)
-    _add_common(p, seed=True, workers=True)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_derivative_kappa)
     p = dv_sub.add_parser("recurrence",
                           help="lattice return-time search near a cone point")
@@ -661,7 +651,7 @@ def build_parser() -> _Parser:
         else:
             p.add_argument("--word", default="e1:n,e2:sqrt")
             p.add_argument("--eps", type=_finite_float, default=0.2)
-        _add_common(p, seed=True, workers=True)
+        _add_common(p, seed=True)
         p.set_defaults(func=_cmd_experiment, experiment=name)
         for a in p._actions:
             if a.option_strings and a.dest not in ("help", "dry_run"):
@@ -693,8 +683,9 @@ def main(argv=None) -> int:
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (CapExceeded, OSError, ValueError, KeyError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)  # StructuralError is a ValueError too
+    except (CapExceeded, MemoryError, OSError, ValueError, KeyError,
+            OverflowError) as exc:  # StructuralError is a ValueError too
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -310,12 +310,6 @@ def seed_lineage(seed: int, *tags: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(int(seed), spawn_key=tuple(int(t) for t in tags))
 
 
-def _chunk_sizes(n: int, workers: int) -> list[int]:
-    base = n // workers
-    rem = n % workers
-    return [base + (1 if i < rem else 0) for i in range(workers)]
-
-
 def domain_samples(coupling: CouplingSpec, n: int, seed: int,
                    workers: int = DEFAULT_WORKERS, *tags: int,
                    side: str = "alpha") -> np.ndarray:
@@ -328,6 +322,9 @@ def domain_samples(coupling: CouplingSpec, n: int, seed: int,
     function of (seed, workers, tags).  Workers shape the stream only;
     execution is sequential.  The array is column-major, the layout
     of the batch kernels.
+
+    The package passes DEFAULT_WORKERS; workers stays positional because
+    the benchmark passes 4 there, which would otherwise become a spawn tag.
     """
     if n < 1:
         raise StructuralError("need at least one sample")
@@ -341,10 +338,10 @@ def domain_samples(coupling: CouplingSpec, n: int, seed: int,
     else:
         raise StructuralError(f"unknown cocycle side {side!r}")
     u = np.empty((n, len(leads)), dtype=np.float64, order="F")
+    base, rem = divmod(n, workers)
     start = 0
-    for w, size in enumerate(_chunk_sizes(n, workers)):
-        if size == 0:
-            continue
+    for w in range(workers):
+        size = base + (w < rem)  # the first rem workers draw one more
         rng = np.random.Generator(np.random.PCG64(seed_lineage(seed, *tags, w)))
         # the bits of rng.uniform(0, leads), which computes 0.0 + leads * U
         np.multiply(rng.random((size, len(leads))), leads, out=u[start:start + size])
@@ -403,11 +400,10 @@ def _word_norm_proxy(coupling: CouplingSpec, digit_rows: np.ndarray) -> np.ndarr
 
 
 def integrability_estimate(coupling: CouplingSpec, s, samples: int, seed: int,
-                           workers: int = DEFAULT_WORKERS,
                            label: str | None = None) -> IntegrabilityReport:
     """Monte Carlo mean word norm of alpha(s, .) with a normal CI."""
     ck = coupling_kernels(coupling)
-    x = domain_samples(coupling, samples, seed, workers)
+    x = domain_samples(coupling, samples, seed)
     coords = coords_of(s)
     digits, _ = ck.alpha_digits(coords, x)
     norms = _word_norm_proxy(coupling, digits)

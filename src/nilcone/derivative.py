@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 
@@ -34,7 +34,7 @@ from .coupling import (
     domain_samples,
     seed_lineage,
 )
-from .geometry import generating_set, quasi_norm_m
+from .geometry import generating_set
 from .kernels import bch_batch, dilate_batch, law_table, quasi_norm_batch
 from .ratlin import identity, spanning_inverse
 from .wordmetric import PrecisionLimit, ball_points, digits_to_point, lane_coords
@@ -80,10 +80,6 @@ def _float_coords(g) -> np.ndarray:
     return np.asarray([float(c) for c in coords_of(g)], dtype=np.float64)
 
 
-def _abelian_indices(grp: NilpotentGroup) -> list[int]:
-    return [i for i, d in enumerate(grp.degrees) if d == 1]
-
-
 def _graded_dist(grp: NilpotentGroup, points: np.ndarray,
                  target: np.ndarray) -> np.ndarray:
     """Proxy distances from each row to its target row, or to one target
@@ -107,14 +103,14 @@ class MeanAbelianization:
 def _abelian_mean_ci(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
                      x: np.ndarray, side: str
                      ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Sample mean and 95% normal half-width of the abelian cocycle coords
-    (side "alpha" or "beta", checked where x was drawn)."""
+    """Sample mean and 95% normal half-width of the abelian cocycle coords,
+    the first abelian_dim (side "alpha" or "beta", checked where x was drawn)."""
     samples = x.shape[0]
     g = _float_coords(gamma_coords)[None]
     lam = ck.alpha_coords(g, x) if side == "alpha" else ck.beta_coords(g, x)
     vec = [0.0] * grp.dim
     ci = [0.0] * grp.dim
-    for i in _abelian_indices(grp):
+    for i in range(grp.abelian_dim):
         col = lam[:, i]
         vec[i] = float(col.mean())
         sd = float(col.std(ddof=1)) if samples > 1 else 0.0
@@ -122,15 +118,14 @@ def _abelian_mean_ci(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
     return tuple(vec), tuple(ci)
 
 
-def mean_abelianization(coupling: CouplingSpec, gamma, samples: int, seed: int,
-                        workers: int = DEFAULT_WORKERS,
-                        side: str = "alpha") -> MeanAbelianization:
-    """Average of the abelian coordinates of the cocycle at gamma."""
+def mean_abelianization(coupling: CouplingSpec, gamma, samples: int,
+                        seed: int) -> MeanAbelianization:
+    """Average of the abelian coordinates of the cocycle alpha at gamma."""
     if samples < 1:
         raise StructuralError("samples must be >= 1")
-    x = domain_samples(coupling, samples, seed, workers, _TAG_MEAN_AB, side=side)
+    x = domain_samples(coupling, samples, seed, DEFAULT_WORKERS, _TAG_MEAN_AB)
     vec, ci = _abelian_mean_ci(coupling_kernels(coupling), coupling.ambient(),
-                               coords_of(gamma), x, side)
+                               coords_of(gamma), x, "alpha")
     return MeanAbelianization(vector=vec, ci=ci, samples=samples, seed=seed)
 
 
@@ -207,11 +202,10 @@ def _linear_map(src: NilpotentGroup, tgt: NilpotentGroup, entries) -> np.ndarray
 
 
 def build_phi(coupling: CouplingSpec, samples: int, seed: int,
-              workers: int = DEFAULT_WORKERS,
               side: str = "alpha") -> PansuDerivative:
     """Estimate generator images and wrap them as the derivative map."""
     grp = coupling.ambient()
-    x = domain_samples(coupling, samples, seed, workers, _TAG_MEAN_AB, side=side)
+    x = domain_samples(coupling, samples, seed, DEFAULT_WORKERS, _TAG_MEAN_AB, side=side)
     ck = coupling_kernels(coupling)
     images = [_abelian_mean_ci(ck, grp, s.coords, x, side)
               for s in generating_set(grp)]
@@ -258,6 +252,12 @@ def _median(a: np.ndarray) -> float:
     return float(p[h] if a.size % 2 else (p[:h].max() + p[h]) / 2)
 
 
+def _csv_rows(row_type, rows) -> tuple[list[str], list[list]]:
+    """A report's CSV: its row dataclass's fields, then each row's values."""
+    header = [f.name for f in fields(row_type)]
+    return header, [[getattr(r, name) for name in header] for r in rows]
+
+
 def _convergence_row(n: int, dist: np.ndarray, eps: float, seed: int) -> ConvergenceRow:
     """The depth-n row of a per-sample distance array."""
     return ConvergenceRow(n=n, samples=dist.size,
@@ -291,27 +291,16 @@ class ConvergenceReport:
         return all(b <= a + tol for a, b in zip(vals, vals[1:])) and vals[-1] < vals[0] + tol
 
     def csv_rows(self):
-        header = ["n", "samples", "fraction_within_eps",
-                  "median_proxy_dist", "seed"]
-        return header, [
-            [r.n, r.samples, r.fraction_within_eps, r.median_proxy_dist, r.seed]
-            for r in self.rows
-        ]
+        return _csv_rows(ConvergenceRow, self.rows)
 
     def summary(self) -> dict:
+        header, rows = self.csv_rows()
         return {
             "experiment": self.experiment,
             "eps": self.eps,
             "seed": self.seed,
-            "rows": [
-                {
-                    "n": r.n,
-                    "samples": r.samples,
-                    "fraction_within_eps": r.fraction_within_eps,
-                    "median_proxy_dist": r.median_proxy_dist,
-                }
-                for r in self.rows
-            ],
+            "rows": [{k: v for k, v in zip(header, row) if k != "seed"}
+                     for row in rows],
             "threshold_ok": self.threshold_ok(),
             "monotone_ok": self.monotone_ok(),
             **{k: v for k, v in self.meta.items() if isinstance(v, (str, int, float))},
@@ -319,14 +308,15 @@ class ConvergenceReport:
 
 
 def _depth_rows(coupling: CouplingSpec, n_list, samples: int, seed: int,
-                workers: int, tag: int, row_at) -> tuple:
+                tag: int, row_at) -> tuple:
     """row_at(n, x) at each depth n, x that depth's domain samples; a
     PrecisionLimit, or a depth past the float range, is refused naming it."""
     rows = []
     for i, n in enumerate(n_list):
         n = int(n)
         try:
-            rows.append(row_at(n, domain_samples(coupling, samples, seed, workers, tag, i)))
+            rows.append(row_at(n, domain_samples(coupling, samples, seed,
+                                                 DEFAULT_WORKERS, tag, i)))
         except (PrecisionLimit, OverflowError) as exc:
             raise PrecisionLimit(f"at depth {n}, {exc}") from exc
     return tuple(rows)
@@ -361,17 +351,11 @@ class IterateReport:
                    for a, b in zip(col, col[1:]))
 
     def csv_rows(self):
-        header = ["n", "samples", "median_ab_dev", "median_com_over_n",
-                  "median_scl_dist", "seed"]
-        return header, [
-            [r.n, r.samples, r.median_ab_dev, r.median_com_over_n,
-             r.median_scl_dist, r.seed]
-            for r in self.rows
-        ]
+        return _csv_rows(IterateRow, self.rows)
 
 
 def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
-                        seed: int, workers: int = DEFAULT_WORKERS) -> IterateReport:
+                        seed: int) -> IterateReport:
     """Distributions of the three iterate statistics per depth.
 
     Per sample x and depth n: deviation of the ergodic average from the
@@ -380,17 +364,17 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     """
     grp = coupling.ambient()
     gcoords = _float_coords(gamma)
-    abar = mean_abelianization(coupling, gamma, samples, seed, workers)
+    abar = mean_abelianization(coupling, gamma, samples, seed)
     target = np.asarray(abar.vector, dtype=np.float64)
-    ab = _abelian_indices(grp)
+    d = grp.abelian_dim  # degree one comes first
     ck = coupling_kernels(coupling)
 
     def row_at(n: int, x: np.ndarray) -> IterateRow:
         lam = ck.alpha_coords(n * gcoords[None], x)
-        avg = lam[:, ab] / n
-        a_dev = np.sqrt(((avg - target[ab]) ** 2).sum(axis=1))
+        avg = lam[:, :d] / n
+        a_dev = np.sqrt(((avg - target[:d]) ** 2).sum(axis=1))
         com = lam.copy()
-        com[:, ab] = 0.0  # the commutator part
+        com[:, :d] = 0.0  # the commutator part
         b = quasi_norm_batch(grp.degrees, com) / n
         scaled = dilate_batch(grp.degrees, 1.0 / n, lam)
         c = _graded_dist(grp, scaled, target)
@@ -401,7 +385,7 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     return IterateReport(
         coupling=coupling.name,
         gamma=tuple(float(v) for v in gcoords),
-        rows=_depth_rows(coupling, n_list, samples, seed, workers, _TAG_ITERATES, row_at),
+        rows=_depth_rows(coupling, n_list, samples, seed, _TAG_ITERATES, row_at),
         mean_ab=abar.vector,
         seed=seed,
     )
@@ -448,7 +432,6 @@ def _scaled_dist(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
 
 def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
                             g, n_list, eps: float, samples: int, seed: int,
-                            workers: int = DEFAULT_WORKERS,
                             target=None, perturb_digits=None) -> ConvergenceReport:
     """Acceptance fraction of the rescaled cocycle against the derivative.
 
@@ -472,7 +455,7 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
         dist = _scaled_dist(ck, grp, lane_coords(lattice, gam), x, float(n), target_coords)
         return _convergence_row(n, dist, eps, seed)
 
-    rows = _depth_rows(coupling, n_list, samples, seed, workers, _TAG_MAIN, row_at)
+    rows = _depth_rows(coupling, n_list, samples, seed, _TAG_MAIN, row_at)
     return ConvergenceReport(
         experiment="main-theorem", rows=rows, seed=seed, eps=eps,
         meta={"coupling": coupling.name,
@@ -499,15 +482,14 @@ def homomorphism_check(deriv: PansuDerivative, pairs,
     """Compare the image of a product with the product of images."""
     src = get_group(deriv.source)
     tgt = get_group(deriv.target)
-    tgt_tab = law_table(tgt.law_graded)
     gh = np.asarray([(_float_coords(g), _float_coords(h)) for g, h in pairs])
     k = gh.shape[0]
     g, h = gh.reshape(k, 2, src.dim).transpose(1, 0, 2)
     gh_prod = bch_batch(law_table(src.law_graded), g, h)
     imgs = phi_batch(deriv, np.concatenate([gh_prod, g, h]))
     lhs, fg, fh = imgs[:k], imgs[k:2 * k], imgs[2 * k:]
-    diff = bch_batch(tgt_tab, -lhs, bch_batch(tgt_tab, fg, fh))
-    worst = max([0.0] + [quasi_norm_m(tgt.grad, row) for row in diff.tolist()])
+    prod = bch_batch(law_table(tgt.law_graded), fg, fh)
+    worst = float(_graded_dist(tgt, lhs, prod).max(initial=0.0))
     return DefectReport(kind="homomorphism", max_defect=worst,
                         tolerance=tolerance, count=k)
 
@@ -518,8 +500,7 @@ def inverse_check(phi: PansuDerivative, psi: PansuDerivative, points,
     src = get_group(phi.source)
     pts = np.asarray([_float_coords(g) for g in points]).reshape(-1, src.dim)
     back = phi_batch(psi, phi_batch(phi, pts))
-    diff = bch_batch(law_table(src.law_graded), -back, pts)
-    worst = max([0.0] + [quasi_norm_m(src.grad, row) for row in diff.tolist()])
+    worst = float(_graded_dist(src, back, pts).max(initial=0.0))
     return DefectReport(kind="inverse", max_defect=worst,
                         tolerance=tolerance, count=pts.shape[0])
 
@@ -562,8 +543,7 @@ def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float,
 
 def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
                x_samples: int, n_list, radius: float, grid_step: float,
-               seed: int, eps: float = 0.3,
-               workers: int = DEFAULT_WORKERS) -> KappaReport:
+               seed: int, eps: float = 0.3) -> KappaReport:
     """Per-sample sup distance over a grid between kappa and the derivative.
 
     kappa_{x,n}(g) rescales the cocycle at the lattice rounding of the
@@ -604,7 +584,7 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
 
     return KappaReport(
         experiment="kappa", seed=seed, eps=eps, meta={"coupling": coupling.name},
-        rows=_depth_rows(coupling, n_list, x_samples, seed, workers, _TAG_KAPPA, row_at),
+        rows=_depth_rows(coupling, n_list, x_samples, seed, _TAG_KAPPA, row_at),
         radius=float(radius), grid_step=float(grid_step), grid_size=size)
 
 
@@ -719,7 +699,6 @@ def parse_schedule(token):
 def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
                                  samples: int, seed: int,
                                  eps: float = 0.2,
-                                 workers: int = DEFAULT_WORKERS,
                                  abar_samples: int = 1 << 14) -> ConvergenceReport:
     """Fixed-order generator words with diverging exponent schedules.
 
@@ -737,7 +716,7 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
         if not 0 <= idx < 2 * d:
             raise StructuralError(f"generator index {idx} out of range")
         parsed.append((idx, parse_schedule(sched)))
-    deriv = build_phi(coupling, abar_samples, seed, workers)
+    deriv = build_phi(coupling, abar_samples, seed)
     images = deriv.table.entries
     lattice = coupling.gamma_lattice
     ck = coupling_kernels(coupling)
@@ -754,7 +733,7 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
                             dilate_batch(grp.degrees, 1.0 / big, [tgt]))
         return _convergence_row(n, dist, eps, seed)
 
-    rows = _depth_rows(coupling, n_list, samples, seed, workers, _TAG_WORD, row_at)
+    rows = _depth_rows(coupling, n_list, samples, seed, _TAG_WORD, row_at)
     return ConvergenceReport(
         experiment="arbitrary-word", rows=rows, seed=seed, eps=eps,
         meta={"coupling": coupling.name,

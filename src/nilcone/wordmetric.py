@@ -90,7 +90,7 @@ def lane_coords(lat: LatticeSpec, coords) -> np.ndarray:
 
 
 DEFAULT_RADIUS_CAP = 25
-DEFAULT_STATE_CAP = 10_000_000
+STATE_CAP = 10_000_000  # states of one lattice's cached Cayley ball
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class LatticeSpec:
         return logs, leads
 
 
-def standard_lattice(group, name: str | None = None) -> LatticeSpec:
+def standard_lattice(group) -> LatticeSpec:
     """Integer lattice from coordinate generators and their commutators.
 
     Degree-one basis vectors are the coordinate generators; each deeper
@@ -167,7 +167,7 @@ def standard_lattice(group, name: str | None = None) -> LatticeSpec:
         gens.append(GroupPoint(basis[j]))
         gens.append(GroupPoint(law.inv(basis[j])))
     return LatticeSpec(
-        name=name or f"{grp.name}-lattice",
+        name=f"{grp.name}-lattice",
         group=grp.name,
         basis=tuple(basis),
         generators=tuple(gens),
@@ -522,7 +522,7 @@ class _DigitBall:
         """Word length of every state, in breadth-first order."""
         return np.repeat(np.arange(len(self.layers)), [len(x) for x in self.layers])
 
-    def grow(self, radius: int, state_cap: int = DEFAULT_STATE_CAP) -> None:
+    def grow(self, radius: int) -> None:
         while self.radius < radius and len(self.layers[-1]):
             front = self.layers[-1]
             cand = np.stack(
@@ -533,9 +533,9 @@ class _DigitBall:
             first = _RowIndex(table).first_rows()
             n_seen = len(table) - len(cand)
             layer = cand[np.sort(first[first >= n_seen]) - n_seen]
-            if self.size + len(layer) > state_cap:
+            if self.size + len(layer) > STATE_CAP:
                 raise CapExceeded(
-                    f"ball at radius {self.radius + 1} exceeds {state_cap} states")
+                    f"ball at radius {self.radius + 1} exceeds {STATE_CAP} states")
             self.layers.append(layer)
             self.size += len(layer)
 
@@ -587,8 +587,8 @@ def ball_points(lat: LatticeSpec, radius: int) -> list[tuple]:
             for row in nums.tolist()]
 
 
-def word_norms(lat: LatticeSpec, digit_rows, radius_cap: int = DEFAULT_RADIUS_CAP,
-               state_cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
+def word_norms(lat: LatticeSpec, digit_rows,
+               radius_cap: int = DEFAULT_RADIUS_CAP) -> np.ndarray:
     """Exact word length of each digit row, or -1 beyond radius_cap.
 
     A row inside the cached ball is answered at any length; the ball
@@ -598,19 +598,19 @@ def word_norms(lat: LatticeSpec, digit_rows, radius_cap: int = DEFAULT_RADIUS_CA
     rows = np.asarray(digit_rows, dtype=np.int64).reshape(-1, lat.dim)
     out = ball.locate(rows)
     while (out < 0).any() and ball.radius < radius_cap and len(ball.layers[-1]):
-        ball.grow(ball.radius + 1, state_cap)
+        ball.grow(ball.radius + 1)
         miss = np.flatnonzero(out < 0)
         out[miss[_RowIndex(ball.layers[-1]).find(rows[miss]) >= 0]] = ball.radius
     return out
 
 
-def word_norm_bfs(lat: LatticeSpec, g, radius_cap: int = DEFAULT_RADIUS_CAP,
-                  state_cap: int = DEFAULT_STATE_CAP) -> int | None:
+def word_norm_bfs(lat: LatticeSpec, g,
+                  radius_cap: int = DEFAULT_RADIUS_CAP) -> int | None:
     """Exact word length of a lattice point, or None beyond radius_cap."""
     digits = point_digits(lat, g)
     if any(abs(c) >= INT64_LIMIT for c in digits):
         return None  # farther than any ball whose digits fit in int64
-    w = int(word_norms(lat, [digits], radius_cap, state_cap)[0])
+    w = int(word_norms(lat, [digits], radius_cap)[0])
     return None if w < 0 else w
 
 
@@ -637,12 +637,11 @@ class BallProfile:
         return header, [list(r) for r in self.rows]
 
 
-def ball_profile(lat: LatticeSpec, radius: int,
-                 state_cap: int = DEFAULT_STATE_CAP) -> BallProfile:
+def ball_profile(lat: LatticeSpec, radius: int) -> BallProfile:
     if radius < 0:
         raise StructuralError(f"ball radius must be >= 0, got {radius}")
     ball = _ball(lat)
-    ball.grow(radius, state_cap)
+    ball.grow(radius)
     rows = []
     total = 0
     top = [0] * lat.dim  # largest |exp numerator| so far, per coordinate
@@ -664,8 +663,7 @@ class GuivarchConstants:
     com_ratio: float | None
 
 
-def guivarch_constants(lat: LatticeSpec, radius: int,
-                       state_cap: int = DEFAULT_STATE_CAP) -> GuivarchConstants:
+def guivarch_constants(lat: LatticeSpec, radius: int) -> GuivarchConstants:
     """Extremal ratios over the radius-ball.
 
     c_low bounds |g|_m <= c_low |g|_Gamma, c_high bounds
@@ -678,7 +676,7 @@ def guivarch_constants(lat: LatticeSpec, radius: int,
         raise StructuralError(f"Guivarc'h radius must be >= 1, got {radius}")
     grp = get_group(lat.group)
     ball = _ball(lat)
-    ball.grow(radius, state_cap)
+    ball.grow(radius)
     layers = ball.layers[1:radius + 1]
     dist = np.repeat(np.arange(1.0, len(layers) + 1), [len(x) for x in layers])
     nums = ball.exp.numerators(np.concatenate(layers))
@@ -688,7 +686,7 @@ def guivarch_constants(lat: LatticeSpec, radius: int,
     # A lookup among the ball's exp coordinates can only hit lattice
     # points, and a warmer shared cache cannot change the answer.
     proj = nums.copy()
-    proj[:, [i for i, d in enumerate(grp.degrees) if d == 1]] = 0
+    proj[:, :grp.abelian_dim] = 0  # degree one comes first
     rows = np.flatnonzero(np.any(proj != 0, axis=1))
     hit = _RowIndex(nums).find(proj[rows])
     found = hit >= 0

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcone import cli
 from nilcone.cli import build_parser, main
 
 GOLDEN = [
@@ -71,6 +72,8 @@ BAD_ALGEBRA_FILES = {
     "dim -2": {**HEISENBERG_JSON, "dim": -2},
     "dim 0": {"dim": 0},
     "dim true": {"dim": True},
+    # validation builds dim x dim Fraction matrices before any check
+    "dim 1001": {"dim": 1001},
     "not JSON": '{"dim": ',
     "missing file": None,
 }
@@ -315,7 +318,6 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
 BAD_CONFIGS = {
     "string eps": {"eps": "0.2"},
     "string phi_samples": {"phi_samples": "256"},
-    "string workers": {"workers": "2"},
     "integer coupling": {"coupling": 5},
     "boolean samples": {"samples": True},
     "not an object": [1, 2],
@@ -358,10 +360,6 @@ def test_recurrence_command(tmp_path):
     ).read_text().splitlines()
     assert lines[0] == "sample,first_depth"
     assert len(lines) == 41
-    # the search draws from one stream, so the command takes no --workers
-    assert main(["derivative", "recurrence", "--coupling",
-                 "heisenberg-identity", "--seed", "19", "--workers", "4",
-                 "--out", str(tmp_path)]) == 1
 
 
 @pytest.mark.parametrize("name", ["heisenberg-identity", "heisenberg-scale2",
@@ -398,7 +396,7 @@ DEEP_DEPTH_RUNS = {
     # these three named no depth; the last also printed a numpy
     # RuntimeWarning and then a float division error
     "iterates": (["experiment", "iterates", "--gamma", "e1", "--n", f"8,{DEEP}"],
-                 f"error: at depth {DEEP}, coordinate 0 "),
+                 f"error: --gamma 'e1': at depth {DEEP}, coordinate 0 "),
     "arbitrary-word": (["experiment", "arbitrary-word", "--word", "e1:n,e2:n",
                         "--n", "8,100000000"], "error: at depth 100000000, coordinate 2 "),
     "arbitrary-word past the float range": (
@@ -407,7 +405,7 @@ DEEP_DEPTH_RUNS = {
     # a float overflow of the depth itself named no depth
     "iterates past the float range": (
         ["experiment", "iterates", "--gamma", "e1", "--n", f"8,{10 ** 400}"],
-        f"error: at depth {10 ** 400}, "),
+        f"error: --gamma 'e1': at depth {10 ** 400}, "),
     "kappa past the float range": (["derivative", "kappa", "--n", f"8,{DEEPEST}"],
                                    f"error: at depth {DEEPEST}, "),
 }
@@ -440,17 +438,6 @@ def test_arbitrary_word_command(tmp_path):
 def test_usage_error_returns_one(capsys):
     assert main(["group", "mul", "--group", "heisenberg3", "--x", "1,0,0"]) == 1
     assert main(["nosuchcommand"]) == 1
-
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_nonpositive_workers_is_structural_error(tmp_path, capsys, workers):
-    rc = main(["derivative", "phi", "--coupling", "heisenberg-identity",
-               "--samples", "64", "--seed", "1", "--workers", workers,
-               "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "workers must be >= 1" in err
-    assert "Traceback" not in err
 
 
 EMPTY_OR_ZERO_RUNS = {
@@ -620,31 +607,8 @@ def test_run_defaults_match_the_experiment_defaults(capsys):
             plans.append(json.loads(capsys.readouterr().out.strip()[5:]))
         run, sub = plans
         shared = set(run) & set(sub) - {"command"}  # "run" vs "experiment"
-        assert shared >= {"n", "samples", "workers"}
+        assert shared >= {"n", "samples"}
         assert {k: run[k] for k in shared} == {k: sub[k] for k in shared}
-
-
-NO_SAMPLE_COMMANDS = {
-    "algebra check": [],
-    "group mul": ["--x", "e1", "--y", "e2"],
-    "group pow": ["--x", "e1", "--k", "2"],
-    "group comm": ["--x", "e1", "--y", "e2"],
-    "metric ball": ["--radius", "1"],
-    "metric guivarch": ["--radius", "1"],
-    "coupling verify": ["--coupling", "heisenberg-identity", "--seed", "1"],
-}
-
-
-@pytest.mark.parametrize("command", list(NO_SAMPLE_COMMANDS))
-def test_commands_that_split_no_samples_take_no_workers(tmp_path, capsys, command):
-    # --workers used to be accepted and ignored here
-    rc = main(command.split() + NO_SAMPLE_COMMANDS[command]
-              + ["--workers", "7", "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "unrecognized arguments: --workers 7" in err
-    assert "Traceback" not in err
-    assert not list(tmp_path.iterdir())
 
 
 SEEDED = ["--coupling", "heisenberg-identity", "--seed", "1"]
@@ -727,6 +691,44 @@ def test_bad_values_are_refused_naming_the_flag(tmp_path, capsys, case):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["derivative estimate", "experiment iterates"])
+def test_a_gamma_past_the_precision_limit_is_refused_naming_it(tmp_path, capsys, command):
+    # estimate wrote its integrability CSV before refusing; neither named --gamma
+    rc = main(command.split() + SEEDED
+              + ["--samples", "64", "--gamma", "1e300,0,0", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: --gamma '1e300,0,0': ")
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+OVERSIZED_RUNS = {
+    # each ended in a numpy _ArrayMemoryError traceback; the patched step
+    # raises it here without allocating
+    "main-theorem": (["experiment", "main-theorem", "--phi-samples", "64"], "build_phi"),
+    "estimate": (["derivative", "estimate"], "integrability_estimate"),
+    "kappa": (["derivative", "kappa"], "build_phi"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED_RUNS))
+def test_a_count_past_memory_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch,
+                                                          case):
+    argv, step = OVERSIZED_RUNS[case]
+    message = ("Unable to allocate 224. GiB for an array with shape "
+               "(10000000000, 3) and data type float64")
+
+    def oversized(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, step, oversized)
+    rc = main(argv + SEEDED + ["--samples", "10000000000", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def _leaf_commands(parser, prefix=()):
     """(argv prefix, parser) of every subcommand below parser."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -751,6 +753,25 @@ TINY = {"--coupling": "heisenberg-identity", "--seed": "1", "--x": "e1",
 SWEEP_VALUES = ("1/0", "nan", "1e400", "0", "-1")
 
 
+def _tiny_args(parser) -> list[str]:
+    """The TINY values of the flags a subcommand has."""
+    given = {a.option_strings[0] for a in parser._actions if a.option_strings}
+    return [t for flag in sorted(given & set(TINY)) for t in (flag, TINY[flag])]
+
+
+@pytest.mark.parametrize("command", list(LEAVES))
+def test_commands_that_split_no_samples_take_no_workers(tmp_path, capsys, command):
+    # every sample stream is split from --seed alone, so no subcommand
+    # takes --workers (seven did, each shaping its streams with it)
+    rc = main(command.split() + _tiny_args(LEAVES[command])
+              + ["--workers", "7", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "unrecognized arguments: --workers 7" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def _swept_flags(parser) -> list[str]:
     """The numeric and point flags of a subcommand."""
     return sorted(a.option_strings[0] for a in parser._actions if a.option_strings
@@ -761,8 +782,7 @@ def _swept_flags(parser) -> list[str]:
 def test_every_numeric_and_point_flag_exits_without_a_traceback(tmp_path, command):
     # and every refusal (exit 1) names the swept flag
     parser = LEAVES[command]
-    given = {a.option_strings[0] for a in parser._actions if a.option_strings}
-    base = [t for flag in sorted(given & set(TINY)) for t in (flag, TINY[flag])]
+    base = _tiny_args(parser)
     bad = []
     for flag in _swept_flags(parser):
         for value in SWEEP_VALUES:

@@ -3,6 +3,7 @@ public function nothing reaches."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -92,13 +93,14 @@ def _package_module(node):
     return None
 
 
-def _package_reads(tree) -> set[tuple[str, str]]:
-    """(module, name) for every nc.<module>.<name> read in tree, also
-    through an alias a function binds, such as d = nc.derivative."""
-    reads = set()
+def _package_reads(tree) -> dict[ast.Attribute, tuple[str, str]]:
+    """(module, name) for every nc.<module>.<name> read in tree, by the
+    node reading it, also through an alias a function binds, such as
+    d = nc.derivative."""
+    reads = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and _package_module(node.value):
-            reads.add((_package_module(node.value), node.attr))
+            reads[node] = (_package_module(node.value), node.attr)
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
             continue
@@ -108,20 +110,48 @@ def _package_reads(tree) -> set[tuple[str, str]]:
         for node in ast.walk(fn):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases):
-                reads.add((aliases[node.value.id], node.attr))
+                reads[node] = (aliases[node.value.id], node.attr)
     return reads
+
+
+def _benchmark_trees():
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def test_benchmark_reads_only_names_the_package_has():
     # the benchmark runs the package through module attributes; a name it
     # reads that the package lost would fail every benchmark run
-    reads = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        reads |= _package_reads(ast.parse(path.read_text(encoding="utf-8")))
+    reads = {read for tree in _benchmark_trees() for read in _package_reads(tree).values()}
     assert ("derivative", "gamma_sequence") in reads  # read through d = nc.derivative
     missing = [f"nilcone.{mod}.{name}" for mod, name in sorted(reads)
                if not hasattr(importlib.import_module(f"nilcone.{mod}"), name)]
     assert not missing, f"perfbench reads {', '.join(missing)}"
+
+
+def test_benchmark_calls_bind_to_the_package_signatures():
+    # a parameter the package dropped that the benchmark still passes
+    # would fail only when the benchmark runs
+    bound, bad = set(), []
+    for tree in _benchmark_trees():
+        reads = _package_reads(tree)
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and call.func in reads):
+                continue
+            mod, name = reads[call.func]
+            assert not any(isinstance(a, ast.Starred) for a in call.args)
+            assert all(k.arg is not None for k in call.keywords)  # no **kwargs
+            sig = inspect.signature(getattr(importlib.import_module(f"nilcone.{mod}"), name))
+            try:
+                sig.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+            except TypeError as exc:
+                bad.append(f"line {call.lineno}: nilcone.{mod}.{name}: {exc}")
+            bound.add((mod, name))
+    # positional and keyword calls, through d = nc.derivative too
+    assert {("derivative", "build_phi"), ("derivative", "kappa_grid"),
+            ("derivative", "main_theorem_experiment"),
+            ("coupling", "integrability_estimate")} <= bound
+    assert bad == []
 
 
 def test_no_module_reads_another_modules_private_names():

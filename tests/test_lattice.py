@@ -18,6 +18,7 @@ from nilcone import (
     builtin_lattice,
     get_group,
     round_to_lattice,
+    wordmetric,
 )
 from nilcone.algebra import BUILTIN_ALGEBRAS
 from nilcone.bch import GroupPoint
@@ -248,10 +249,11 @@ def test_guivarch_stability_across_radii():
     assert abs(a.c_high - b.c_high) <= 1.0
 
 
-def test_state_cap_raises():
+def test_state_cap_raises(monkeypatch):
     lat = builtin_lattice("heisenberg5")
-    with pytest.raises(CapExceeded):
-        ball_profile(lat, 4, state_cap=50)
+    monkeypatch.setattr(wordmetric, "STATE_CAP", 50)
+    with pytest.raises(CapExceeded, match="exceeds 50 states"):
+        ball_profile(lat, 4)
 
 
 def test_radius_below_the_first_layer_is_refused():
