@@ -139,7 +139,6 @@ class ValidationReport:
     ok: bool
     dim: int
     step: int | None
-    antisymmetry_violations: tuple[tuple[int, int], ...]
     jacobi_violations: tuple[tuple[int, int, int], ...]
     nonnilpotent_witness: Mat | None
     messages: tuple[str, ...]
@@ -157,11 +156,9 @@ def validate_algebra(spec: NilpotentAlgebraSpec) -> ValidationReport:
     subspace is returned as witness.
     """
     messages: list[str] = []
-    anti: list[tuple[int, int]] = []
     seen: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), entries in spec.brackets:
         if i == j:
-            anti.append((i, j))
             messages.append(f"[X{i},X{i}] must vanish")
             continue
         seen[(i, j)] = dict(entries)
@@ -170,9 +167,9 @@ def validate_algebra(spec: NilpotentAlgebraSpec) -> ValidationReport:
         if mirror is not None:
             for k in set(coeffs) | set(mirror):
                 if coeffs.get(k, Fraction(0)) != -mirror.get(k, Fraction(0)):
-                    anti.append((i, j))
                     messages.append(f"[X{i},X{j}] and [X{j},X{i}] are not opposite")
                     break
+    antisymmetric = not messages  # each message so far is an antisymmetry violation
 
     tensor = spec.tensor()
     dim = spec.dim
@@ -192,19 +189,18 @@ def validate_algebra(spec: NilpotentAlgebraSpec) -> ValidationReport:
     step: int | None = None
     witness: Mat | None = None
     terms: list[Mat] = []
-    if not anti and not jacobi:
+    if antisymmetric and not jacobi:
         terms = _series_terms(tensor, dim)
         if terms[-1]:
             witness = terms[-1]
             messages.append("lower central series stabilises at a nonzero subspace")
         else:
             step = len(terms) - 1
-    ok = not anti and not jacobi and witness is None
+    ok = antisymmetric and not jacobi and witness is None
     return ValidationReport(
         ok=ok,
         dim=dim,
         step=step,
-        antisymmetry_violations=tuple(anti),
         jacobi_violations=tuple(jacobi),
         nonnilpotent_witness=witness,
         messages=tuple(messages),
@@ -214,9 +210,8 @@ def validate_algebra(spec: NilpotentAlgebraSpec) -> ValidationReport:
 
 def _series_terms(tensor: Tensor, dim: int) -> list[Mat]:
     """g^1, g^2, ... iterated to a fixed point; final entry may be nonzero."""
-    current, _ = ratlin.rref(ratlin.identity(dim))
-    terms = [current]
-    full = ratlin.identity(dim)
+    full = ratlin.identity(dim)  # g^1, already in reduced row echelon form
+    terms = [full]
     active = sorted({i for pair in tensor for i in pair})  # other e_i bracket to 0
     while True:
         generated = [bracket(tensor, dim, full[i], w)
@@ -262,14 +257,12 @@ class Gradation:
     adapted_inverse: Mat
     adapted_tensor: Tensor = field(init=False, repr=False)
     graded_tensor: Tensor = field(init=False, repr=False)
-    identity_basis: bool = field(init=False, repr=False, compare=False)
     # to_adapted and from_adapted, as linear integer tables
     _changes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim, basis, degrees = self.dim, self.adapted_basis, self.degrees
         to_adapted = ratlin.IntPolys.linear("to_adapted", self.adapted_inverse)
-        object.__setattr__(self, "identity_basis", basis == ratlin.identity(dim))
         object.__setattr__(self, "_changes", (
             to_adapted, ratlin.IntPolys.linear("from_adapted", tuple(zip(*basis)))))
         tensor = self.spec.tensor()
@@ -310,21 +303,15 @@ class Gradation:
     def abelian_dim(self) -> int:
         return sum(1 for d in self.degrees if d == 1)
 
-    def _change(self, direction: int, v) -> Vec:
-        # The identity change returns all-Fraction coordinates unchanged.
-        if self.identity_basis and all(type(x) is Fraction for x in v):
-            return tuple(v)
-        return self._changes[direction].at(v)
-
     def to_adapted(self, v: Vec) -> Vec:
         """Coordinates of a presentation-basis vector in the adapted basis."""
-        return self._change(0, v)
+        return self._changes[0].at(v)
 
     def from_adapted(self, v: Vec) -> Vec:
-        return self._change(1, v)
+        return self._changes[1].at(v)
 
 
-def gradation(series_or_spec) -> Gradation:
+def gradation(spec: NilpotentAlgebraSpec) -> Gradation:
     """Adapted basis, degrees and graded bracket for a validated algebra.
 
     The splitting is the deterministic one obtained from the leftmost
@@ -332,12 +319,7 @@ def gradation(series_or_spec) -> Gradation:
     RREF(g^i) whose pivot is not a pivot of g^{i+1} (pivot sets nest, so
     this is a genuine complement).
     """
-    if isinstance(series_or_spec, NilpotentAlgebraSpec):
-        spec = series_or_spec
-        series = lower_central_series(spec)
-    else:
-        raise StructuralError("gradation expects a NilpotentAlgebraSpec")
-
+    series = lower_central_series(spec)
     dim = spec.dim
     echelons = [ratlin.rref(term) for term in series.terms]
     pivot_sets = [set(pivots) for _, pivots in echelons]

@@ -157,17 +157,23 @@ def _parse_box(text: str, dim: int):
     return tuple(pairs)
 
 
-_COUNT_FLAGS = ("samples", "phi_samples", "triples", "horizon")
+# The accepted range of each bounded flag.  An eps or delta of 0 or less
+# admits no distance, and a success fraction lies in [0, 1].
+_FLAG_RANGES = {
+    **dict.fromkeys(("samples", "phi_samples", "triples", "horizon"),
+                    (">= 1", lambda v: v >= 1)),
+    "seed": (">= 0", lambda v: v >= 0),
+    **dict.fromkeys(("eps", "delta"), ("> 0", lambda v: v > 0)),
+    "min_success": ("in [0, 1]", lambda v: 0 <= v <= 1),
+}
 
 
-def _require_counts(args) -> None:
-    """Refuse any count flag below 1 and a negative seed, naming the flag."""
-    for name in _COUNT_FLAGS:
+def _require_ranges(args) -> None:
+    """Refuse any bounded flag outside its range, naming the flag."""
+    for name, (bound, ok) in _FLAG_RANGES.items():
         val = getattr(args, name, None)
-        if val is not None and val < 1:
-            raise StructuralError(f"--{name.replace('_', '-')} must be >= 1, got {val}")
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        raise StructuralError(f"--seed must be >= 0, got {args.seed}")
+        if val is not None and not ok(val):
+            raise StructuralError(f"--{name.replace('_', '-')} must be {bound}, got {val}")
 
 
 def _parse_word(grp, text: str):
@@ -527,7 +533,7 @@ def _cmd_run(flags: dict, args) -> int:
     missing = [k for k in ("coupling", "experiment") if not getattr(args, k)]
     if missing:
         raise StructuralError(f"missing config keys: {', '.join(missing)}")
-    _require_counts(args)  # the config's counts too
+    _require_ranges(args)  # the config's values too
     cp = _load_coupling(args.coupling)
     if _emit_plan(args, coupling=cp.name):
         return EXIT_OK
@@ -678,7 +684,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_ERROR
     try:
-        _require_counts(args)
+        _require_ranges(args)
         return args.func(args)
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

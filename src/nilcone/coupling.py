@@ -76,7 +76,7 @@ class AutomorphismSpec:
 
 
 def validate_automorphism(group: NilpotentGroup, auto: AutomorphismSpec,
-                          lattice: LatticeSpec | None = None) -> None:
+                          lattice: LatticeSpec) -> None:
     """Check the bracket identity exactly, plus lattice compatibility."""
     m = group.dim
     if len(auto.matrix) != m or any(len(r) != m for r in auto.matrix):
@@ -92,28 +92,25 @@ def validate_automorphism(group: NilpotentGroup, auto: AutomorphismSpec,
                     f"matrix is not a Lie algebra automorphism at pair ({i},{j})"
                 )
     ratlin.mat_inv(auto.matrix)  # raises if singular
-    if lattice is not None:
-        for g in lattice.generators:
-            if not member(lattice, auto.apply(g.coords)):
-                raise StructuralError(
-                    "automorphism does not preserve the lattice on generators"
-                )
+    for g in lattice.generators:
+        if not member(lattice, auto.apply(g.coords)):
+            raise StructuralError(
+                "automorphism does not preserve the lattice on generators"
+            )
 
 
-_BUILTIN_TWISTS: dict[str, tuple[str, tuple[tuple[int, ...], ...]]] = {
+_BUILTIN_TWISTS: dict[str, tuple[tuple[int, ...], ...]] = {
     # column j is the image of the j-th coordinate direction
-    "scale2": ("heisenberg3", ((2, 0, 0), (0, 1, 0), (0, 0, 2))),
-    "shear": ("heisenberg3", ((1, 0, 0), (0, 1, 0), (1, 0, 1))),
+    "scale2": ((2, 0, 0), (0, 1, 0), (0, 0, 2)),
+    "shear": ((1, 0, 0), (0, 1, 0), (1, 0, 1)),
 }
 
 
 def builtin_twist(name: str) -> AutomorphismSpec:
     if name not in _BUILTIN_TWISTS:
         raise StructuralError(f"unknown twist {name!r}")
-    _, rows = _BUILTIN_TWISTS[name]
-    return AutomorphismSpec(
-        name=name, matrix=tuple(tuple(Fraction(v) for v in row) for row in rows)
-    )
+    return AutomorphismSpec(name=name, matrix=tuple(
+        tuple(Fraction(v) for v in row) for row in _BUILTIN_TWISTS[name]))
 
 
 @dataclass(frozen=True)
@@ -130,13 +127,14 @@ class CouplingSpec:
         return get_group(self.group)
 
 
-def make_coupling(group: str, twist: str | AutomorphismSpec | None = None,
+def make_coupling(group: str, twist: str | None = None,
                   name: str | None = None) -> CouplingSpec:
+    """The coupling of a group's standard lattice with itself, twisted by
+    the builtin twist of that name, if any."""
     grp = get_group(group)
     lat = builtin_lattice(grp.name)
-    if isinstance(twist, str):
-        twist = builtin_twist(twist)
     if twist is not None:
+        twist = builtin_twist(twist)
         validate_automorphism(grp, twist, lat)
     label = name or (f"{grp.name}-{twist.name}" if twist else f"{grp.name}-identity")
     return CouplingSpec(
@@ -422,9 +420,6 @@ class CouplingVerification:
     coupling: str
     ok: bool
     checks: tuple[tuple[str, bool, str], ...]
-
-    def failures(self):
-        return [c for c in self.checks if not c[1]]
 
 
 def verify_coupling(coupling: CouplingSpec, samples: int = 200,

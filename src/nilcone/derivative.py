@@ -66,9 +66,10 @@ def median3_smooth(values):
     return out
 
 
-def nondecreasing(values, tol: float = 1e-9) -> bool:
+def nondecreasing(values) -> bool:
+    """No step falls by more than 1e-9."""
     v = list(values)
-    return all(b >= a - tol for a, b in zip(v, v[1:]))
+    return all(b >= a - 1e-9 for a, b in zip(v, v[1:]))
 
 
 def strictly_decreasing(values) -> bool:
@@ -150,20 +151,20 @@ class PansuDerivative:
     A graded group homomorphism is linear in exponential coordinates:
     ``linear`` is the graded Lie-algebra map whose degree-one block is
     the symmetrized images (img(s) - img(s^-1)) / 2 and whose deeper
-    blocks follow from the graded bracket.  A degree-one block that
-    breaks a relation of the source (engel4's [X2, X3] = 0 needs the X1
-    part of the image of X2 to vanish) is kept as it is; the defect
-    shows in homomorphism_check.
+    blocks follow from the graded bracket.  It maps the graded group
+    named ``group``, the coupling's ambient group, to itself.  A
+    degree-one block that breaks a relation of the group (engel4's
+    [X2, X3] = 0 needs the X1 part of the image of X2 to vanish) is kept
+    as it is; the defect shows in homomorphism_check.
     """
 
     table: GeneratorImageTable
-    source: str
-    target: str
+    group: str
     linear: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "linear", _linear_map(
-            get_group(self.source), get_group(self.target), self.table.entries))
+            get_group(self.group), self.table.entries))
 
 
 @cache  # get_group: one group object per content
@@ -186,16 +187,16 @@ def _bracket_pairs(grp: NilpotentGroup) -> dict[int, tuple[list, np.ndarray]]:
     return out
 
 
-def _linear_map(src: NilpotentGroup, tgt: NilpotentGroup, entries) -> np.ndarray:
+def _linear_map(grp: NilpotentGroup, entries) -> np.ndarray:
     """The graded Lie-algebra map fixed by the generator images."""
-    d = src.abelian_dim
+    d = grp.abelian_dim
     images = np.asarray(entries, dtype=np.float64)
-    lin = np.zeros((tgt.dim, src.dim))
+    lin = np.zeros((grp.dim, grp.dim))
     lin[:, :d] = ((images[:d] - images[d:]) / 2).T
-    for level, (pairs, inv) in _bracket_pairs(src).items():
-        cols = [k for k, deg in enumerate(src.degrees) if deg == level]
+    for level, (pairs, inv) in _bracket_pairs(grp).items():
+        cols = [k for k, deg in enumerate(grp.degrees) if deg == level]
         brackets = np.array(
-            [bracket(tgt.grad.graded_tensor, tgt.dim, lin[:, i], lin[:, j])
+            [bracket(grp.grad.graded_tensor, grp.dim, lin[:, i], lin[:, j])
              for i, j in pairs], dtype=np.float64).T
         lin[:, cols] = brackets @ inv
     return lin
@@ -215,7 +216,7 @@ def build_phi(coupling: CouplingSpec, samples: int, seed: int,
         coupling=coupling.name, side=side, entries=tuple(entries),
         cis=tuple(cis), samples=samples, seed=seed,
     )
-    return PansuDerivative(table=table, source=grp.name, target=grp.name)
+    return PansuDerivative(table=table, group=grp.name)
 
 
 @np.errstate(over="ignore")  # an overflowed image is inf; callers refuse it
@@ -278,17 +279,19 @@ class ConvergenceReport:
     def fractions(self):
         return [r.fraction_within_eps for r in self.rows]
 
-    def threshold_ok(self, threshold: float = 0.9) -> bool:
-        return bool(self.rows) and self.rows[-1].fraction_within_eps >= threshold
+    def threshold_ok(self) -> bool:
+        """At least 0.9 of the samples lie within eps at the last depth."""
+        return bool(self.rows) and self.rows[-1].fraction_within_eps >= 0.9
 
-    def monotone_ok(self, tol: float = 1e-9) -> bool:
-        return nondecreasing(median3_smooth(self.fractions()), tol)
+    def monotone_ok(self) -> bool:
+        return nondecreasing(median3_smooth(self.fractions()))
 
-    def medians_decreasing_or_flat(self, tol: float = 1e-12) -> bool:
-        """The arbitrary-word verdict: no median rises by more than tol and
-        the last stays below the first plus tol."""
+    def medians_decreasing_or_flat(self) -> bool:
+        """The arbitrary-word verdict: no median rises by more than 1e-12
+        and the last stays below the first plus 1e-12."""
         vals = [r.median_proxy_dist for r in self.rows]
-        return all(b <= a + tol for a, b in zip(vals, vals[1:])) and vals[-1] < vals[0] + tol
+        return (all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+                and vals[-1] < vals[0] + 1e-12)
 
     def csv_rows(self):
         return _csv_rows(ConvergenceRow, self.rows)
@@ -465,44 +468,36 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
 
 @dataclass
 class DefectReport:
-    """Max proxy defect over a family of checks."""
+    """Max proxy defect over a family of checks; ok up to 0.1."""
 
-    kind: str
     max_defect: float
-    tolerance: float
     count: int
 
     @property
     def ok(self) -> bool:
-        return self.max_defect <= self.tolerance
+        return self.max_defect <= 0.1
 
 
-def homomorphism_check(deriv: PansuDerivative, pairs,
-                       tolerance: float = 0.1) -> DefectReport:
+def homomorphism_check(deriv: PansuDerivative, pairs) -> DefectReport:
     """Compare the image of a product with the product of images."""
-    src = get_group(deriv.source)
-    tgt = get_group(deriv.target)
+    grp = get_group(deriv.group)
+    table = law_table(grp.law_graded)
     gh = np.asarray([(_float_coords(g), _float_coords(h)) for g, h in pairs])
     k = gh.shape[0]
-    g, h = gh.reshape(k, 2, src.dim).transpose(1, 0, 2)
-    gh_prod = bch_batch(law_table(src.law_graded), g, h)
-    imgs = phi_batch(deriv, np.concatenate([gh_prod, g, h]))
+    g, h = gh.reshape(k, 2, grp.dim).transpose(1, 0, 2)
+    imgs = phi_batch(deriv, np.concatenate([bch_batch(table, g, h), g, h]))
     lhs, fg, fh = imgs[:k], imgs[k:2 * k], imgs[2 * k:]
-    prod = bch_batch(law_table(tgt.law_graded), fg, fh)
-    worst = float(_graded_dist(tgt, lhs, prod).max(initial=0.0))
-    return DefectReport(kind="homomorphism", max_defect=worst,
-                        tolerance=tolerance, count=k)
+    worst = float(_graded_dist(grp, lhs, bch_batch(table, fg, fh)).max(initial=0.0))
+    return DefectReport(max_defect=worst, count=k)
 
 
-def inverse_check(phi: PansuDerivative, psi: PansuDerivative, points,
-                  tolerance: float = 0.1) -> DefectReport:
+def inverse_check(phi: PansuDerivative, psi: PansuDerivative, points) -> DefectReport:
     """Round-trip defect of the two derivative maps."""
-    src = get_group(phi.source)
-    pts = np.asarray([_float_coords(g) for g in points]).reshape(-1, src.dim)
+    grp = get_group(phi.group)
+    pts = np.asarray([_float_coords(g) for g in points]).reshape(-1, grp.dim)
     back = phi_batch(psi, phi_batch(phi, pts))
-    worst = float(_graded_dist(src, back, pts).max(initial=0.0))
-    return DefectReport(kind="inverse", max_defect=worst,
-                        tolerance=tolerance, count=pts.shape[0])
+    worst = float(_graded_dist(grp, back, pts).max(initial=0.0))
+    return DefectReport(max_defect=worst, count=pts.shape[0])
 
 
 # ----------------------------------------------------------------- kappa map
@@ -516,24 +511,26 @@ class KappaReport(ConvergenceReport):
     grid_size: int
 
 
-def _axis_extent(radius: float, d: int, step: float, cap: int) -> int:
-    """Grid points on one side of an axis, clamped at cap."""
+_GRID_CAP = 200_000  # points of one kappa grid
+
+
+def _axis_extent(radius: float, d: int, step: float) -> int:
+    """Grid points on one side of an axis, clamped at _GRID_CAP."""
     try:
         extent = radius ** d / step
     except OverflowError:  # radius ** d past the float range
         extent = math.inf
-    return int(math.floor(min(extent, cap)))
+    return int(math.floor(min(extent, _GRID_CAP)))
 
 
-def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float,
-                     cap: int = 200_000) -> np.ndarray:
+def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float) -> np.ndarray:
     if not (radius > 0 and step > 0):
         raise StructuralError(
             f"grid radius and step must be positive, got {radius} and {step}")
-    ks = [_axis_extent(radius, d, step, cap) for d in grp.degrees]
-    if math.prod(2 * k + 1 for k in ks) > cap:  # checked before any array exists
+    ks = [_axis_extent(radius, d, step) for d in grp.degrees]
+    if math.prod(2 * k + 1 for k in ks) > _GRID_CAP:  # checked before any array exists
         raise StructuralError(
-            f"grid of radius {radius} and step {step} exceeds cap {cap} points")
+            f"grid of radius {radius} and step {step} exceeds cap {_GRID_CAP} points")
     axes = [np.arange(-k, k + 1, dtype=np.float64) * step for k in ks]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts_t = np.stack([m.reshape(-1) for m in mesh])  # (m, size): rows are columns
@@ -682,12 +679,10 @@ _SCHEDULES = {
 }
 
 
-def parse_schedule(token):
+def parse_schedule(token: str):
     """Integer-valued depth schedules: 'n', 'sqrt', 'log', or 'k*n' with
     k >= 1, each at least 1 at every depth."""
-    if callable(token):
-        return token
-    t = str(token).strip().lower()
+    t = token.strip().lower()
     if t in _SCHEDULES:
         return _SCHEDULES[t]
     if t.endswith("n") and t[:-1].isdigit() and int(t[:-1]) >= 1:
@@ -698,31 +693,24 @@ def parse_schedule(token):
 
 def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
                                  samples: int, seed: int,
-                                 eps: float = 0.2,
-                                 abar_samples: int = 1 << 14) -> ConvergenceReport:
+                                 eps: float = 0.2) -> ConvergenceReport:
     """Fixed-order generator words with diverging exponent schedules.
 
-    word is a list of (generator index, schedule); the cocycle at
+    word is a list of parsed (generator index, schedule) pairs: an index
+    in 0..2d-1 and a function of parse_schedule.  The cocycle at
     gamma_n = prod s_i^{a_i(n)} is compared against the product of
-    correspondingly dilated generator images, after rescaling both by
-    the largest exponent.
+    correspondingly dilated generator images, estimated from 2^14
+    samples, after rescaling both by the largest exponent.
     """
     grp = coupling.ambient()
-    d = grp.abelian_dim
     graded = grp.law_graded
-    parsed = []
-    for idx, sched in word:
-        idx = int(idx)
-        if not 0 <= idx < 2 * d:
-            raise StructuralError(f"generator index {idx} out of range")
-        parsed.append((idx, parse_schedule(sched)))
-    deriv = build_phi(coupling, abar_samples, seed)
+    deriv = build_phi(coupling, 1 << 14, seed)
     images = deriv.table.entries
     lattice = coupling.gamma_lattice
     ck = coupling_kernels(coupling)
 
     def row_at(n: int, x: np.ndarray) -> ConvergenceRow:
-        terms = [(idx, sched(n)) for idx, sched in parsed]
+        terms = [(idx, sched(n)) for idx, sched in word]
         big = max(e for _, e in terms)
         # refused before the target's float products can overflow
         gam = lane_coords(lattice, _lattice_word(lattice, terms).coords)
@@ -737,5 +725,5 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
     return ConvergenceReport(
         experiment="arbitrary-word", rows=rows, seed=seed, eps=eps,
         meta={"coupling": coupling.name,
-              "word": ";".join(f"{idx}" for idx, _ in parsed)},
+              "word": ";".join(f"{idx}" for idx, _ in word)},
     )

@@ -68,7 +68,6 @@ class Factorization:
     coordinate generators, d..2d-1 their inverses.
     """
 
-    algebra: str
     terms: tuple[tuple[int, float], ...]
 
 
@@ -91,14 +90,6 @@ def _letter(group: NilpotentGroup, idx: int, a: float) -> tuple:
     d = group.abelian_dim
     j, c = (idx, a) if idx < d else (idx - d, -a)
     return tuple(c if k == j else 0.0 for k in range(group.dim))
-
-
-def evaluate_factorization(group: NilpotentGroup, fact: Factorization) -> GroupPoint:
-    """The product of a factorization's dilated generators, in floats."""
-    acc = (0.0,) * group.dim
-    for idx, a in fact.terms:
-        acc = group.law_graded.mul(acc, _letter(group, idx, a))
-    return GroupPoint(acc)
 
 
 def _invert_word(d: int, letters: tuple) -> tuple:
@@ -198,4 +189,4 @@ def horizontal_factorization(group, g, order: str = "asc",
     if loud:
         raise FactorizationError(
             f"factorization failed to converge for {group.name}", residual=r)
-    return Factorization(algebra=group.name, terms=tuple(terms))
+    return Factorization(terms=tuple(terms))

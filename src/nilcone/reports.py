@@ -59,9 +59,9 @@ def _svg_points(xs, ys, width, height, pad) -> str:
     return " ".join(pts)
 
 
-def svg_line_plot(xs, ys, title: str = "", width: int = 480,
-                  height: int = 320) -> str:
-    """A single polyline with axes, as a standalone SVG document."""
+def svg_line_plot(xs, ys, title: str = "") -> str:
+    """A single polyline with axes, as a standalone 480 x 320 SVG document."""
+    width, height = 480, 320
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     if len(xs) != len(ys) or not xs:

@@ -224,9 +224,9 @@ def peel(lat: LatticeSpec, coords, mode: str = "floor", side: str = "right"):
     return tuple(digits), rem
 
 
-def right_peel(lat: LatticeSpec, coords, mode: str = "floor"):
-    """peel off the right, the side of every reduction to the domain."""
-    return peel(lat, coords, mode, "right")
+def right_peel(lat: LatticeSpec, coords):
+    """The floor peel off the right, the peel of every reduction to the domain."""
+    return peel(lat, coords, "floor", "right")
 
 
 def peel_digits(lat: LatticeSpec, coords, mode: str = "floor",
@@ -587,8 +587,7 @@ def ball_points(lat: LatticeSpec, radius: int) -> list[tuple]:
             for row in nums.tolist()]
 
 
-def word_norms(lat: LatticeSpec, digit_rows,
-               radius_cap: int = DEFAULT_RADIUS_CAP) -> np.ndarray:
+def word_norms(lat: LatticeSpec, digit_rows, radius_cap: int) -> np.ndarray:
     """Exact word length of each digit row, or -1 beyond radius_cap.
 
     A row inside the cached ball is answered at any length; the ball
@@ -604,13 +603,13 @@ def word_norms(lat: LatticeSpec, digit_rows,
     return out
 
 
-def word_norm_bfs(lat: LatticeSpec, g,
-                  radius_cap: int = DEFAULT_RADIUS_CAP) -> int | None:
-    """Exact word length of a lattice point, or None beyond radius_cap."""
+def word_norm_bfs(lat: LatticeSpec, g) -> int | None:
+    """Exact word length of a lattice point, or None beyond
+    DEFAULT_RADIUS_CAP (read at each call)."""
     digits = point_digits(lat, g)
     if any(abs(c) >= INT64_LIMIT for c in digits):
         return None  # farther than any ball whose digits fit in int64
-    w = int(word_norms(lat, [digits], radius_cap)[0])
+    w = int(word_norms(lat, [digits], DEFAULT_RADIUS_CAP)[0])
     return None if w < 0 else w
 
 

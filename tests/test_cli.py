@@ -320,6 +320,8 @@ BAD_CONFIGS = {
     "string phi_samples": {"phi_samples": "256"},
     "integer coupling": {"coupling": 5},
     "boolean samples": {"samples": True},
+    # ran, and exited 2 with "assertion failed"
+    "zero eps": {"eps": 0},
     "not an object": [1, 2],
 }
 
@@ -677,6 +679,24 @@ FLAG_REFUSALS = {
     # a zero multiple of n ended in a ZeroDivisionError traceback
     "arbitrary-word --word 0n": (["experiment", "arbitrary-word"] + SEEDED
                                  + ["--word", "e1:0n"], "--word 'e1:0n'"),
+    # thresholds that no run can meet, or that every run meets: each exited
+    # 0 or 2 with a verdict, or 2 with "assertion failed"
+    "recurrence --delta 0": (["derivative", "recurrence"] + SEEDED + ["--delta", "0"],
+                             "--delta must be > 0"),
+    "recurrence --delta -1": (["derivative", "recurrence"] + SEEDED + ["--delta", "-1"],
+                              "--delta must be > 0"),
+    "recurrence --min-success -1": (["derivative", "recurrence"] + SEEDED
+                                    + ["--min-success", "-1"],
+                                    "--min-success must be in [0, 1]"),
+    "recurrence --min-success 2": (["derivative", "recurrence"] + SEEDED
+                                   + ["--min-success", "2"],
+                                   "--min-success must be in [0, 1]"),
+    "main-theorem --eps 0": (["experiment", "main-theorem"] + SEEDED + ["--eps", "0"],
+                             "--eps must be > 0"),
+    "kappa --eps 0": (["derivative", "kappa"] + SEEDED + ["--eps", "0"],
+                      "--eps must be > 0"),
+    "arbitrary-word --eps -1": (["experiment", "arbitrary-word"] + SEEDED
+                                + ["--eps", "-1"], "--eps must be > 0"),
 }
 
 

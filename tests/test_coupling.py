@@ -53,7 +53,7 @@ BUILTINS = (
 def test_verify_coupling_builtins(name):
     report = verify_coupling(builtin_coupling(name), samples=64, seed=1,
                              triple_count=60)
-    assert report.ok, report.failures()
+    assert report.ok, [c for c in report.checks if not c[1]]
 
 
 def test_reduce_frozen_example():
@@ -433,7 +433,7 @@ def test_bad_twist_matrix_rejected():
         ),
     )
     with pytest.raises(StructuralError):
-        validate_automorphism(grp, bad)
+        validate_automorphism(grp, bad, builtin_lattice("heisenberg3"))
     with pytest.raises(StructuralError):
         builtin_twist("rotation")
 

@@ -149,9 +149,9 @@ def test_phi_apply_identity_and_homogeneity():
 
 
 def _word_image(phi, fact):
-    """The product, in the target graded group, of the generator images
+    """The product, in phi's graded group, of the generator images
     along a factorization word, each dilated by its exponent."""
-    law = get_group(phi.target).law_graded
+    law = get_group(phi.group).law_graded
     acc = (0.0,) * law.dim
     for idx, a in fact.terms:
         acc = law.mul(acc, tuple(a * v for v in phi.table.entries[idx]))
@@ -220,7 +220,7 @@ def _phi_and_points(draw):
     table = GeneratorImageTable(
         coupling=name, side="alpha", entries=tuple(entries),
         cis=tuple((0.0,) * grp.dim for _ in entries), samples=1, seed=0)
-    phi = PansuDerivative(table=table, source=name, target=name)
+    phi = PansuDerivative(table=table, group=name)
     points = [tuple(draw(_SMALL) / 2 ** (d - 1) for d in grp.degrees)
               for _ in range(2)]
     return phi, points, draw(st.floats(0.25, 4.0))
@@ -230,7 +230,7 @@ def _phi_and_points(draw):
 @given(_phi_and_points())
 def test_phi_is_a_graded_homomorphism_equal_to_the_word_product(case):
     phi, (g, h), t = case
-    grp = get_group(phi.source)
+    grp = get_group(phi.group)
     law = grp.law_graded
 
     def close(u, v):
@@ -274,7 +274,7 @@ def _identity_engel_phi():
     table = GeneratorImageTable(
         coupling="engel-identity", side="alpha", entries=entries,
         cis=tuple((0.0,) * grp.dim for _ in entries), samples=1, seed=0)
-    return PansuDerivative(table=table, source="engel4", target="engel4")
+    return PansuDerivative(table=table, group="engel4")
 
 
 def test_phi_engel_images_frozen_bitwise():
@@ -487,8 +487,8 @@ def test_recurrence_search_returns_quickly():
 
 def test_arbitrary_element_experiment():
     c = builtin_coupling("heisenberg-identity")
-    rep = arbitrary_element_experiment(c, ((0, "n"), (1, "sqrt")), (8, 16, 32),
-                                       128, 31, abar_samples=512)
+    word = ((0, parse_schedule("n")), (1, parse_schedule("sqrt")))
+    rep = arbitrary_element_experiment(c, word, (8, 16, 32), 128, 31)
     fracs = [r.fraction_within_eps for r in rep.rows]
     assert nondecreasing(median3_smooth(fracs))
     assert fracs[-1] >= 0.8

@@ -17,10 +17,7 @@ MODULES = sorted(p for p in (ROOT / "src" / "nilcone").glob("*.py")
 READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py"]
 # Public names kept although no reader names them.
-UNREACHED_ALLOWED = {
-    # the oracle the factorization tests check the peel against
-    "evaluate_factorization",
-}
+UNREACHED_ALLOWED: set[str] = set()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -172,3 +169,82 @@ def test_no_module_reads_another_modules_private_names():
                 if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                 and isinstance(node.value, ast.Name) and node.value.id in modules]
     assert bad == []
+
+
+# Defaulted parameters kept although no reader passes them another value.
+DEFAULT_ONLY_ALLOWED = {
+    "geometry.horizontal_factorization.max_passes":
+        "benchmark-only code that leaves with the benchmark refresh",
+    "geometry.horizontal_factorization.tol":
+        "benchmark-only code that leaves with the benchmark refresh",
+    "kernels.reduce_batch.side":
+        "benchmark-only code that leaves with the benchmark refresh",
+    "kernels.reduce_batch.mode":
+        "benchmark-only code that leaves with the benchmark refresh",
+    "wordmetric.peel.mode":
+        "the exact reference peel, compared with peel_batch in every mode",
+    "wordmetric.peel.side":
+        "the exact reference peel, compared with peel_batch on both sides",
+    "wordmetric.peel_batch.mode":
+        "the float peel, compared with the exact peel in every mode",
+    "wordmetric.peel_batch.side":
+        "the float peel, compared with the exact peel on both sides",
+    "derivative.main_theorem_experiment.perturb_digits":
+        "checks that the limit does not depend on the approximating sequence",
+}
+
+
+def _defaulted(fn, skip_first):
+    """(name, default node, positional index or None) per defaulted parameter."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    offset = len(positional) - len(a.defaults)
+    out = [(arg.arg, d, i - skip_first)
+           for i, (arg, d) in enumerate(zip(positional[offset:], a.defaults), offset)]
+    out += [(arg.arg, d, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _called_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a parameter that every reader leaves at its default is a constant
+    calls = {}
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_called_name(node), []).append(node)
+    unpassed = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # (called name, function, leading parameters a call does not pass)
+        targets = [(node.name, node, 0) for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    targets.append((cls.name, fn, 1))
+                elif not fn.name.startswith("_"):
+                    targets.append((fn.name, fn, 0 if static else 1))
+        for name, fn, skip in targets:
+            for param, default, index in _defaulted(fn, skip):
+                bound = [k.value for c in calls.get(name, ()) for k in c.keywords
+                         if k.arg == param]
+                if index is not None:
+                    bound += [c.args[index] for c in calls.get(name, ())
+                              if len(c.args) > index
+                              and not any(isinstance(a, ast.Starred) for a in c.args)]
+                if all(ast.dump(v) == ast.dump(default) for v in bound):
+                    unpassed.add(f"{path.stem}.{name}.{param}")
+    extra = sorted(unpassed - DEFAULT_ONLY_ALLOWED.keys())
+    assert not extra, f"only ever passed at the default: {', '.join(extra)}"
+    stale = sorted(DEFAULT_ONLY_ALLOWED.keys() - unpassed)
+    assert not stale, f"allowed, yet passed another value: {', '.join(stale)}"

@@ -158,14 +158,15 @@ def test_word_norm_center_is_four():
         word_norm_bfs(lat, (Fraction(1, 2), 0, 0))
 
 
-def test_word_norm_none_beyond_radius_cap():
+def test_word_norm_none_beyond_radius_cap(monkeypatch):
     # The ball cache is shared per lattice structure and other tests
     # may have grown it; the probe point must sit beyond any radius
     # requested elsewhere in the suite for the cap to be observable.
+    monkeypatch.setattr(wordmetric, "DEFAULT_RADIUS_CAP", 5)
     lat = builtin_lattice("heisenberg3")
-    assert word_norm_bfs(lat, (30, 0, 0), radius_cap=5) is None
+    assert word_norm_bfs(lat, (30, 0, 0)) is None
     # digits past int64 are farther than any ball the digit lane holds
-    assert word_norm_bfs(lat, (1 << 70, 0, 0), radius_cap=5) is None
+    assert word_norm_bfs(lat, (1 << 70, 0, 0)) is None
 
 
 def test_ball_profile_matches_brute_force():
@@ -343,12 +344,13 @@ def test_digit_quasi_norms_match_quasi_norm_m(name):
     assert digit_quasi_norms(lat, rows).tolist() == want
 
 
-def test_word_norms_of_digit_rows_match_word_norm_bfs():
+def test_word_norms_of_digit_rows_match_word_norm_bfs(monkeypatch):
+    monkeypatch.setattr(wordmetric, "DEFAULT_RADIUS_CAP", 6)
     lat = builtin_lattice("engel4")
     rows = _digit_rows(lat, 60, 212, bound=2)
     batch = word_norms(lat, rows, radius_cap=6)
     for row, w in zip(rows.tolist(), batch.tolist()):
-        one = word_norm_bfs(lat, digits_to_point(lat, row).coords, radius_cap=6)
+        one = word_norm_bfs(lat, digits_to_point(lat, row).coords)
         assert w == (-1 if one is None else one)
 
 
