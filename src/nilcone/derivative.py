@@ -31,11 +31,13 @@ from .coupling import (
     CouplingKernels,
     CouplingSpec,
     coupling_kernels,
+    domain_blocks,
     domain_samples,
     seed_lineage,
 )
 from .geometry import generating_set
-from .kernels import bch_batch, dilate_batch, law_table, quasi_norm_batch
+from .kernels import BLOCK_ROWS, Workspace, bch_batch, dilate_batch, law_table
+from .kernels import quasi_norm_batch, workspace
 from .ratlin import identity, spanning_inverse
 from .wordmetric import PrecisionLimit, ball_points, digits_to_point, lane_coords
 from .wordmetric import peel_coords, round_to_lattice
@@ -48,11 +50,6 @@ _TAG_MAIN = 2
 _TAG_KAPPA = 3
 _TAG_RECUR = 4
 _TAG_WORD = 6
-
-# Rows per float-lane block in _scaled_dist and kappa_grid: 2^14 float64 rows
-# are 128 KiB per coordinate column, which stays in L2 through every kernel.
-_BLOCK_ROWS = 1 << 14
-
 
 def median3_smooth(values):
     """Median-of-3 smoothing with clamped ends."""
@@ -81,12 +78,17 @@ def _float_coords(g) -> np.ndarray:
     return np.asarray([float(c) for c in coords_of(g)], dtype=np.float64)
 
 
-def _graded_dist(grp: NilpotentGroup, points: np.ndarray,
-                 target: np.ndarray) -> np.ndarray:
+def _graded_dist(grp: NilpotentGroup, points: np.ndarray, target: np.ndarray,
+                 work: Workspace | None = None, out: np.ndarray | None = None
+                 ) -> np.ndarray:
     """Proxy distances from each row to its target row, or to one target
-    point, in the graded group."""
-    diff = bch_batch(law_table(grp.law_graded), -points, np.atleast_2d(target))
-    return quasi_norm_batch(grp.degrees, diff)
+    point, in the graded group, into out.  With work, points is work.a,
+    negated there, and the product goes to work.b; without, points is
+    left as it is and the arrays are fresh."""
+    work = work or Workspace.fresh(len(points), grp.dim)
+    diff = bch_batch(law_table(grp.law_graded), np.negative(points, out=work.a),
+                     np.atleast_2d(target), out=work.b, term=work.s)
+    return quasi_norm_batch(grp.degrees, diff, out=out, scratch=work.s)
 
 
 # ------------------------------------------------------- mean abelianization
@@ -105,14 +107,21 @@ def _abelian_mean_ci(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
                      x: np.ndarray, side: str
                      ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Sample mean and 95% normal half-width of the abelian cocycle coords,
-    the first abelian_dim (side "alpha" or "beta", checked where x was drawn)."""
+    the first abelian_dim (side "alpha" or "beta", checked where x was drawn),
+    the cocycle run on blocks of x in the shared workspace."""
     samples = x.shape[0]
     g = _float_coords(gamma_coords)[None]
-    lam = ck.alpha_coords(g, x) if side == "alpha" else ck.beta_coords(g, x)
+    ab = np.empty((samples, grp.abelian_dim), order="F")
+    for i in range(0, samples, BLOCK_ROWS):
+        block = x[i:i + BLOCK_ROWS]
+        work = workspace(len(block), grp.dim)
+        lam = (ck.alpha_coords(g, block, work) if side == "alpha"
+               else ck.beta_coords(g, block, work))
+        ab[i:i + len(block)] = lam[:, :grp.abelian_dim]
     vec = [0.0] * grp.dim
     ci = [0.0] * grp.dim
     for i in range(grp.abelian_dim):
-        col = lam[:, i]
+        col = ab[:, i]
         vec[i] = float(col.mean())
         sd = float(col.std(ddof=1)) if samples > 1 else 0.0
         ci[i] = 1.96 * sd / math.sqrt(samples)
@@ -310,16 +319,15 @@ class ConvergenceReport:
         }
 
 
-def _depth_rows(coupling: CouplingSpec, n_list, samples: int, seed: int,
-                tag: int, row_at) -> tuple:
-    """row_at(n, x) at each depth n, x that depth's domain samples; a
-    PrecisionLimit, or a depth past the float range, is refused naming it."""
+def _depth_rows(n_list, row_at) -> tuple:
+    """row_at(n, i) at each depth n, the i-th, which spawns that depth's
+    sample stream; a PrecisionLimit, or a depth past the float range, is
+    refused naming it."""
     rows = []
     for i, n in enumerate(n_list):
         n = int(n)
         try:
-            rows.append(row_at(n, domain_samples(coupling, samples, seed,
-                                                 DEFAULT_WORKERS, tag, i)))
+            rows.append(row_at(n, i))
         except (PrecisionLimit, OverflowError) as exc:
             raise PrecisionLimit(f"at depth {n}, {exc}") from exc
     return tuple(rows)
@@ -372,7 +380,8 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     d = grp.abelian_dim  # degree one comes first
     ck = coupling_kernels(coupling)
 
-    def row_at(n: int, x: np.ndarray) -> IterateRow:
+    def row_at(n: int, i: int) -> IterateRow:
+        x = domain_samples(coupling, samples, seed, DEFAULT_WORKERS, _TAG_ITERATES, i)
         lam = ck.alpha_coords(n * gcoords[None], x)
         avg = lam[:, :d] / n
         a_dev = np.sqrt(((avg - target[:d]) ** 2).sum(axis=1))
@@ -388,7 +397,7 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     return IterateReport(
         coupling=coupling.name,
         gamma=tuple(float(v) for v in gcoords),
-        rows=_depth_rows(coupling, n_list, samples, seed, _TAG_ITERATES, row_at),
+        rows=_depth_rows(n_list, row_at),
         mean_ab=abar.vector,
         seed=seed,
     )
@@ -420,14 +429,20 @@ def gamma_sequence(grad, lattice, g, n: int) -> GroupPoint:
 
 
 def _scaled_dist(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
-                 x: np.ndarray, s: float, target: np.ndarray) -> np.ndarray:
-    """Per-sample distance of the cocycle at gamma, dilated by 1/s, to target."""
+                 blocks, n: int, s: float, target: np.ndarray) -> np.ndarray:
+    """Per-sample distance of the cocycle at gamma, dilated by 1/s, to target,
+    over the n samples of blocks of at most BLOCK_ROWS rows, in order.  Each
+    block runs on the shared workspace, so only the n distances are
+    allocated."""
     g = _float_coords(gamma_coords)[None]
-    dist = np.empty(len(x))
-    for i in range(0, len(x), _BLOCK_ROWS):
-        lam = ck.alpha_coords(g, x[i:i + _BLOCK_ROWS])
-        dist[i:i + len(lam)] = _graded_dist(
-            grp, dilate_batch(grp.degrees, 1.0 / s, lam), target)
+    dist = np.empty(n)
+    start = 0
+    for x in blocks:
+        work = workspace(len(x), grp.dim)
+        lam = ck.alpha_coords(g, x, work)
+        _graded_dist(grp, dilate_batch(grp.degrees, 1.0 / s, lam, out=lam), target,
+                     work, out=dist[start:start + len(x)])
+        start += len(x)
     return dist
 
 
@@ -451,14 +466,16 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
             else digits_to_point(lattice, perturb_digits).coords)
     ck = coupling_kernels(coupling)
 
-    def row_at(n: int, x: np.ndarray) -> ConvergenceRow:
+    def row_at(n: int, i: int) -> ConvergenceRow:
         gam = gamma_sequence(grp.grad, lattice, g, n).coords
         if pert is not None:
             gam = grp.law_group.mul(pert, gam)
-        dist = _scaled_dist(ck, grp, lane_coords(lattice, gam), x, float(n), target_coords)
+        dist = _scaled_dist(ck, grp, lane_coords(lattice, gam),
+                            domain_blocks(coupling, samples, seed, _TAG_MAIN, i),
+                            samples, float(n), target_coords)
         return _convergence_row(n, dist, eps, seed)
 
-    rows = _depth_rows(coupling, n_list, samples, seed, _TAG_MAIN, row_at)
+    rows = _depth_rows(n_list, row_at)
     return ConvergenceReport(
         experiment="main-theorem", rows=rows, seed=seed, eps=eps,
         meta={"coupling": coupling.name,
@@ -547,11 +564,11 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     n-dilated grid point; the report tracks the fraction of samples
     whose sup-distance over the whole grid stays below eps.
 
-    Each pass runs at most _BLOCK_ROWS (sample, grid point) rows, whose
-    columns stay in cache: B = _BLOCK_ROWS // grid size samples of a small
-    grid (paying each kernel call's fixed cost once per B samples), or one
-    sample and a chunk of _BLOCK_ROWS points of a larger grid, whose sup is
-    the max over its chunks.  Every kernel works row by row, so each sup
+    Each pass runs at most BLOCK_ROWS (sample, grid point) rows on the
+    shared workspace, whose columns stay in cache: B = BLOCK_ROWS // grid
+    size samples of a small grid (paying each kernel call's fixed cost
+    once per B samples), or one sample and a chunk of BLOCK_ROWS points of
+    a larger grid, whose sup is the max over its chunks.  Every kernel works row by row, so each sup
     has the bits of a one-sample pass; only the guards (the peel's
     precision limit, the exp map's 2^53 bound) read the pass's maxima.
     """
@@ -559,11 +576,12 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     ck = coupling_kernels(coupling)
     grid = _quasi_ball_grid(grp, radius, grid_step)
     size = len(grid)
-    block = max(1, min(x_samples, _BLOCK_ROWS // size))
-    chunk = min(size, _BLOCK_ROWS)  # grid points a pass; below size, B is 1
+    block = max(1, min(x_samples, BLOCK_ROWS // size))
+    chunk = min(size, BLOCK_ROWS)  # grid points a pass; below size, B is 1
     phi_vals = np.asfortranarray(np.tile(phi_batch(deriv, grid), (block, 1)))
 
-    def row_at(n: int, x: np.ndarray) -> ConvergenceRow:
+    def row_at(n: int, i: int) -> ConvergenceRow:
+        x = domain_samples(coupling, x_samples, seed, DEFAULT_WORKERS, _TAG_KAPPA, i)
         dil = dilate_batch(grp.degrees, float(n), grid)
         jn = peel_coords(ck.gamma_lattice, dil, mode="round")
         jn = np.asfortranarray(np.tile(jn, (block, 1)))
@@ -571,17 +589,18 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
         for start, lo in itertools.product(range(0, x_samples, block),
                                            range(0, size, chunk)):
             b, c = min(block, x_samples - start), min(chunk, size - lo)
-            # each sample's row, c times, column-major
-            xs = np.repeat(x[start:start + b].T, c, axis=1).T
-            lam = ck.alpha_coords(jn[lo:lo + b * c], xs)
-            scaled = dilate_batch(grp.degrees, 1.0 / n, lam)
-            dist = _graded_dist(grp, scaled, phi_vals[lo:lo + b * c])
+            work = workspace(b * c, grp.dim)
+            for j in range(grp.dim):  # each sample's row, c times
+                work.a[:, j].reshape(b, c)[:] = x[start:start + b, j, None]
+            lam = ck.alpha_coords(jn[lo:lo + b * c], work.a, work)
+            dilate_batch(grp.degrees, 1.0 / n, lam, out=lam)
+            dist = _graded_dist(grp, lam, phi_vals[lo:lo + b * c], work, out=work.t)
             sups[start:start + b, lo // chunk] = dist.reshape(b, c).max(axis=1)
         return _convergence_row(n, sups.max(axis=1), eps, seed)
 
     return KappaReport(
         experiment="kappa", seed=seed, eps=eps, meta={"coupling": coupling.name},
-        rows=_depth_rows(coupling, n_list, x_samples, seed, _TAG_KAPPA, row_at),
+        rows=_depth_rows(n_list, row_at),
         radius=float(radius), grid_step=float(grid_step), grid_size=size)
 
 
@@ -618,6 +637,12 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
     rescaled proxy distance to g; a sample succeeds at the first depth
     where some candidate's induced action lands it back in the box.
     Exhausting the horizon counts as failure, not an error.
+
+    Each depth runs every candidate on every sample still active as one
+    batch.  The float peel's precision limit reads the whole batch, so a
+    depth can be refused with PrecisionLimit over a candidate that a
+    candidate-by-candidate search would not have reached, every sample
+    having succeeded through an earlier one.
     """
     if samples < 1:
         raise StructuralError("samples must be >= 1")
@@ -649,14 +674,14 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
             cands = bch_batch(tab, lane_coords(coupling.gamma_lattice, gam.coords)[None],
                               perts)
             scaled = dilate_batch(grp.degrees, 1.0 / n, cands)
-            dist = _graded_dist(grp, scaled, target)
-            for ci in np.nonzero(dist < delta)[0]:
-                if active.size == 0:
-                    break
-                _, xprime = ck.reduce(bch_batch(tab, cands[ci][None], x[active]))
-                inside = np.all((xprime >= lo) & (xprime < hi), axis=1)
-                first[active[inside]] = n
-                active = active[~inside]
+            near = cands[_graded_dist(grp, scaled, target) < delta]
+            # row (c, j): candidate c moving active sample j
+            _, xprime = ck.reduce(bch_batch(tab, np.repeat(near, active.size, axis=0),
+                                            np.tile(x[active], (len(near), 1))))
+            inside = np.all((xprime >= lo) & (xprime < hi), axis=1)
+            hit = inside.reshape(len(near), active.size).any(axis=0)
+            first[active[hit]] = n
+            active = active[~hit]
             if active.size == 0:
                 break
     except PrecisionLimit as exc:
@@ -709,7 +734,7 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
     lattice = coupling.gamma_lattice
     ck = coupling_kernels(coupling)
 
-    def row_at(n: int, x: np.ndarray) -> ConvergenceRow:
+    def row_at(n: int, i: int) -> ConvergenceRow:
         terms = [(idx, sched(n)) for idx, sched in word]
         big = max(e for _, e in terms)
         # refused before the target's float products can overflow
@@ -717,11 +742,11 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
         tgt = (0.0,) * grp.dim
         for idx, e in terms:
             tgt = graded.mul(tgt, tuple(e * v for v in images[idx]))
-        dist = _scaled_dist(ck, grp, gam, x, big,
-                            dilate_batch(grp.degrees, 1.0 / big, [tgt]))
+        dist = _scaled_dist(ck, grp, gam, domain_blocks(coupling, samples, seed, _TAG_WORD, i),
+                            samples, big, dilate_batch(grp.degrees, 1.0 / big, [tgt]))
         return _convergence_row(n, dist, eps, seed)
 
-    rows = _depth_rows(coupling, n_list, samples, seed, _TAG_WORD, row_at)
+    rows = _depth_rows(n_list, row_at)
     return ConvergenceReport(
         experiment="arbitrary-word", rows=rows, seed=seed, eps=eps,
         meta={"coupling": coupling.name,

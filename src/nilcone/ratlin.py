@@ -227,22 +227,31 @@ class IntPolys:
         return sum(abs(c) * math.prod(top[v] ** e for v, e in mono)
                    for c, _, mono in self.terms[k])
 
-    def column(self, k: int, cols, acc=None, unit: bool = False) -> np.ndarray:
-        """Coordinate k with variable v the int64 or float64 column cols[v],
-        its terms added one by one into acc (zeros by default): the numerator,
-        or with unit the value, coefficients numerator / dens[k] in float.
-        Columns may mix n rows and one row; a one-row term widens."""
-        if acc is None:
-            acc = np.zeros(len(cols[0]), dtype=cols[0].dtype)
+    def column(self, k: int, cols, out: np.ndarray, term: np.ndarray,
+               unit: bool = False, start=0) -> np.ndarray:
+        """Coordinate k into out, variable v the int64 or float64 column
+        cols[v]: the numerator, or with unit the value (coefficients
+        numerator / dens[k] in float), added to start (0, or a column such
+        as out itself).  Each term is formed left to right, coefficient
+        first, in the scratch column term and added, so out is
+        start + t_0 + t_1 + ... and nothing is allocated.  Columns may mix
+        n rows and one row: a one-row factor multiplies as a scalar, and a
+        coefficient 1 is not multiplied, 1 * x being x."""
+        acc = start
         for num, coef, factors in self.flat[k]:
-            term = coef if unit else num
-            for i, v in enumerate(factors):
-                if i == 0 or term.size < cols[v].size:
-                    term = term * cols[v]
+            t = coef if unit else num  # a scalar until an n-row factor
+            for v in factors:
+                c = cols[v] if len(cols[v]) > 1 else cols[v][0]
+                if isinstance(t, np.ndarray):  # term, or an input column
+                    t = np.multiply(t, c, out=term)
+                elif np.ndim(c):
+                    t = c if t == 1 else np.multiply(t, c, out=term)
                 else:
-                    term *= cols[v]
-            acc += term
-        return acc
+                    t = t * c
+            acc = np.add(acc, t, out=out)
+        if acc is not out:  # no terms
+            out[...] = start
+        return out
 
     def numerators(self, rows: np.ndarray) -> np.ndarray:
         """Column-major numerators at each int64 digit row, refusing any
@@ -250,9 +259,10 @@ class IntPolys:
         cols = [rows[:, v] for v in range(rows.shape[1])]
         top = [int(v) for v in np.abs(rows).max(axis=0, initial=0)]
         out = np.empty((len(rows), len(self.terms)), dtype=np.int64, order="F")
+        term = np.empty(len(rows), dtype=np.int64)
         for k in range(len(self.terms)):
             if self.bound(k, top) >= INT64_LIMIT:
                 raise CapExceeded(f"{self.what} coordinate {k} could pass int64 "
                                   f"at digits up to {max(top)}")
-            out[:, k] = self.column(k, cols)
+            self.column(k, cols, out[:, k], term)
         return out

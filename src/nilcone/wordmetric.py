@@ -47,6 +47,7 @@ import numpy as np
 
 from .algebra import StructuralError
 from .bch import GroupPoint, coords_of, get_group
+from .kernels import Workspace
 from .ratlin import INT64_LIMIT, CapExceeded, IntPolys, Poly, numerators, poly_axpy, poly_mul
 
 
@@ -272,67 +273,84 @@ def round_to_lattice(lat: LatticeSpec, g) -> GroupPoint:
     return digits_to_point(lat, peel_digits(lat, g, mode="round"))
 
 
-def _peel_columns(lat: LatticeSpec, omega, mode: str, side: str):
-    """The float peel of the rows of omega: its q_i columns, and its digits
-    c_i (the floor or nearest integer of q_i) as an (n, m) column-major
-    float64 array.  Each q_i is the exact lane's polynomial evaluated on
-    float columns of the point and of the earlier digits.  A batch (a
-    caller's block) whose q_i terms could reach 2^(53 - FRACTION_BITS)
-    lattice units by its column maxima, or that holds a NaN, is refused
-    with PrecisionLimit before q_i is formed."""
+def _abs_max(col: np.ndarray):
+    """max |col|, 0 for an empty column and NaN where col holds one."""
+    return max(col.max(initial=0.0), -col.min(initial=0.0))
+
+
+def _peel_columns(lat: LatticeSpec, omega, mode: str, side: str, qs, digits, term):
+    """The float peel of the rows of omega: q_i into the column qs[i] and
+    the digits c_i (the floor or nearest integer of q_i) into the (n, m)
+    column-major digits, with term as the scratch column; returns digits.
+    Each q_i is the exact lane's polynomial evaluated on float columns of
+    the point and of the earlier digits.  A batch (a caller's block) whose
+    q_i terms could reach 2^(53 - FRACTION_BITS) lattice units by its
+    column maxima, or that holds a NaN, is refused with PrecisionLimit
+    before q_i is formed."""
     w = np.asarray(omega, dtype=np.float64, order="F")
     if w.ndim != 2 or w.shape[1] != lat.dim:
         raise ValueError("a float peel expects an (n, dim) array")
     tables = lat.polys.peel[side]
     rounding = {"floor": np.floor, "round": np.rint}[mode]
     cols = [w[:, v] for v in range(lat.dim)]
-    top = list(np.abs(w).max(axis=0, initial=0.0))
-    digits = np.empty(w.shape, order="F")
-    qs = []
+    top = [_abs_max(c) for c in cols]
     for i, den in enumerate(tables.dens):
         _float_guard(i, tables.bound(i, top) / den)
-        qs.append(tables.column(i, cols) / den)
-        cols.append(rounding(qs[i], out=digits[:, i]))
-        top.append(np.abs(cols[-1]).max(initial=0.0))
-    return qs, digits
+        q = tables.column(i, cols, qs[i], term)
+        if den != 1:
+            q /= den
+        cols.append(rounding(q, out=digits[:, i]))
+        top.append(_abs_max(cols[-1]))
+    return digits
 
 
 def peel_batch(lat: LatticeSpec, omega, mode: str = "floor", side: str = "right"):
     """peel over the float rows of omega: int64 digits and remainders,
     column-major, refused as _peel_columns refuses."""
-    qs, digits = _peel_columns(lat, omega, mode, side)
+    work = Workspace.fresh(len(omega), lat.dim)
+    qs = work.b.T  # qs[i] is column i
+    digits = _peel_columns(lat, omega, mode, side, qs, work.d, work.s)
     rem = [float(lead) * (q - c) for lead, q, c in zip(lat.leads(), qs, digits.T)]
     return digits.astype(np.int64), np.array(rem).T
 
 
 def peel_coords(lat: LatticeSpec, omega, mode: str = "floor",
-                side: str = "right") -> np.ndarray:
+                side: str = "right", work: Workspace | None = None) -> np.ndarray:
     """Float coordinates of the lattice point each row of omega peels to:
     digit_coords of the peel's own float digits, in order "desc" on the
-    right side and "asc" on the left."""
-    digits = _peel_columns(lat, omega, mode, side)[1]
-    return digit_coords(lat, digits, "desc" if side == "right" else "asc")
+    right side and "asc" on the left.  They land in work.a, the digits in
+    work.d and the scratch in work.s and work.t, so omega may lie in
+    work.b or work.c; without work, in fresh arrays."""
+    work = work or Workspace.fresh(len(omega), lat.dim)
+    digits = _peel_columns(lat, omega, mode, side, [work.t] * lat.dim, work.d, work.s)
+    return digit_coords(lat, digits, "desc" if side == "right" else "asc",
+                        out=work.a, term=work.s)
 
 
-def digit_coords(lat: LatticeSpec, digits, order: str = "desc") -> np.ndarray:
+def digit_coords(lat: LatticeSpec, digits, order: str = "desc",
+                 out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
     """Float coordinates of the lattice points with the given digit rows,
-    column-major: the exp map of digits_to_point, integer numerators
-    evaluated on float64 digit columns, then divided once.  Below 2^53
-    every term and partial sum of integers is exact in float64, so a
-    batch whose numerator bound (IntPolys.bound at its digit maxima)
-    reaches 2^53 is refused with PrecisionLimit."""
+    into out (column-major) with term as the scratch column: the exp map of
+    digits_to_point, integer numerators evaluated on float64 digit
+    columns, then divided once.  Below 2^53 every term and partial sum of
+    integers is exact in float64, so a batch whose numerator bound
+    (IntPolys.bound at its digit maxima) reaches 2^53 is refused with
+    PrecisionLimit."""
     exp = lat.polys.exp[order]
     d = np.asarray(digits, dtype=np.float64, order="F")
     cols = [d[:, v] for v in range(lat.dim)]
-    top = [int(v) for v in np.abs(d).max(axis=0, initial=0.0)]
-    out = np.empty(d.shape, order="F")
+    top = [int(_abs_max(c)) for c in cols]
+    out = np.empty(d.shape, order="F") if out is None else out
+    term = np.empty(len(d)) if term is None else term
     for k, den in enumerate(exp.dens):
         bound = exp.bound(k, top)
         if bound >= 1 << 53:
             raise PrecisionLimit(f"coordinate {k} of the lattice point reaches "
                                  f"{bound:.3g} numerator units, past 2^53: its "
                                  f"float exp map would not be exact")
-        np.divide(exp.column(k, cols), den, out=out[:, k])
+        acc = exp.column(k, cols, out[:, k], term)
+        if den != 1:
+            acc /= den
     return out
 
 

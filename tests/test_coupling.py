@@ -11,12 +11,14 @@ from nilcone.coupling import (
     AutomorphismSpec,
     CouplingSpec,
     StructuralError,
+    _sample_blocks,
     alpha,
     beta,
     builtin_coupling,
     builtin_twist,
     coupling_from_json,
     coupling_kernels,
+    domain_blocks,
     domain_samples,
     in_domain,
     induced_action,
@@ -31,6 +33,7 @@ from nilcone.coupling import (
 from nilcone import wordmetric
 from nilcone.bch import get_group
 from nilcone.derivative import gamma_sequence
+from nilcone.kernels import BLOCK_ROWS, workspace
 from nilcone.wordmetric import (
     LatticeSpec,
     PrecisionLimit,
@@ -259,7 +262,8 @@ def _index4_coupling():
 @pytest.mark.parametrize("name", ("heisenberg-identity", "heisenberg-shear",
                                   "engel-identity", "heisenberg-index4"))
 @pytest.mark.parametrize("side", ("alpha", "beta"))
-@pytest.mark.parametrize("n, workers", ((1, 4), (7, 4), (1023, 4), (10, 3)))
+@pytest.mark.parametrize("n, workers", ((1, 4), (7, 4), (1023, 4), (10, 3),
+                                        (2 * BLOCK_ROWS + 77, 4), (2 * BLOCK_ROWS + 77, 3)))
 def test_domain_samples_equal_rng_uniform_bitwise(name, side, n, workers):
     c = _index4_coupling() if name == "heisenberg-index4" else builtin_coupling(name)
     lat = c.lambda_lattice if side == "alpha" else c.gamma_lattice
@@ -275,6 +279,20 @@ def test_domain_samples_equal_rng_uniform_bitwise(name, side, n, workers):
         want = (c.twist.inverse().float_matrix() @ want.T).T
     got = domain_samples(c, n, 31, workers, 5, side=side)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the same stream read in blocks of the shared workspace, across the
+    # boundaries of blocks and of worker streams
+    if workers == 4 and side == "alpha":
+        blocks = domain_blocks(c, n, 31, 5)
+    else:  # the reader behind domain_blocks, with its other arguments
+        blocks = _sample_blocks(c, n, 31, workers, (5,), side, BLOCK_ROWS,
+                                lambda k, m: workspace(k, m)[:2])
+    sizes, parts = [], []
+    for block in blocks:
+        assert block.flags.f_contiguous
+        sizes.append(len(block))
+        parts.append(block.copy(order="F"))
+    assert sizes == [min(BLOCK_ROWS, n - i) for i in range(0, n, BLOCK_ROWS)]
+    assert np.concatenate(parts).tobytes() == want.tobytes()
 
 
 def test_twist_inverse_computed_once():

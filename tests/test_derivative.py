@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from nilcone.coupling import (
     alpha,
     builtin_coupling,
     coupling_kernels,
+    domain_blocks,
     domain_samples,
+    seed_lineage,
 )
 from nilcone.derivative import (
     BoxError,
@@ -26,8 +29,8 @@ from nilcone.derivative import (
     IterateRow,
     PansuDerivative,
     StructuralError,
-    _BLOCK_ROWS,
     _TAG_KAPPA,
+    _TAG_RECUR,
     _convergence_row,
     _graded_dist,
     _median,
@@ -55,8 +58,15 @@ from nilcone.geometry import (
     horizontal_factorization,
     quasi_norm_m,
 )
-from nilcone.kernels import bch_batch, dilate_batch
-from nilcone.wordmetric import PrecisionLimit, builtin_lattice, digit_coords, peel_batch
+from nilcone.kernels import BLOCK_ROWS, bch_batch, dilate_batch
+from nilcone.wordmetric import (
+    PrecisionLimit,
+    ball_points,
+    builtin_lattice,
+    digit_coords,
+    lane_coords,
+    peel_batch,
+)
 
 
 def test_mean_abelianization_identity_gamma_is_zero():
@@ -423,7 +433,7 @@ def test_blocked_kappa_equals_the_per_sample_loop_bitwise(
         return _convergence_row(n, dist, eps, seed)
     monkeypatch.setattr(derivative, "_convergence_row", record)
     rep = kappa_grid(c, deriv, x_samples, (8, 32), radius, step, 13)
-    assert max(1, _BLOCK_ROWS // rep.grid_size) == block
+    assert max(1, BLOCK_ROWS // rep.grid_size) == block
     want = _kappa_sups_by_sample(c, deriv, x_samples, (8, 32), radius, step, 13)
     assert np.concatenate(seen).tobytes() == want.tobytes()
 
@@ -437,18 +447,41 @@ def test_blocked_scaled_dist_equals_one_whole_batch_pass(name):
     g = tuple(1.0 if d == 1 else 0.5 ** d for d in grp.degrees)
     gam = [float(v) for v in gamma_sequence(grp.grad, c.gamma_lattice, g, 64).coords]
     target = phi_batch(build_phi(c, 256, 3), [g])[0]
-    x = domain_samples(c, 2 * _BLOCK_ROWS + 77, 5)
+    n = 2 * BLOCK_ROWS + 77
+    x = domain_samples(c, n, 5)
     lam = ck.alpha_coords(np.asarray(gam)[None], x)
     want = _graded_dist(grp, dilate_batch(grp.degrees, 1 / 64, lam), target)
-    got = _scaled_dist(ck, grp, gam, x, 64.0, target)
+    got = _scaled_dist(ck, grp, gam, (x[i:i + BLOCK_ROWS] for i in range(0, n, BLOCK_ROWS)),
+                       n, 64.0, target)
     assert got.tobytes() == want.tobytes()
+    # the streamed samples of the same seed, never an n-row array
+    streamed = _scaled_dist(ck, grp, gam, domain_blocks(c, n, 5), n, 64.0, target)
+    assert streamed.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["heisenberg-shear", "engel-identity"])
+def test_main_theorem_allocates_less_than_one_sample_array(name):
+    # the samples are streamed block by block and every block's kernels
+    # write into the shared workspace: what is left is the distances
+    c = builtin_coupling(name)
+    grp = c.ambient()
+    phi = build_phi(c, 256, 3)
+    g = tuple(1.0 if d == 1 else 0.5 ** d for d in grp.degrees)
+    main_theorem_experiment(c, phi, g, (8, 16, 32), 0.2, 1 << 16, 7)  # warm caches
+    tracemalloc.start()
+    try:
+        main_theorem_experiment(c, phi, g, (8, 16, 32), 0.2, 1 << 16, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 16) * grp.dim * 8
 
 
 def test_main_theorem_past_the_precision_limit_is_refused_in_blocks():
     c = builtin_coupling("engel-identity")
     with pytest.raises(PrecisionLimit, match="at depth 16384, coordinate 3"):
         main_theorem_experiment(c, build_phi(c, 256, 3), (1, 0.5, 0.25, 0.125),
-                                (8, 1 << 14), 0.2, 2 * _BLOCK_ROWS + 77, 7)
+                                (8, 1 << 14), 0.2, 2 * BLOCK_ROWS + 77, 7)
 
 
 def test_kappa_without_samples_is_refused():
@@ -474,6 +507,48 @@ def test_recurrence_box_is_checked_at_its_corners(name, box, inside):
         else:
             with pytest.raises(BoxError, match="not inside"):
                 recurrence_search(c, (1, 0, 0), 0.3, pairs, 2, 4, seed)
+
+
+def _first_depths_by_candidate(c, g, delta, box, horizon, samples, seed):
+    """recurrence_search's first depths with one reduce per candidate, in
+    order, each on the samples still active, stopping once none is left."""
+    grp = c.ambient()
+    ck = coupling_kernels(c)
+    lo, hi = (np.asarray(v, dtype=np.float64) for v in zip(*box))
+    rng = np.random.Generator(np.random.PCG64(seed_lineage(seed, _TAG_RECUR)))
+    x = rng.uniform(lo, hi, size=(samples, grp.dim))
+    perts = np.asarray([[float(v) for v in p] for p in ball_points(c.gamma_lattice, 3)])
+    first = np.full(samples, -1)
+    active = np.arange(samples)
+    for n in range(1, horizon + 1):
+        gam = gamma_sequence(grp.grad, c.gamma_lattice, g, n)
+        cands = bch_batch(ck.table, lane_coords(c.gamma_lattice, gam.coords)[None], perts)
+        dist = _graded_dist(grp, dilate_batch(grp.degrees, 1.0 / n, cands),
+                            np.asarray(g, dtype=np.float64))
+        for ci in np.nonzero(dist < delta)[0]:
+            if active.size == 0:
+                break
+            _, xprime = ck.reduce(bch_batch(ck.table, cands[ci][None], x[active]))
+            inside = np.all((xprime >= lo) & (xprime < hi), axis=1)
+            first[active[inside]] = n
+            active = active[~inside]
+        if active.size == 0:
+            break
+    return tuple(int(v) for v in first)
+
+
+@pytest.mark.parametrize("name", ["heisenberg-identity", "heisenberg-scale2",
+                                  "heisenberg-shear", "z2-identity", "engel-identity"])
+def test_recurrence_batch_per_depth_equals_the_candidate_loop(name):
+    c = builtin_coupling(name)
+    dim = c.ambient().dim
+    g = (1.0,) + (0.0,) * (dim - 1)
+    box = ((0.0, 0.5),) * dim
+    for seed in (1, 2, 3):
+        rep = recurrence_search(c, g, 0.3, box, 12, 40, seed)
+        want = _first_depths_by_candidate(c, g, 0.3, box, 12, 40, seed)
+        assert rep.first_depths == want
+        assert any(d > 0 for d in want)
 
 
 def test_recurrence_search_returns_quickly():

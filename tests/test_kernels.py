@@ -275,7 +275,8 @@ def test_column_equals_the_sum_of_its_terms(dtype, with_acc):
             for unit in ((False, True) if dtype is np.float64 else (False,)):
                 acc = rng.integers(-5, 6, size=64).astype(dtype) if with_acc else None
                 want = _column_by_terms(tab, k, cols, acc, unit)
-                got = tab.column(k, cols, None if acc is None else acc.copy(), unit)
+                got = tab.column(k, cols, np.empty(64, dtype), np.empty(64, dtype), unit,
+                                 0 if acc is None else acc)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert not any(np.shares_memory(got, c) for c in cols)
                 assert got.tobytes() == want.tobytes()
