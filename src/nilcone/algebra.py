@@ -89,16 +89,6 @@ class NilpotentAlgebraSpec:
                 acc[k - 1] = acc.get(k - 1, Fraction(0)) + sign * c
         return {key: {k: c for k, c in val.items() if c != 0} for key, val in t.items() if val}
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "brackets": [
-                {"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in entries}}
-                for (i, j), entries in self.brackets
-            ],
-            "name": self.name,
-        }
-
     @staticmethod
     def from_json_dict(obj: dict) -> "NilpotentAlgebraSpec":
         """The presentation of a JSON object; any malformed part is a

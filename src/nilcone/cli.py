@@ -25,6 +25,7 @@ from .algebra import NilpotentAlgebraSpec
 from .bch import get_group
 from .coupling import (
     CouplingSpec,
+    IntegrabilityReport,
     builtin_coupling,
     coupling_from_json,
     integrability_estimate,
@@ -328,17 +329,16 @@ def _cmd_derivative_estimate(args) -> int:
         gamma = _parse_point(grp, "--gamma", args.gamma, finite=True)
         with _naming("--gamma", args.gamma, PrecisionLimit):
             ma = mean_abelianization(cp, gamma, args.samples, args.seed)
-    header = ["generator", "mean_norm", "ci_low", "ci_high", "samples", "seed"]
-    rows = []
+    reps = []
     for i, s in enumerate(generating_set(grp)):
         label = f"s{i + 1}" if i < grp.abelian_dim else f"s{i - grp.abelian_dim + 1}_inv"
         rep = integrability_estimate(cp, s, args.samples, args.seed, label=label)
-        rows.append(rep.csv_row())
+        reps.append(rep)
         print(f"{label}: mean |alpha| = {rep.mean:.4f} "
               f"[{rep.ci_low:.4f}, {rep.ci_high:.4f}]")
     path = reports.write_csv(
         _out_dir(args) / f"integrability_{cp.name}_seed{args.seed}.csv",
-        header, rows)
+        *IntegrabilityReport.csv_rows(reps))
     print(f"wrote {path}")
     if ma is not None:
         print("mean abelianization:", ",".join(repr(v) for v in ma.vector))

@@ -277,25 +277,21 @@ class CouplingKernels:
         g = np.asarray([float(c) for c in gamma_coords], dtype=np.float64)
         return self.reduce(bch_batch(self.table, g[None], x))
 
-    def alpha_coords(self, gamma: np.ndarray, x: np.ndarray,
-                     work: Workspace | None = None) -> np.ndarray:
+    def alpha_coords(self, gamma: np.ndarray, x: np.ndarray, work: Workspace) -> np.ndarray:
         """Coordinates of alpha(gamma_i, x_i) for a (1, m) or an (n, m)
         gamma, column-major, without digits or induced-action images.  Every
         step writes into work (x may be work.a): the product into work.b,
         its twist into work.c and the peel as peel_coords does, the
-        coordinates into work.a; without work, into fresh arrays."""
-        work = work or Workspace.fresh(max(len(gamma), len(x)), self.lambda_lattice.dim)
+        coordinates into work.a."""
         w = bch_batch(self.table, gamma, x, out=work.b, term=work.s)
         if self.twisted:
             w = np.matmul(self.theta, w.T, out=work.c.T).T
         return peel_coords(self.lambda_lattice, w, work=work)
 
-    def beta_coords(self, lam: np.ndarray, y: np.ndarray,
-                    work: Workspace | None = None) -> np.ndarray:
+    def beta_coords(self, lam: np.ndarray, y: np.ndarray, work: Workspace) -> np.ndarray:
         """Coordinates of beta(lam_i, y_i), column-major, for a (1, m) or an
         (n, m) lam: the inverse of the left peel's lattice point, written
-        into work as alpha_coords writes."""
-        work = work or Workspace.fresh(max(len(lam), len(y)), self.lambda_lattice.dim)
+        into work as alpha_coords writes (y may be work.a)."""
         if self.twisted:
             lam = lam @ self.theta_inv.T
         moved = bch_batch(self.table, y, -lam, out=work.b, term=work.s)
@@ -422,9 +418,12 @@ class IntegrabilityReport:
     samples: int
     seed: int
 
-    def csv_row(self):
-        return [self.generator, self.mean, self.ci_low, self.ci_high,
-                self.samples, self.seed]
+    @staticmethod
+    def csv_rows(reports) -> tuple[list[str], list[list]]:
+        """The integrability CSV: its header, then a row per report."""
+        return (["generator", "mean_norm", "ci_low", "ci_high", "samples", "seed"],
+                [[r.generator, r.mean, r.ci_low, r.ci_high, r.samples, r.seed]
+                 for r in reports])
 
 
 _EXACT_NORM_RADIUS = 12
@@ -473,8 +472,8 @@ class CouplingVerification:
     checks: tuple[tuple[str, bool, str], ...]
 
 
-def verify_coupling(coupling: CouplingSpec, samples: int = 200,
-                    seed: int = 0, triple_count: int = 200) -> CouplingVerification:
+def verify_coupling(coupling: CouplingSpec, samples: int, seed: int,
+                    triple_count: int) -> CouplingVerification:
     """Structural checks: twist validity, commutation, cocycle identity,
     reconstruction, idempotency, and the beta-alpha inversion."""
     grp = coupling.ambient()

@@ -103,21 +103,27 @@ class MeanAbelianization:
     seed: int
 
 
-def _abelian_mean_ci(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
-                     x: np.ndarray, side: str
+def _cocycle_blocks(ck: CouplingKernels, gamma, blocks, side: str):
+    """The cocycle (side "alpha" or "beta") at gamma over blocks of at most
+    BLOCK_ROWS sample rows, in order, each on the shared workspace: per
+    block, its slice of the sample rows, lam (in work.a) and work."""
+    g = _float_coords(gamma)[None]
+    cocycle = ck.alpha_coords if side == "alpha" else ck.beta_coords
+    start = 0
+    for x in blocks:
+        work = workspace(len(x), ck.lambda_lattice.dim)
+        yield slice(start, start + len(x)), cocycle(g, x, work), work
+        start += len(x)
+
+
+def _abelian_mean_ci(ck: CouplingKernels, grp: NilpotentGroup, gamma, blocks,
+                     samples: int, side: str
                      ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Sample mean and 95% normal half-width of the abelian cocycle coords,
-    the first abelian_dim (side "alpha" or "beta", checked where x was drawn),
-    the cocycle run on blocks of x in the shared workspace."""
-    samples = x.shape[0]
-    g = _float_coords(gamma_coords)[None]
+    the first abelian_dim, over the samples of blocks."""
     ab = np.empty((samples, grp.abelian_dim), order="F")
-    for i in range(0, samples, BLOCK_ROWS):
-        block = x[i:i + BLOCK_ROWS]
-        work = workspace(len(block), grp.dim)
-        lam = (ck.alpha_coords(g, block, work) if side == "alpha"
-               else ck.beta_coords(g, block, work))
-        ab[i:i + len(block)] = lam[:, :grp.abelian_dim]
+    for rows, lam, _ in _cocycle_blocks(ck, gamma, blocks, side):
+        ab[rows] = lam[:, :grp.abelian_dim]
     vec = [0.0] * grp.dim
     ci = [0.0] * grp.dim
     for i in range(grp.abelian_dim):
@@ -131,11 +137,9 @@ def _abelian_mean_ci(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
 def mean_abelianization(coupling: CouplingSpec, gamma, samples: int,
                         seed: int) -> MeanAbelianization:
     """Average of the abelian coordinates of the cocycle alpha at gamma."""
-    if samples < 1:
-        raise StructuralError("samples must be >= 1")
-    x = domain_samples(coupling, samples, seed, DEFAULT_WORKERS, _TAG_MEAN_AB)
-    vec, ci = _abelian_mean_ci(coupling_kernels(coupling), coupling.ambient(),
-                               coords_of(gamma), x, "alpha")
+    vec, ci = _abelian_mean_ci(coupling_kernels(coupling), coupling.ambient(), gamma,
+                               domain_blocks(coupling, samples, seed, _TAG_MEAN_AB),
+                               samples, "alpha")
     return MeanAbelianization(vector=vec, ci=ci, samples=samples, seed=seed)
 
 
@@ -217,7 +221,9 @@ def build_phi(coupling: CouplingSpec, samples: int, seed: int,
     grp = coupling.ambient()
     x = domain_samples(coupling, samples, seed, DEFAULT_WORKERS, _TAG_MEAN_AB, side=side)
     ck = coupling_kernels(coupling)
-    images = [_abelian_mean_ci(ck, grp, s.coords, x, side)
+    images = [_abelian_mean_ci(ck, grp, s.coords,
+                               (x[i:i + BLOCK_ROWS] for i in range(0, samples, BLOCK_ROWS)),
+                               samples, side)
               for s in generating_set(grp)]
     entries = [vec for vec, _ in images]
     cis = [ci for _, ci in images]
@@ -381,18 +387,20 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     ck = coupling_kernels(coupling)
 
     def row_at(n: int, i: int) -> IterateRow:
-        x = domain_samples(coupling, samples, seed, DEFAULT_WORKERS, _TAG_ITERATES, i)
-        lam = ck.alpha_coords(n * gcoords[None], x)
-        avg = lam[:, :d] / n
-        a_dev = np.sqrt(((avg - target[:d]) ** 2).sum(axis=1))
-        com = lam.copy()
-        com[:, :d] = 0.0  # the commutator part
-        b = quasi_norm_batch(grp.degrees, com) / n
-        scaled = dilate_batch(grp.degrees, 1.0 / n, lam)
-        c = _graded_dist(grp, scaled, target)
-        return IterateRow(n=n, samples=samples, median_ab_dev=_median(a_dev),
-                          median_com_over_n=_median(b), median_scl_dist=_median(c),
-                          seed=seed)
+        stats = np.empty((3, samples))  # a_dev, com/n, the scaled distance
+        blocks = domain_blocks(coupling, samples, seed, _TAG_ITERATES, i)
+        for rows, lam, work in _cocycle_blocks(ck, n * gcoords, blocks, "alpha"):
+            stats[0, rows] = np.sqrt(((lam[:, :d] / n - target[:d]) ** 2).sum(axis=1))
+            work.c[:] = lam
+            work.c[:, :d] = 0.0  # the commutator part
+            quasi_norm_batch(grp.degrees, work.c, out=stats[1, rows], scratch=work.s)
+            stats[1, rows] /= n
+            # last: _graded_dist negates lam, in work.a, in place
+            _graded_dist(grp, dilate_batch(grp.degrees, 1.0 / n, lam, out=lam), target,
+                         work, out=stats[2, rows])
+        a_dev, b, c = map(_median, stats)
+        return IterateRow(n=n, samples=samples, median_ab_dev=a_dev,
+                          median_com_over_n=b, median_scl_dist=c, seed=seed)
 
     return IterateReport(
         coupling=coupling.name,
@@ -431,18 +439,11 @@ def gamma_sequence(grad, lattice, g, n: int) -> GroupPoint:
 def _scaled_dist(ck: CouplingKernels, grp: NilpotentGroup, gamma_coords,
                  blocks, n: int, s: float, target: np.ndarray) -> np.ndarray:
     """Per-sample distance of the cocycle at gamma, dilated by 1/s, to target,
-    over the n samples of blocks of at most BLOCK_ROWS rows, in order.  Each
-    block runs on the shared workspace, so only the n distances are
-    allocated."""
-    g = _float_coords(gamma_coords)[None]
+    over the n samples of blocks; only the n distances are allocated."""
     dist = np.empty(n)
-    start = 0
-    for x in blocks:
-        work = workspace(len(x), grp.dim)
-        lam = ck.alpha_coords(g, x, work)
+    for rows, lam, work in _cocycle_blocks(ck, gamma_coords, blocks, "alpha"):
         _graded_dist(grp, dilate_batch(grp.degrees, 1.0 / s, lam, out=lam), target,
-                     work, out=dist[start:start + len(x)])
-        start += len(x)
+                     work, out=dist[rows])
     return dist
 
 
@@ -557,7 +558,7 @@ def _quasi_ball_grid(grp: NilpotentGroup, radius: float, step: float) -> np.ndar
 
 def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
                x_samples: int, n_list, radius: float, grid_step: float,
-               seed: int, eps: float = 0.3) -> KappaReport:
+               seed: int, eps: float) -> KappaReport:
     """Per-sample sup distance over a grid between kappa and the derivative.
 
     kappa_{x,n}(g) rescales the cocycle at the lattice rounding of the
@@ -718,7 +719,7 @@ def parse_schedule(token: str):
 
 def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
                                  samples: int, seed: int,
-                                 eps: float = 0.2) -> ConvergenceReport:
+                                 eps: float) -> ConvergenceReport:
     """Fixed-order generator words with diverging exponent schedules.
 
     word is a list of parsed (generator index, schedule) pairs: an index

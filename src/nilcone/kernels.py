@@ -23,10 +23,11 @@ Batch size and the workspace.  Each kernel call costs a few microseconds
 of numpy and Python overhead per coordinate whatever its row count, and
 a batch whose columns outgrow L2 runs slower per row, so the float lane
 runs blocks of BLOCK_ROWS = 2^14 rows (128 KiB per float64 column):
-main-theorem samples streamed by coupling.domain_blocks, the phi
-estimate's samples, kappa_grid's (sample, grid point) rows.  A block's
-kernels, sampler to quasi-norm, write into workspace(): four (2^14, m)
-buffers and two scratch columns, kept at module level between calls.
+the samples that coupling.domain_blocks streams to main-theorem, the
+iterates and the mean abelianization, the phi estimate's samples,
+kappa_grid's (sample, grid point) rows.  A block's kernels, sampler
+to quasi-norm, write into workspace(): four (2^14, m) buffers and two
+scratch columns, kept at module level between calls.
 Arrays of that size made and freed per block or per call go back to the
 operating system between depths, and cost a minor page fault per 4 KiB
 when touched again: at 2^16 samples, a depth's time again.  Every

@@ -1,6 +1,5 @@
 """Algebra presentations, validation, gradation, and dilations."""
 
-import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -228,14 +227,6 @@ def test_bracket_t_equals_graded_when_homogeneous():
         w = rand_vec(rng, 3)
         assert bracket_t(spec, grad, v, w, Fraction(7, 2)) == \
             graded_bracket(grad, v, w)
-
-
-def test_spec_json_round_trip():
-    for spec in BUILTIN_ALGEBRAS.values():
-        text = json.dumps(spec.to_json_dict(), sort_keys=True)
-        again = NilpotentAlgebraSpec.from_json_dict(json.loads(text))
-        assert again.dim == spec.dim
-        assert again.tensor() == spec.tensor()
 
 
 def test_abelian_has_no_brackets():

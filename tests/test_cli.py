@@ -93,10 +93,15 @@ def test_algebra_check_refuses_a_bad_json_file_naming_the_flag(tmp_path, capsys,
 
 
 def test_algebra_check_reads_a_json_file(tmp_path, capsys):
-    path = tmp_path / "algebra.json"
-    path.write_text(json.dumps(HEISENBERG_JSON))
-    assert main(["algebra", "check", "--json", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "ok"
+    # a coefficient string may be a fraction; read as 0 it would leave
+    # an abelian algebra of step 1
+    half = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1/2"}}]}
+    for spec in (HEISENBERG_JSON, half):
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(spec))
+        assert main(["algebra", "check", "--json", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("dim 3, step 2") and out[-1] == "ok"
 
 
 def test_metric_ball_artifact(tmp_path, capsys):
@@ -239,20 +244,6 @@ def test_iterates_on_a_converged_coupling_exits_0(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "com/n=0.0 scl_dist=0.0" in out
     assert rc == 0
-
-
-def test_dry_run_emits_plan_without_artifacts(tmp_path, capsys):
-    out = tmp_path / "never"
-    rc = main(["experiment", "iterates", "--coupling", "heisenberg-identity",
-               "--n", "8,16", "--samples", "64", "--gamma", "e1",
-               "--seed", "9", "--dry-run", "--out", str(out)])
-    assert rc == 0
-    plan_line = capsys.readouterr().out.strip()
-    assert plan_line.startswith("plan {")
-    plan = json.loads(plan_line[5:])
-    assert plan["experiment"] == "iterates"
-    assert plan["seed"] == 9
-    assert not out.exists()
 
 
 def test_run_requires_seed(capsys):
@@ -777,6 +768,20 @@ def _tiny_args(parser) -> list[str]:
     """The TINY values of the flags a subcommand has."""
     given = {a.option_strings[0] for a in parser._actions if a.option_strings}
     return [t for flag in sorted(given & set(TINY)) for t in (flag, TINY[flag])]
+
+
+@pytest.mark.parametrize("command", list(LEAVES))
+def test_dry_run_emits_plan_without_artifacts(tmp_path, capsys, command):
+    out = tmp_path / "never"
+    rc = main(command.split() + _tiny_args(LEAVES[command])
+              + ["--dry-run", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert len(lines) == 1 and lines[0].startswith("plan {")
+    plan = json.loads(lines[0][5:])
+    assert plan["command"] == command.split()[0]
+    assert plan.get("seed", 1) == 1  # the TINY seed, where the command has one
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", list(LEAVES))

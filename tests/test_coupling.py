@@ -33,7 +33,7 @@ from nilcone.coupling import (
 from nilcone import wordmetric
 from nilcone.bch import get_group
 from nilcone.derivative import gamma_sequence
-from nilcone.kernels import BLOCK_ROWS, workspace
+from nilcone.kernels import BLOCK_ROWS, Workspace, workspace
 from nilcone.wordmetric import (
     LatticeSpec,
     PrecisionLimit,
@@ -381,13 +381,14 @@ def test_float_digits_refused_past_the_precision_limit(name):
     x = domain_samples(c, 50, 3)
     gam = gamma_sequence(grp.grad, c.gamma_lattice, g, 1 << 12)
     ck.alpha_digits(gam.coords, x)
-    ck.beta_coords(np.asarray([float(v) for v in gam.coords])[None], x)
+    work = Workspace.fresh(len(x), grp.dim)
+    ck.beta_coords(np.asarray([float(v) for v in gam.coords])[None], x, work)
     if name == "engel-identity":
         deep = gamma_sequence(grp.grad, c.gamma_lattice, g, 1 << 20)
         with pytest.raises(PrecisionLimit, match="coordinate 3 .* reaches"):
             ck.alpha_digits(deep.coords, x)
         with pytest.raises(PrecisionLimit, match="coordinate 3 .* reaches"):
-            ck.beta_coords(np.asarray([float(v) for v in deep.coords])[None], x)
+            ck.beta_coords(np.asarray([float(v) for v in deep.coords])[None], x, work)
 
 
 @pytest.mark.parametrize("e", [20, 24])

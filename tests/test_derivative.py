@@ -29,7 +29,9 @@ from nilcone.derivative import (
     IterateRow,
     PansuDerivative,
     StructuralError,
+    _TAG_ITERATES,
     _TAG_KAPPA,
+    _TAG_MEAN_AB,
     _TAG_RECUR,
     _convergence_row,
     _graded_dist,
@@ -58,7 +60,8 @@ from nilcone.geometry import (
     horizontal_factorization,
     quasi_norm_m,
 )
-from nilcone.kernels import BLOCK_ROWS, bch_batch, dilate_batch
+from nilcone.kernels import BLOCK_ROWS, Workspace, bch_batch, dilate_batch
+from nilcone.kernels import quasi_norm_batch
 from nilcone.wordmetric import (
     PrecisionLimit,
     ball_points,
@@ -375,7 +378,7 @@ def test_iterate_diagnostics_decreasing():
 def test_kappa_grid_converges():
     c = builtin_coupling("heisenberg-identity")
     phi = build_phi(c, 512, 11)
-    rep = kappa_grid(c, phi, 32, (8, 16, 32), 1.0, 1.0, 17)
+    rep = kappa_grid(c, phi, 32, (8, 16, 32), 1.0, 1.0, 17, 0.3)
     assert rep.grid_size > 0
     fracs = [r.fraction_within_eps for r in rep.rows]
     assert nondecreasing(median3_smooth(fracs))
@@ -432,7 +435,7 @@ def test_blocked_kappa_equals_the_per_sample_loop_bitwise(
         seen.append(dist.copy())
         return _convergence_row(n, dist, eps, seed)
     monkeypatch.setattr(derivative, "_convergence_row", record)
-    rep = kappa_grid(c, deriv, x_samples, (8, 32), radius, step, 13)
+    rep = kappa_grid(c, deriv, x_samples, (8, 32), radius, step, 13, 0.3)
     assert max(1, BLOCK_ROWS // rep.grid_size) == block
     want = _kappa_sups_by_sample(c, deriv, x_samples, (8, 32), radius, step, 13)
     assert np.concatenate(seen).tobytes() == want.tobytes()
@@ -449,7 +452,7 @@ def test_blocked_scaled_dist_equals_one_whole_batch_pass(name):
     target = phi_batch(build_phi(c, 256, 3), [g])[0]
     n = 2 * BLOCK_ROWS + 77
     x = domain_samples(c, n, 5)
-    lam = ck.alpha_coords(np.asarray(gam)[None], x)
+    lam = ck.alpha_coords(np.asarray(gam)[None], x, Workspace.fresh(n, grp.dim))
     want = _graded_dist(grp, dilate_batch(grp.degrees, 1 / 64, lam), target)
     got = _scaled_dist(ck, grp, gam, (x[i:i + BLOCK_ROWS] for i in range(0, n, BLOCK_ROWS)),
                        n, 64.0, target)
@@ -457,6 +460,45 @@ def test_blocked_scaled_dist_equals_one_whole_batch_pass(name):
     # the streamed samples of the same seed, never an n-row array
     streamed = _scaled_dist(ck, grp, gam, domain_blocks(c, n, 5), n, 64.0, target)
     assert streamed.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["heisenberg-shear", "engel-identity"])
+def test_blocked_iterates_and_mean_equal_one_whole_batch_pass(monkeypatch, name):
+    # two blocks, the last one 3 rows, on a twisted and an untwisted coupling
+    c = builtin_coupling(name)
+    grp = c.ambient()
+    ck = coupling_kernels(c)
+    d = grp.abelian_dim
+    n = BLOCK_ROWS + 3
+    gamma = (1, 1) + (0,) * (grp.dim - 2)
+
+    def one_pass(gam, *tags):
+        x = domain_samples(c, n, 5, DEFAULT_WORKERS, *tags)
+        return ck.alpha_coords(np.asarray(gam, dtype=np.float64)[None], x,
+                               Workspace.fresh(n, grp.dim))
+
+    ab = one_pass(gamma, _TAG_MEAN_AB)[:, :d]
+    mean = mean_abelianization(c, gamma, n, 5)
+    assert mean.vector[:d] == tuple(float(col.mean()) for col in ab.T)
+    assert mean.ci[:d] == tuple(1.96 * float(col.std(ddof=1)) / math.sqrt(n)
+                                for col in ab.T)
+    target = np.asarray(mean.vector)
+    want = []
+    for i, depth in enumerate((8, 64)):
+        lam = one_pass([depth * v for v in gamma], _TAG_ITERATES, i)
+        com = lam.copy()
+        com[:, :d] = 0.0
+        want += [np.sqrt(((lam[:, :d] / depth - target[:d]) ** 2).sum(axis=1)),
+                 quasi_norm_batch(grp.degrees, com) / depth,
+                 _graded_dist(grp, dilate_batch(grp.degrees, 1 / depth, lam), target)]
+    seen = []
+
+    def record(a):
+        seen.append(a.copy())
+        return _median(a)
+    monkeypatch.setattr(derivative, "_median", record)
+    iterate_diagnostics(c, gamma, (8, 64), n, 5)
+    assert [a.tobytes() for a in seen] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("name", ["heisenberg-shear", "engel-identity"])
@@ -487,7 +529,7 @@ def test_main_theorem_past_the_precision_limit_is_refused_in_blocks():
 def test_kappa_without_samples_is_refused():
     c = builtin_coupling("heisenberg-identity")
     with pytest.raises(StructuralError, match="at least one sample"):
-        kappa_grid(c, build_phi(c, 256, 3), 0, (8,), 1.0, 0.5, 13)
+        kappa_grid(c, build_phi(c, 256, 3), 0, (8,), 1.0, 0.5, 13, 0.3)
 
 
 @pytest.mark.parametrize("name, box, inside", [
@@ -563,7 +605,7 @@ def test_recurrence_search_returns_quickly():
 def test_arbitrary_element_experiment():
     c = builtin_coupling("heisenberg-identity")
     word = ((0, parse_schedule("n")), (1, parse_schedule("sqrt")))
-    rep = arbitrary_element_experiment(c, word, (8, 16, 32), 128, 31)
+    rep = arbitrary_element_experiment(c, word, (8, 16, 32), 128, 31, 0.2)
     fracs = [r.fraction_within_eps for r in rep.rows]
     assert nondecreasing(median3_smooth(fracs))
     assert fracs[-1] >= 0.8

@@ -1,5 +1,5 @@
 """No module of the package imports a name it never uses or defines a
-public function nothing reaches."""
+public function or method nothing reaches."""
 
 import ast
 import importlib
@@ -11,9 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "nilcone").glob("*.py")
                  if p.name != "__init__.py")
-# Where a public function may be reached from: the package itself, the
-# benchmark and the acceptance criteria.  Unit tests and the package's
-# re-exports do not count.
+# Where a public function or method may be reached from: the package
+# itself, the benchmark and the acceptance criteria.  Unit tests and the
+# package's re-exports do not count.
 READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py"]
 # Public names kept although no reader names them.
@@ -60,20 +60,31 @@ def _named(tree, skip=None) -> set[str]:
     return names | (read - bound)
 
 
+def _public_defs(tree):
+    """(qualified name, node) of each public function and class of a
+    module, and of each public method of its public classes."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("_"))
+
+
 def test_every_public_function_is_reached():
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in READERS}
     named = {p: _named(tree) for p, tree in trees.items()}
     unreached = []
     for path in MODULES:
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_") or node.name in UNREACHED_ALLOWED:
+        for qualname, node in _public_defs(trees[path]):
+            if qualname in UNREACHED_ALLOWED:
                 continue
             if node.name in _named(trees[path], skip=node) or any(
                     node.name in names for p, names in named.items() if p != path):
                 continue
-            unreached.append(f"{path.name}:{node.name}")
+            unreached.append(f"{path.name}:{qualname}")
     assert not unreached, f"nothing reaches {', '.join(unreached)}"
 
 
