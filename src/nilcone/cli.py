@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -293,10 +294,9 @@ def _cmd_metric_guivarch(args) -> int:
         return EXIT_OK
     with _naming("--radius", args.radius, StructuralError):
         gc = guivarch_constants(lat, args.radius)
-    obj = {"lattice": lat.name, "radius": args.radius, "c_low": gc.c_low,
-           "c_high": gc.c_high, "com_ratio": gc.com_ratio}
     path = reports.write_json(
-        _out_dir(args) / f"guivarch_{lat.name}_r{args.radius}.json", obj)
+        _out_dir(args) / f"guivarch_{lat.name}_r{args.radius}.json",
+        {"lattice": lat.name, **asdict(gc)})
     print(f"wrote {path}")
     print(f"c_low={gc.c_low} c_high={gc.c_high} com_ratio={gc.com_ratio}")
     return EXIT_OK
@@ -310,7 +310,7 @@ def _cmd_coupling_verify(args) -> int:
                           triple_count=args.triples)
     for name, ok, detail in ver.checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-    obj = {"coupling": cp.name, "ok": ver.ok,
+    obj = {"coupling": ver.coupling, "ok": ver.ok,
            "checks": [{"name": n, "ok": o, "detail": d}
                       for n, o, d in ver.checks]}
     path = reports.write_json(
@@ -355,16 +355,9 @@ def _cmd_derivative_phi(args) -> int:
     img = None if g is None else phi_apply(deriv, g).coords
     if img is not None and not all(math.isfinite(c) for c in img):
         raise StructuralError(f"--g {args.g!r}: its image {img} is not finite")
-    obj = {
-        "coupling": cp.name,
-        "side": args.side,
-        "samples": args.samples,
-        "seed": args.seed,
-        "entries": [list(e) for e in deriv.table.entries],
-        "cis": [list(c) for c in deriv.table.cis],
-    }
     path = reports.write_json(
-        _out_dir(args) / f"phi_{cp.name}_{args.side}_seed{args.seed}.json", obj)
+        _out_dir(args) / f"phi_{cp.name}_{args.side}_seed{args.seed}.json",
+        asdict(deriv.table))
     print(f"wrote {path}")
     for i, e in enumerate(deriv.table.entries):
         print(f"gen {i}: {[round(v, 6) for v in e]}")

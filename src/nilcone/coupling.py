@@ -28,7 +28,7 @@ import numpy as np
 from . import ratlin
 from .algebra import StructuralError, bracket
 from .bch import GroupPoint, NilpotentGroup, coords_of, get_group
-from .kernels import BLOCK_ROWS, Workspace, bch_batch, law_table, workspace
+from .kernels import BLOCK_ROWS, Workspace, bch_batch, workspace
 from .wordmetric import (
     LatticeSpec,
     builtin_lattice,
@@ -252,7 +252,7 @@ class CouplingKernels:
     """Float batch evaluation of the cocycles for Monte Carlo work."""
 
     def __init__(self, coupling: CouplingSpec):
-        self.table = law_table(coupling.ambient().law_group)
+        self.table = coupling.ambient().law_group.table
         self.gamma_lattice = coupling.gamma_lattice
         self.lambda_lattice = coupling.lambda_lattice
         self.gamma_leads = coupling.gamma_lattice.float_basis()[1]
@@ -438,13 +438,12 @@ def _word_norm_proxy(coupling: CouplingSpec, digit_rows: np.ndarray) -> np.ndarr
     only on the rows.
     """
     lat = coupling.lambda_lattice
-    rows, inv = np.unique(digit_rows, axis=0, return_inverse=True)
-    norms = word_norms(lat, rows, radius_cap=_EXACT_NORM_RADIUS).astype(np.float64)
+    norms = word_norms(lat, digit_rows, radius_cap=_EXACT_NORM_RADIUS).astype(np.float64)
     far = (norms < 0) | (norms > _EXACT_NORM_RADIUS)
     if far.any():
         c_high = guivarch_constants(lat, 8).c_high
-        norms[far] = c_high * (digit_quasi_norms(lat, rows[far]) + 1.0)
-    return norms[inv.reshape(-1)]
+        norms[far] = c_high * (digit_quasi_norms(lat, digit_rows[far]) + 1.0)
+    return norms
 
 
 def integrability_estimate(coupling: CouplingSpec, s, samples: int, seed: int,

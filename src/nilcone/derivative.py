@@ -36,7 +36,7 @@ from .coupling import (
     seed_lineage,
 )
 from .geometry import generating_set
-from .kernels import BLOCK_ROWS, Workspace, bch_batch, dilate_batch, law_table
+from .kernels import BLOCK_ROWS, Workspace, bch_batch, dilate_batch
 from .kernels import quasi_norm_batch, workspace
 from .ratlin import identity, spanning_inverse
 from .wordmetric import PrecisionLimit, ball_points, digits_to_point, lane_coords
@@ -86,7 +86,7 @@ def _graded_dist(grp: NilpotentGroup, points: np.ndarray, target: np.ndarray,
     negated there, and the product goes to work.b; without, points is
     left as it is and the arrays are fresh."""
     work = work or Workspace.fresh(len(points), grp.dim)
-    diff = bch_batch(law_table(grp.law_graded), np.negative(points, out=work.a),
+    diff = bch_batch(grp.law_graded.table, np.negative(points, out=work.a),
                      np.atleast_2d(target), out=work.b, term=work.s)
     return quasi_norm_batch(grp.degrees, diff, out=out, scratch=work.s)
 
@@ -353,8 +353,6 @@ class IterateRow:
 
 @dataclass
 class IterateReport:
-    coupling: str
-    gamma: tuple
     rows: tuple[IterateRow, ...]
     mean_ab: tuple[float, ...]
     seed: int
@@ -403,8 +401,6 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
                           median_com_over_n=b, median_scl_dist=c, seed=seed)
 
     return IterateReport(
-        coupling=coupling.name,
-        gamma=tuple(float(v) for v in gcoords),
         rows=_depth_rows(n_list, row_at),
         mean_ab=abar.vector,
         seed=seed,
@@ -499,7 +495,7 @@ class DefectReport:
 def homomorphism_check(deriv: PansuDerivative, pairs) -> DefectReport:
     """Compare the image of a product with the product of images."""
     grp = get_group(deriv.group)
-    table = law_table(grp.law_graded)
+    table = grp.law_graded.table
     gh = np.asarray([(_float_coords(g), _float_coords(h)) for g, h in pairs])
     k = gh.shape[0]
     g, h = gh.reshape(k, 2, grp.dim).transpose(1, 0, 2)
@@ -524,8 +520,6 @@ def inverse_check(phi: PansuDerivative, psi: PansuDerivative, points) -> DefectR
 class KappaReport(ConvergenceReport):
     """Sup-distance convergence of the rounded-dilation cocycle map."""
 
-    radius: float
-    grid_step: float
     grid_size: int
 
 
@@ -602,7 +596,7 @@ def kappa_grid(coupling: CouplingSpec, deriv: PansuDerivative,
     return KappaReport(
         experiment="kappa", seed=seed, eps=eps, meta={"coupling": coupling.name},
         rows=_depth_rows(n_list, row_at),
-        radius=float(radius), grid_step=float(grid_step), grid_size=size)
+        grid_size=size)
 
 
 # --------------------------------------------------------------- recurrence
@@ -613,14 +607,9 @@ class BoxError(StructuralError):
 
 @dataclass
 class RecurrenceReport:
-    coupling: str
-    g: tuple
-    delta: float
-    horizon: int
     samples: int
     success_fraction: float
     first_depths: tuple[int, ...]
-    seed: int
 
     def csv_rows(self):
         header = ["sample", "first_depth"]
@@ -688,11 +677,9 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
     except PrecisionLimit as exc:
         raise PrecisionLimit(f"at depth {n}, {exc}") from exc
     return RecurrenceReport(
-        coupling=coupling.name, g=tuple(float(v) for v in target),
-        delta=float(delta), horizon=int(horizon), samples=samples,
+        samples=samples,
         success_fraction=float((first > 0).mean()),
         first_depths=tuple(int(v) for v in first),
-        seed=seed,
     )
 
 

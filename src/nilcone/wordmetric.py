@@ -642,7 +642,6 @@ def digit_quasi_norms(lat: LatticeSpec, digit_rows) -> np.ndarray:
 class BallProfile:
     """Cumulative ball sizes and per-coordinate maxima by radius."""
 
-    lattice: str
     rows: tuple[tuple, ...]  # (n, ball_size, max_coord_1..m)
 
     def sizes(self) -> list[int]:
@@ -667,7 +666,7 @@ def ball_profile(lat: LatticeSpec, radius: int) -> BallProfile:
         nums = ball.exp.numerators(layer)
         top = [max(t, int(v)) for t, v in zip(top, np.abs(nums).max(axis=0))]
         rows.append((n, total) + tuple(t / d for t, d in zip(top, ball.exp.dens)))
-    return BallProfile(lattice=lat.name, rows=tuple(rows))
+    return BallProfile(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

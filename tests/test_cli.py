@@ -29,6 +29,10 @@ GOLDEN = [
     "--phi-samples", "1024",
     "--seed", "4",
 ]
+# the first 16 hex digits of the sha256 of each golden artifact, as the
+# README gives them
+GOLDEN_PREFIXES = {"csv": "154ff23cc18b1a31", "json": "bf4c5feac54e8213",
+                   "svg": "7aa7c72733ecaaf3"}
 
 
 def test_group_mul_exact(capsys):
@@ -120,7 +124,8 @@ def test_metric_guivarch_artifact(tmp_path):
                "--radius", "4", "--out", str(tmp_path)])
     assert rc == 0
     obj = json.loads((tmp_path / "guivarch_abelian2-lattice_r4.json").read_text())
-    assert obj["radius"] == 4
+    assert sorted(obj) == ["c_high", "c_low", "com_ratio", "lattice", "radius"]
+    assert (obj["lattice"], obj["radius"]) == ("abelian2-lattice", 4)
     assert obj["c_low"] >= 1.0
 
 
@@ -141,7 +146,10 @@ def test_coupling_verify_artifact(tmp_path):
                "--seed", "1", "--out", str(tmp_path)])
     assert rc == 0
     obj = json.loads((tmp_path / "verify_z2-identity_seed1.json").read_text())
+    assert sorted(obj) == ["checks", "coupling", "ok"]
+    assert obj["coupling"] == "z2-identity"
     assert obj["ok"] is True
+    assert all(sorted(c) == ["detail", "name", "ok"] for c in obj["checks"])
 
 
 def test_coupling_verify_reads_json_file(tmp_path, capsys):
@@ -183,6 +191,9 @@ def test_derivative_phi_json(tmp_path, capsys):
     obj = json.loads(
         (tmp_path / "phi_heisenberg-scale2_alpha_seed3.json").read_text()
     )
+    assert sorted(obj) == ["cis", "coupling", "entries", "samples", "seed", "side"]
+    assert ([obj[k] for k in ("coupling", "side", "samples", "seed")]
+            == ["heisenberg-scale2", "alpha", 1024, 3])
     assert obj["entries"][0] == [2.0, 0.0, 0.0]
     assert "phi(g): 2.0,1.0,1.0" in capsys.readouterr().out
 
@@ -218,14 +229,13 @@ def _recorded_golden_prefixes() -> dict:
 
 
 def test_golden_run_matches_the_recorded_prefixes(tmp_path):
-    # the first 16 hex digits of each artifact's sha256, as recorded
-    prefixes = _recorded_golden_prefixes()
-    assert sorted(prefixes) == ["csv", "json", "svg"]
+    # the benchmark records the README's prefixes, and the run gives them
+    assert _recorded_golden_prefixes() == GOLDEN_PREFIXES
     assert main(GOLDEN + ["--out", str(tmp_path)]) == 0
     stem = "main-theorem_heisenberg-identity_seed4"
     got = {ext: hashlib.sha256((tmp_path / f"{stem}.{ext}").read_bytes()).hexdigest()[:16]
-           for ext in prefixes}
-    assert got == prefixes
+           for ext in GOLDEN_PREFIXES}
+    assert got == GOLDEN_PREFIXES
 
 
 def test_control_target_fails_with_exit_two(tmp_path):

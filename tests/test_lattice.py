@@ -345,13 +345,19 @@ def test_digit_quasi_norms_match_quasi_norm_m(name):
 
 
 def test_word_norms_of_digit_rows_match_word_norm_bfs(monkeypatch):
+    # every row is answered on its own: repeated rows, and a row past
+    # radius 12, get in the batch what they get alone
     monkeypatch.setattr(wordmetric, "DEFAULT_RADIUS_CAP", 6)
     lat = builtin_lattice("engel4")
-    rows = _digit_rows(lat, 60, 212, bound=2)
+    some = _digit_rows(lat, 60, 212, bound=2)
+    rows = np.concatenate([some, some[::-1], some[:5], [[0, 0, 0, 10**6]]])
     batch = word_norms(lat, rows, radius_cap=6)
+    assert batch[-1] == -1
     for row, w in zip(rows.tolist(), batch.tolist()):
         one = word_norm_bfs(lat, digits_to_point(lat, row).coords)
         assert w == (-1 if one is None else one)
+    assert digit_quasi_norms(lat, rows).tolist() == [
+        digit_quasi_norms(lat, [row])[0] for row in rows.tolist()]
 
 
 def test_digit_overflow_is_refused_not_wrapped():
