@@ -99,8 +99,6 @@ class MeanAbelianization:
 
     vector: tuple[float, ...]
     ci: tuple[float, ...]
-    samples: int
-    seed: int
 
 
 def _cocycle_blocks(ck: CouplingKernels, gamma, blocks, side: str):
@@ -140,7 +138,7 @@ def mean_abelianization(coupling: CouplingSpec, gamma, samples: int,
     vec, ci = _abelian_mean_ci(coupling_kernels(coupling), coupling.ambient(), gamma,
                                domain_blocks(coupling, samples, seed, _TAG_MEAN_AB),
                                samples, "alpha")
-    return MeanAbelianization(vector=vec, ci=ci, samples=samples, seed=seed)
+    return MeanAbelianization(vector=vec, ci=ci)
 
 
 # ------------------------------------------------------------ derivative map
@@ -355,7 +353,6 @@ class IterateRow:
 class IterateReport:
     rows: tuple[IterateRow, ...]
     mean_ab: tuple[float, ...]
-    seed: int
 
     def medians_decreasing(self) -> bool:
         """Both decaying medians, commutator part and distance, fall strictly
@@ -403,7 +400,6 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     return IterateReport(
         rows=_depth_rows(n_list, row_at),
         mean_ab=abar.vector,
-        seed=seed,
     )
 
 

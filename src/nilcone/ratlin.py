@@ -257,7 +257,7 @@ class IntPolys:
         """Column-major numerators at each int64 digit row, refusing any
         int64 overflow by the bound."""
         cols = [rows[:, v] for v in range(rows.shape[1])]
-        top = [int(v) for v in np.abs(rows).max(axis=0, initial=0)]
+        top = [int(np.abs(c).max(initial=0)) for c in cols]
         out = np.empty((len(rows), len(self.terms)), dtype=np.int64, order="F")
         term = np.empty(len(rows), dtype=np.int64)
         for k in range(len(self.terms)):

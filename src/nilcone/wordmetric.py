@@ -29,11 +29,11 @@ The Cayley ball runs on the digits alone.  For each generator s the
 digits of c * s (a generator step) are the right-peel polynomials
 composed with the exp map times s.  Exp map and steps are evaluated on
 int64 digit arrays; an evaluation or a packed row key that could pass
-int64 is refused with CapExceeded.  On a 2-core machine (Python 3.11,
-numpy 2.4) the heisenberg3 ball profile and Guivarc'h constants take
-0.2 s + 0.1 s at radius 24 (141,225 states), where the rational
+int64 is refused with CapExceeded.  On a 2-core x86 machine (Python
+3.11, numpy 2.4) the heisenberg3 ball profile and Guivarc'h constants
+take 0.08 s + 0.06 s at radius 24 (141,225 states), where the rational
 breadth-first search took 13-18 s, and the radius-48 profile (2,268,225
-states) takes about 3.5 s with a peak resident set of 207 MiB.
+states) takes about 1 s with a peak resident set of 204 MiB.
 """
 
 from __future__ import annotations
@@ -469,36 +469,45 @@ class _DigitPolys:
 # ------------------------------------------------------------------ row keys
 
 class _RowIndex:
-    """Exact lookup of int64 rows: one packed int64 key per row, sorted."""
+    """Exact lookup of int64 rows: one packed int64 key per row, sorted.
+
+    Tables are read one column at a time.  On a heisenberg3 grow table of
+    44,556 x 3 (2-core x86, numpy 2.4), numpy's axis-0 min and max took
+    1.6 ms row-major against 0.05 ms per column, and its axis-1 range test
+    1.8 ms against 0.12 ms.  Keys are sorted by the default argsort, 1.0 ms
+    against 2.5 ms for a stable one, so the order of equal keys is
+    unspecified (it varies with numpy version and CPU) and nothing reads it.
+    """
 
     def __init__(self, table: np.ndarray):
-        self.lo = table.min(axis=0)
-        self.span = table.max(axis=0) - self.lo + 1
-        if math.prod(int(s) for s in self.span) >= INT64_LIMIT:
-            raise CapExceeded(f"packed row keys over spans {self.span.tolist()} "
-                              f"would pass int64")
-        keys = self._pack(table)
-        self.order = np.argsort(keys, kind="stable")
+        self.lo = [int(c.min()) for c in table.T]
+        self.hi = [int(c.max()) for c in table.T]
+        self.span = [h - lo + 1 for lo, h in zip(self.lo, self.hi)]
+        if math.prod(self.span) >= INT64_LIMIT:
+            raise CapExceeded(f"packed row keys over spans {self.span} would pass int64")
+        keys = self._pack(table.T)
+        self.order = np.argsort(keys)
         self.keys = keys[self.order]
 
-    def _pack(self, rows: np.ndarray) -> np.ndarray:
-        key = np.zeros(len(rows), dtype=np.int64)
-        for j, s in enumerate(self.span):
-            key = key * s + (rows[:, j] - self.lo[j])
+    def _pack(self, cols) -> np.ndarray:
+        key = cols[0] - self.lo[0]
+        for c, lo, s in zip(cols[1:], self.lo[1:], self.span[1:]):
+            key = key * s + (c - lo)
         return key
 
     def first_rows(self) -> np.ndarray:
-        """Table position of the first row of each distinct key."""
+        """Smallest table position of each distinct key, in key order."""
         new = np.ones(len(self.keys), dtype=bool)
         new[1:] = self.keys[1:] != self.keys[:-1]
-        return self.order[new]
+        return np.minimum.reduceat(self.order, np.flatnonzero(new))
 
     def find(self, rows: np.ndarray) -> np.ndarray:
-        """Table position of each row, or -1 where the table lacks it."""
+        """Table position of each row, or -1 where the table lacks it; valid
+        only on a table of distinct rows."""
         out = np.full(len(rows), -1, dtype=np.int64)
-        inside = np.flatnonzero(np.all((rows >= self.lo) & (rows < self.lo + self.span),
-                                       axis=1))
-        keys = self._pack(rows[inside])
+        inside = np.flatnonzero(np.all([(c >= lo) & (c <= hi) for c, lo, hi
+                                        in zip(rows.T, self.lo, self.hi)], axis=0))
+        keys = self._pack([c[inside] for c in rows.T])
         pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         hit = self.keys[pos] == keys
         out[inside[hit]] = self.order[pos[hit]]
@@ -511,7 +520,8 @@ class _DigitBall:
     """Cayley ball of a lattice on int64 digits, grown a layer at a time.
 
     layers[r] holds the digit rows of word length r in first-seen order:
-    frontier order, then generator order.
+    frontier order, then generator order.  Layers and candidate tables are
+    column-major, as in the float lane, and are read a column at a time.
     """
 
     def __init__(self, lat: LatticeSpec):
@@ -527,7 +537,7 @@ class _DigitBall:
         gens = {fraction_coords(s, lat.dim) for s in lat.generators}
         # A neighbour of layer r lies in layer r-1, r or r+1 when S = S^-1.
         self.symmetric = all(law.inv(s) in gens for s in gens)
-        self.layers = [np.zeros((1, lat.dim), dtype=np.int64)]
+        self.layers = [np.zeros((1, lat.dim), dtype=np.int64, order="F")]
         self.size = 1
         self._index: tuple[int, _RowIndex, np.ndarray] | None = None
 
@@ -542,15 +552,16 @@ class _DigitBall:
 
     def grow(self, radius: int) -> None:
         while self.radius < radius and len(self.layers[-1]):
-            front = self.layers[-1]
-            cand = np.stack(
-                [s.numerators(front) // np.array(s.dens)
-                 for s in self.steps], axis=1).reshape(-1, self.lat.dim)
+            front, n_gens = self.layers[-1], len(self.steps)
+            cand = np.empty((len(front) * n_gens, self.lat.dim), dtype=np.int64, order="F")
+            for i, s in enumerate(self.steps):  # row r * n_gens + i is front[r] * s_i
+                cand[i::n_gens] = s.numerators(front) // np.array(s.dens)
             seen = self.layers[-2:] if self.symmetric else self.layers
             table = np.concatenate(seen + [cand])
             first = _RowIndex(table).first_rows()
             n_seen = len(table) - len(cand)
-            layer = cand[np.sort(first[first >= n_seen]) - n_seen]
+            keep = np.sort(first[first >= n_seen]) - n_seen
+            layer = np.array([c[keep] for c in cand.T]).T  # column-major
             if self.size + len(layer) > STATE_CAP:
                 raise CapExceeded(
                     f"ball at radius {self.radius + 1} exceeds {STATE_CAP} states")
@@ -664,7 +675,7 @@ def ball_profile(lat: LatticeSpec, radius: int) -> BallProfile:
     for n, layer in enumerate(ball.layers[:radius + 1]):
         total += len(layer)
         nums = ball.exp.numerators(layer)
-        top = [max(t, int(v)) for t, v in zip(top, np.abs(nums).max(axis=0))]
+        top = [max(t, int(np.abs(c).max())) for t, c in zip(top, nums.T)]
         rows.append((n, total) + tuple(t / d for t, d in zip(top, ball.exp.dens)))
     return BallProfile(rows=tuple(rows))
 
@@ -701,10 +712,10 @@ def guivarch_constants(lat: LatticeSpec, radius: int) -> GuivarchConstants:
     c_high = float(np.max(dist / (qn + 1.0)))
     # A lookup among the ball's exp coordinates can only hit lattice
     # points, and a warmer shared cache cannot change the answer.
-    proj = nums.copy()
+    rows = np.flatnonzero(np.any([c != 0 for c in nums.T[grp.abelian_dim:]], axis=0))
+    proj = nums[rows]
     proj[:, :grp.abelian_dim] = 0  # degree one comes first
-    rows = np.flatnonzero(np.any(proj != 0, axis=1))
-    hit = _RowIndex(nums).find(proj[rows])
+    hit = _RowIndex(nums).find(proj)
     found = hit >= 0
     com_ratio = (float(np.max(dist[hit[found]] / dist[rows[found]]))
                  if found.any() else None)

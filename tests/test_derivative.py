@@ -667,7 +667,7 @@ def test_iterate_medians_decreasing(medians, ok):
     rows = tuple(IterateRow(n=8 * 2 ** i, samples=1, median_ab_dev=0.0,
                             median_com_over_n=v, median_scl_dist=v, seed=0)
                  for i, v in enumerate(medians))
-    rep = IterateReport(rows=rows, mean_ab=(), seed=0)
+    rep = IterateReport(rows=rows, mean_ab=())
     assert rep.medians_decreasing() is ok
     # the verdict needs both columns
     flat = tuple(replace(r, median_scl_dist=1.0) for r in rows)

@@ -26,6 +26,7 @@ from nilcone.geometry import quasi_norm_m
 from nilcone.wordmetric import (
     CapExceeded,
     LatticeSpec,
+    _RowIndex,
     _ball,
     ball_points,
     ball_profile,
@@ -41,23 +42,29 @@ from nilcone.wordmetric import (
 )
 
 
-def brute_force_ball_sizes(lat, radius):
-    """Independent count: expand every generator word, dedupe on coords."""
+def first_seen_ball(lat, radius):
+    """Independent breadth-first search on exact coordinates: each layer
+    times every generator (law.mul), each point kept when first seen (a
+    list plus a set).  The points in first-seen order and the layer sizes."""
     law = get_group(lat.group).law_group
-    seen = {tuple(Fraction(0) for _ in range(lat.dim)): 0}
-    layer = [tuple(Fraction(0) for _ in range(lat.dim))]
-    sizes = [1]
-    for r in range(1, radius + 1):
+    origin = tuple(Fraction(0) for _ in range(lat.dim))
+    points, seen, layer, sizes = [origin], {origin}, [origin], [1]
+    for _ in range(radius):
         nxt = []
         for g in layer:
             for s in lat.generators:
                 h = law.mul(g, s.coords)
                 if h not in seen:
-                    seen[h] = r
+                    seen.add(h)
                     nxt.append(h)
+        points += nxt
+        sizes.append(len(nxt))
         layer = nxt
-        sizes.append(sizes[-1] + len(nxt))
-    return tuple(sizes)
+    return points, sizes
+
+
+def brute_force_ball_sizes(lat, radius):
+    return tuple(itertools.accumulate(first_seen_ball(lat, radius)[1]))
 
 
 def test_right_peel_frozen_example():
@@ -374,6 +381,57 @@ def test_digit_overflow_is_refused_not_wrapped():
     # the exp map's c1 * c2 term would reach 2^124
     with pytest.raises(CapExceeded, match="int64"):
         _ball(lat).exp.numerators(np.array([[1 << 62, 1 << 62, 0]]))
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("heisenberg3", 10), ("engel4", 6), ("free_nilpotent_2_3", 4)])
+def test_ball_points_follow_the_first_seen_search(name, radius):
+    # a fresh ball: the same points in the same order, layer by layer,
+    # as the list-and-set search on exact coordinates
+    lat = builtin_lattice(name)
+    wordmetric._BALL_CACHES.pop(lat, None)
+    points, sizes = first_seen_ball(lat, radius)
+    assert ball_points(lat, radius) == points
+    layers = _ball(lat).layers
+    assert [len(x) for x in layers] == sizes
+    assert all(x.flags.f_contiguous for x in layers)
+
+
+_key_rows = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_key_rows, perm=st.randoms(use_true_random=False))
+def test_row_index_first_rows_is_the_first_position_of_each_row(rows, perm):
+    # many repeated rows, in shuffled order: each distinct row comes back
+    # once, at the first table position that holds it, whatever order the
+    # sort leaves equal keys in
+    rows = list(rows)
+    perm.shuffle(rows)
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    table = np.asfortranarray(np.array(rows, dtype=np.int64))
+    got = _RowIndex(table).first_rows().tolist()
+    assert len(got) == len(first)
+    assert {rows[i]: i for i in got} == first
+
+
+_query_values = st.integers(-4, 4) | st.sampled_from([-(1 << 63), (1 << 63) - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_key_rows, perm=st.randoms(use_true_random=False),
+       queries=st.lists(st.tuples(*[_query_values] * 3), max_size=60))
+def test_row_index_find_matches_a_dict(rows, perm, queries):
+    # a table of distinct rows; queries inside and outside its packed span
+    rows = list(dict.fromkeys(rows))
+    perm.shuffle(rows)
+    where = {row: i for i, row in enumerate(rows)}
+    index = _RowIndex(np.asfortranarray(np.array(rows, dtype=np.int64)))
+    queries = queries + rows[:5]
+    got = index.find(np.array(queries, dtype=np.int64).reshape(-1, 3)).tolist()
+    assert got == [where.get(q, -1) for q in queries]
 
 
 # ------------------------------------------------- the exact lane on integers
