@@ -206,7 +206,7 @@ def _series_terms(tensor: Tensor, dim: int) -> list[Mat]:
     while True:
         generated = [bracket(tensor, dim, full[i], w)
                      for i in active for w in terms[-1]]
-        nxt, _ = ratlin.rref([g for g in generated if not ratlin.is_zero_vec(g)])
+        nxt, _ = ratlin.rref([g for g in generated if any(g)])
         terms.append(nxt)
         if len(nxt) == 0 or len(nxt) == len(terms[-2]):
             return terms
@@ -353,8 +353,8 @@ def bracket_t(
     t = _parse_rational(t) if not isinstance(t, Fraction) else t
     if t <= 0:
         raise StructuralError("dilation parameter must be positive")
-    va = dilation_adapted(grad, grad.to_adapted(ratlin.as_vec(v)), t)
-    wa = dilation_adapted(grad, grad.to_adapted(ratlin.as_vec(w)), t)
+    va = dilation_adapted(grad, grad.to_adapted(v), t)
+    wa = dilation_adapted(grad, grad.to_adapted(w), t)
     res = bracket(grad.adapted_tensor, grad.dim, va, wa)
     res = dilation_adapted(grad, res, Fraction(1) / t)
     return grad.from_adapted(res)
@@ -362,8 +362,8 @@ def bracket_t(
 
 def graded_bracket(grad: Gradation, v: Vec, w: Vec) -> Vec:
     """Bracket of the associated graded algebra, presentation coordinates."""
-    va = grad.to_adapted(ratlin.as_vec(v))
-    wa = grad.to_adapted(ratlin.as_vec(w))
+    va = grad.to_adapted(v)
+    wa = grad.to_adapted(w)
     res = bracket(grad.graded_tensor, grad.dim, va, wa)
     return grad.from_adapted(res)
 

@@ -12,13 +12,15 @@ once per lattice from the BCH tables (LatticeSpec.polys) and kept as
 ratlin.IntPolys tables: the exp map (the exponential coordinates of the
 point with digits c, in either order) and, per peeling side, q_i
 (coordinate i of the partly peeled point over lead_i, a polynomial in
-the point and the earlier digits).  The peel evaluates q_i on integer
-numerators over the point's common denominator, takes c_i = floor(q_i)
-(or the nearest integer) and reads remainder coordinate i as
-lead_i * (q_i - c_i): the basis is triangular and graded, so no later
-step moves it.  member() and point_digits() are integrality checks of
-the q_i, and digits_to_point evaluates the exp map on Python ints; no
-GroupLaw product is formed.  The float lane's one peel (peel_batch,
+the point and the earlier digits).  The peel (peel_numerators) evaluates
+q_i on the exact lane's point, integer numerators over one denominator,
+takes c_i = floor(q_i) (or the nearest integer) and reads remainder
+coordinate i as lead_i * (q_i - c_i) (peel_remainder): the basis is
+triangular and graded, so no later step moves it.  member() and
+point_digits() check that the right peel leaves no remainder, and
+digits_to_point evaluates the exp map on the integer digits; no GroupLaw
+product is formed, and Fractions are built only for what a public
+function returns.  The float lane's one peel (peel_batch,
 peel_coords) and its exp map (digit_coords: integer numerators on
 float64 digits, exact below 2^53 and refused past it), and the ball
 below, run the same tables through the one column loop
@@ -39,7 +41,7 @@ states) takes about 1 s with a peak resident set of 204 MiB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -48,7 +50,8 @@ import numpy as np
 from .algebra import StructuralError
 from .bch import GroupPoint, coords_of, get_group
 from .kernels import Workspace
-from .ratlin import INT64_LIMIT, CapExceeded, IntPolys, Poly, numerators, poly_axpy, poly_mul
+from .ratlin import (INT64_LIMIT, CapExceeded, IntPolys, Poly, fractions, numerators,
+                     poly_axpy, poly_mul)
 
 
 class PrecisionLimit(StructuralError):
@@ -94,6 +97,16 @@ DEFAULT_RADIUS_CAP = 25
 STATE_CAP = 10_000_000  # states of one lattice's cached Cayley ball
 
 
+def hash_once(spec) -> int:
+    """The content hash of a frozen dataclass spec, computed on first use
+    and kept: caches keyed by a spec (coupling_kernels, the digit balls)
+    hash it on every lookup, 20 us for a coupling's Fractions."""
+    h = spec.__dict__.get("_hash")
+    if h is None:
+        h = spec.__dict__["_hash"] = hash(tuple(getattr(spec, f.name) for f in fields(spec)))
+    return h
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """A cocompact lattice with a triangular Mal'cev basis.
@@ -106,6 +119,7 @@ class LatticeSpec:
     group: str
     basis: tuple[tuple[Fraction, ...], ...]
     generators: tuple[GroupPoint, ...]
+    __hash__ = hash_once
 
     @property
     def dim(self) -> int:
@@ -142,31 +156,14 @@ def standard_lattice(group) -> LatticeSpec:
         if grp.degrees[k] == 1:
             basis.append(tuple(Fraction(1 if j == k else 0) for j in range(m)))
             continue
-        found = None
-        for i in range(k):
-            for j in range(k):
-                if grp.degrees[i] + grp.degrees[j] != grp.degrees[k]:
-                    continue
-                cand = law.comm(basis[i], basis[j])
-                if cand[k] == 0:
-                    continue
-                if any(cand[p] != 0 for p in range(k)):
-                    continue
-                found = cand
-                break
-            if found is not None:
-                break
+        pairs = ((i, j) for i in range(k) for j in range(k)
+                 if grp.degrees[i] + grp.degrees[j] == grp.degrees[k])
+        cands = (law.comm(basis[i], basis[j]) for i, j in pairs)
+        found = next((c for c in cands if c[k] and not any(c[:k])), None)
         if found is None:
-            raise StructuralError(
-                f"no triangular commutator basis vector for coordinate {k}"
-            )
-        if found[k] < 0:
-            found = law.inv(found)
-        basis.append(tuple(found))
-    gens = []
-    for j in range(d):
-        gens.append(GroupPoint(basis[j]))
-        gens.append(GroupPoint(law.inv(basis[j])))
+            raise StructuralError(f"no triangular commutator basis vector for coordinate {k}")
+        basis.append(tuple(law.inv(found) if found[k] < 0 else found))
+    gens = [GroupPoint(p) for b in basis[:d] for p in (b, law.inv(b))]
     return LatticeSpec(
         name=f"{grp.name}-lattice",
         group=grp.name,
@@ -175,31 +172,27 @@ def standard_lattice(group) -> LatticeSpec:
     )
 
 
-def fraction_coords(g, dim: int | None = None) -> tuple[Fraction, ...]:
-    """Coordinates of a GroupPoint or sequence as Fractions.
-
-    With dim given, a point of any other length is a StructuralError.
-    """
+def _split(lat: LatticeSpec, g) -> tuple[list[int], int]:
+    """The exact lane's point of g, refused unless it has lat.dim coordinates."""
     coords = coords_of(g)
-    if dim is not None and len(coords) != dim:
-        raise StructuralError(f"expected {dim} coordinates")
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+    if len(coords) != lat.dim:
+        raise StructuralError(f"expected {lat.dim} coordinates")
+    return numerators(coords)
 
 
-def _peel_numerators(lat: LatticeSpec, coords, mode: str, side: str):
-    """Digits c_i and each q_i = num_i / den_i of a peel, on Python ints.
+def peel_numerators(lat: LatticeSpec, vals: list[int], d: int, mode: str, side: str):
+    """Digits c_i and each q_i = num_i / den_i of a peel of the exact
+    lane's point vals / d, on Python ints.
 
     q_i is coordinate i of the partly peeled point divided by lead_i, a
     polynomial in the point and the earlier digits (LatticeSpec.polys).
     Its remainder coordinate lead_i * (q_i - c_i) is final: the basis is
     triangular and graded, so no later peel step moves coordinate i.
     """
-    tables = lat.polys.peel[side]
-    vals, d = numerators(fraction_coords(coords, lat.dim))
-    pows = tables.powers(d)
+    vals = [*vals]  # extended by the digits
     digits, nums, dens = [], [], []
-    for i in range(lat.dim):
-        num, den = tables.value(i, vals, pows)
+    for q in lat.polys.peel[side].values:
+        num, den = q(vals, d)
         c, r = divmod(num, den)
         if mode != "floor" and (2 * r > den or (2 * r == den and c % 2)):
             c += 1  # round half to even
@@ -208,6 +201,15 @@ def _peel_numerators(lat: LatticeSpec, coords, mode: str, side: str):
         dens.append(den)
         vals.append(c)
     return digits, nums, dens
+
+
+def peel_remainder(lat: LatticeSpec, digits, nums, dens) -> tuple[list[int], int]:
+    """The remainder lead_i (q_i - c_i) of a peel_numerators peel, as the
+    exact lane's point."""
+    parts = [(e.numerator * (n - c * q), e.denominator * q)
+             for e, c, n, q in zip(lat.leads(), digits, nums, dens)]
+    den = math.lcm(*[q for _, q in parts])
+    return [n * (den // q) for n, q in parts], den
 
 
 def peel(lat: LatticeSpec, coords, mode: str = "floor", side: str = "right"):
@@ -219,21 +221,13 @@ def peel(lat: LatticeSpec, coords, mode: str = "floor", side: str = "right"):
     remainder.  Mode "floor" lands remainder coordinate i in [0, lead_i),
     "round" (half to even) in [-lead_i/2, lead_i/2].
     """
-    digits, nums, dens = _peel_numerators(lat, coords, mode, side)
-    rem = tuple(Fraction(e.numerator * (num - c * den), e.denominator * den)
-                for e, c, num, den in zip(lat.leads(), digits, nums, dens))
-    return tuple(digits), rem
+    digits, nums, dens = peel_numerators(lat, *_split(lat, coords), mode, side)
+    return tuple(digits), fractions(*peel_remainder(lat, digits, nums, dens))
 
 
 def right_peel(lat: LatticeSpec, coords):
     """The floor peel off the right, the peel of every reduction to the domain."""
     return peel(lat, coords, "floor", "right")
-
-
-def peel_digits(lat: LatticeSpec, coords, mode: str = "floor",
-                side: str = "right") -> tuple[int, ...]:
-    """The digits of a peel alone, without forming its remainder."""
-    return tuple(_peel_numerators(lat, coords, mode, side)[0])
 
 
 def digits_to_point(lat: LatticeSpec, digits, order: str = "desc") -> GroupPoint:
@@ -242,35 +236,30 @@ def digits_to_point(lat: LatticeSpec, digits, order: str = "desc") -> GroupPoint
     order "desc" composes u_m^{c_m} * ... * u_1^{c_1} (the right_peel
     convention, the default everywhere digits come from a right
     reduction); "asc" is the left peel's convention.  The exp-map
-    polynomials are evaluated on Python ints, so any digit size is exact.
+    polynomials are evaluated on Python ints, so any digit size is exact,
+    with no lcm and no powers of a denominator.
     """
-    vals = [int(c) for c in digits]
+    vals = list(map(int, digits))
     if len(vals) != lat.dim:
         raise StructuralError(f"expected {lat.dim} digits, got {len(vals)}")
-    return GroupPoint(lat.polys.exp[order].at(vals))
-
-
-def _integral_digits(lat: LatticeSpec, g):
-    """The digits of g, or None when g is not a lattice point."""
-    digits, nums, dens = _peel_numerators(lat, g, "floor", "right")
-    return None if any(n % d for n, d in zip(nums, dens)) else tuple(digits)
+    return GroupPoint(fractions(*lat.polys.exp[order].exact(vals)))
 
 
 def member(lat: LatticeSpec, g) -> bool:
-    """Whether g is a lattice point: every q_i of the right peel is an integer."""
-    return _integral_digits(lat, g) is not None
+    """Whether g is a lattice point: the right peel leaves no remainder."""
+    return not any(right_peel(lat, g)[1])
 
 
 def point_digits(lat: LatticeSpec, g) -> tuple[int, ...]:
-    digits = _integral_digits(lat, g)
-    if digits is None:
+    digits, rem = right_peel(lat, g)
+    if any(rem):
         raise StructuralError("point is not in the lattice")
     return digits
 
 
 def round_to_lattice(lat: LatticeSpec, g) -> GroupPoint:
     """Nearest-digit lattice point (peeling order, ties to even)."""
-    return digits_to_point(lat, peel_digits(lat, g, mode="round"))
+    return digits_to_point(lat, peel_numerators(lat, *_split(lat, g), "round", "right")[0])
 
 
 def _abs_max(col: np.ndarray):
@@ -532,9 +521,9 @@ class _DigitBall:
         for s in lat.generators:
             if not member(lat, s):
                 raise StructuralError(f"generator {s.coords} is not a lattice point")
-            self.steps.append(polys.generator_step(fraction_coords(s, lat.dim)))
+            self.steps.append(polys.generator_step(coords_of(s)))
         law = get_group(lat.group).law_group
-        gens = {fraction_coords(s, lat.dim) for s in lat.generators}
+        gens = {coords_of(s) for s in lat.generators}
         # A neighbour of layer r lies in layer r-1, r or r+1 when S = S^-1.
         self.symmetric = all(law.inv(s) in gens for s in gens)
         self.layers = [np.zeros((1, lat.dim), dtype=np.int64, order="F")]

@@ -225,10 +225,13 @@ def test_criterion_03_heisenberg_geometry():
 
 
 def test_criterion_04_coupling_suite():
-    # The whole block takes 8-13 s on a 2-core machine (Python 3.11),
-    # 32-38 s while the peel and the lattice points were GroupLaw.pow/mul
-    # chains over Fractions.  The engel law is the one expensive
-    # multiply, so it runs a reduced but still four-digit batch.
+    # The whole block takes 4.4-6.0 s on a 2-core machine (Python 3.11),
+    # with the exact lane on integer numerators from each call's input to
+    # its return; 8.7-11.2 s while every exact map built Fractions that the
+    # next one split again, and 32-38 s while the peel and the lattice
+    # points were GroupLaw.pow/mul chains over Fractions.  The engel law is
+    # the one expensive multiply, so it runs a reduced but still
+    # four-digit batch.
     triple_counts = {name: 10_000 for name in ALL_COUPLINGS}
     triple_counts["engel-identity"] = 2_000
 

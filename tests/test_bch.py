@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,3 +200,21 @@ def test_heisenberg_inverse_property(a, b):
 def test_engel_associativity_property(a, b, c):
     law = get_group("engel4").law_group
     assert law.mul(law.mul(a, b), c) == law.mul(a, law.mul(b, c))
+
+
+def test_rational_operands_of_any_type_take_the_exact_product():
+    law = get_group("heisenberg3").law_group
+    half = (Fraction(1), Fraction(1), Fraction(1, 2))
+    numpy_ints = (np.int64(1), np.int64(0), np.int64(0))
+    mixed = (True, np.int32(0), Fraction(0))
+    for a in ((True, 0, 0), numpy_ints, mixed):
+        got = law.mul(a, (0, 1, 0))
+        assert got == half and all(type(c) is Fraction for c in got), a
+    got = law.mul((np.int64(2), False, 0), (Fraction(1, 3), np.int64(-1), True))
+    assert got == law.mul((2, 0, 0), (Fraction(1, 3), -1, 1))
+    assert all(type(c) is Fraction for c in got)
+    # a float anywhere keeps the float product
+    for a in ((1.0, 0, 0), (np.float64(1), np.int64(0), 0), (True, 0, 0.0)):
+        got = law.mul(a, (0, 1, 0))
+        assert got == (1.0, 1.0, 0.5)
+        assert any(isinstance(c, float) for c in got), a

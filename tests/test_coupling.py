@@ -1,12 +1,16 @@
 """Measure couplings: reduction, cocycles, induced actions, integrability."""
 
+import fractions
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matrix_models import MODELS
 from nilcone.coupling import (
     AutomorphismSpec,
     CouplingSpec,
@@ -37,10 +41,12 @@ from nilcone.kernels import BLOCK_ROWS, Workspace, workspace
 from nilcone.wordmetric import (
     LatticeSpec,
     PrecisionLimit,
+    _ball,
     ball_profile,
     builtin_lattice,
     digits_to_point,
     member,
+    standard_lattice,
 )
 
 BUILTINS = (
@@ -461,3 +467,117 @@ def test_ks_statistic_behaves():
     a = (np.arange(1000) + 0.5) / 1000
     assert ks_statistic(a, a) == 0.0
     assert ks_statistic(a, a + 0.5) >= 0.45
+
+
+def test_equal_specs_built_apart_share_one_cache_entry():
+    a, b = make_coupling("heisenberg3", "shear"), make_coupling("heisenberg3", "shear")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert coupling_kernels(a) is coupling_kernels(b)
+    la, lb = standard_lattice("engel4"), standard_lattice("engel4")
+    assert la is not lb and la == lb and hash(la) == hash(lb)
+    assert _ball(la) is _ball(lb)
+    # the hash is kept, and equality still reads the content
+    assert a.__dict__["_hash"] == hash(a) and la.__dict__["_hash"] == hash(la)
+    assert a != make_coupling("heisenberg3", "scale2")
+    assert la != standard_lattice("heisenberg3")
+
+
+@pytest.mark.parametrize("name", ["heisenberg-shear", "engel-identity"])
+def test_exact_calls_build_fractions_only_for_what_they_return(name):
+    """Each exact call builds at most dim Fractions per point it returns,
+    counted by wrapping Fraction.__new__ (Fraction arithmetic builds its
+    results through it too), so no intermediate point comes back as
+    Fractions."""
+    c = builtin_coupling(name)
+    law, dim = c.ambient().law_group, c.ambient().dim
+    gam = digits_to_point(c.gamma_lattice, [2, -1, 3, 1][:dim]).coords
+    x = reduce_to_domain(c, [Fraction(k, 64) for k in (17, 5, 60, 33)][:dim])[0].coords
+    lam = alpha(c, gam, x).coords
+    omega = law.mul(gam, x)
+    twist, v = c.twist or builtin_twist("shear"), (1, Fraction(1, 2), 3)
+    calls = {  # name: (call, points returned)
+        "alpha": (lambda: alpha(c, gam, x), 1),
+        "induced_action": (lambda: induced_action(c, gam, x), 1),
+        "beta": (lambda: beta(c, lam, x), 1),
+        "GroupLaw.mul": (lambda: law.mul(gam, x), 1),
+        "GroupLaw.mul ints": (lambda: law.mul([3, 1, 2, 5][:dim], [1, 2, 0, 7][:dim]), 1),
+        "reduce_to_domain": (lambda: reduce_to_domain(c, omega), 2),
+        "lambda_action": (lambda: lambda_action(c, lam, x), 1),
+        "in_domain": (lambda: in_domain(c, x), 0),
+        "digits_to_point": (lambda: digits_to_point(c.lambda_lattice, [1, -2, 3, 0][:dim]), 1),
+        "AutomorphismSpec.apply": (lambda: twist.apply(v), 1),
+    }
+    for call, _ in calls.values():
+        call()  # tables are built on first use
+    made = []
+    new = fractions.Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    over = {}
+    fractions.Fraction.__new__ = counting_new
+    try:
+        for label, (call, points) in calls.items():
+            made.clear()
+            call()
+            if len(made) > (len(v) if label == "AutomorphismSpec.apply" else dim) * points:
+                over[label] = len(made)
+    finally:
+        fractions.Fraction.__new__ = new
+    assert over == {}
+
+
+def _model_mul(group: str, a, b) -> tuple:
+    """The product by the test's matrix model, or by coordinate sums on
+    the abelian group: nothing of the package's exact lane."""
+    if group == "abelian2":
+        return tuple(Fraction(p) + q for p, q in zip(a, b))
+    return tuple(MODELS[group](a, b))
+
+
+def _matvec(m, v) -> tuple:
+    return tuple(sum((Fraction(e) * c for e, c in zip(row, v)), Fraction(0)) for row in m)
+
+
+_small_rational = st.fractions(min_value=-4, max_value=4, max_denominator=64)
+_float_rational = st.floats(min_value=-4, max_value=4).map(Fraction)  # 2^-52 steps
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_cocycle_against_an_independent_product(name, data):
+    """gamma x = x' twist^-1(lam) with lam = alpha(gamma, x) and
+    x' = induced_action(gamma, x), checked as twist(gamma x) = twist(x') lam
+    through the matrix model; twist(x') lies in the box [0, lead); and the
+    mirror: lambda_action(lam, y) = y twist^-1(lam)^-1, and beta(lam, y)
+    moves it into the gamma box.  The twist is applied by Fraction
+    arithmetic here."""
+    c = builtin_coupling(name)
+    grp = c.ambient()
+    m = grp.dim
+    theta = c.twist.matrix if c.twist is not None else [
+        [int(i == j) for j in range(m)] for i in range(m)]
+    if data.draw(st.booleans(), label="deep"):
+        g = data.draw(st.tuples(*[st.floats(-1, 1).map(lambda v: round(v, 3))] * m), label="g")
+        n = data.draw(st.integers(1, 1 << 24), label="n")
+        gam = gamma_sequence(grp.grad, c.gamma_lattice, g, n).coords
+    else:
+        digs = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m), label="digits")
+        gam = digits_to_point(c.gamma_lattice, digs).coords
+    point = st.tuples(*[st.one_of(_small_rational, _float_rational)] * m)
+    x, y = data.draw(point, label="x"), data.draw(point, label="y")
+
+    lam = alpha(c, gam, x).coords
+    x2 = induced_action(c, gam, x).coords
+    assert _matvec(theta, _model_mul(grp.name, gam, x)) == _model_mul(
+        grp.name, _matvec(theta, x2), lam)
+    assert all(0 <= v < e for v, e in zip(_matvec(theta, x2), c.lambda_lattice.leads()))
+
+    moved = lambda_action(c, lam, y)
+    assert _matvec(theta, moved) == _model_mul(
+        grp.name, _matvec(theta, y), tuple(-v for v in lam))
+    back = _model_mul(grp.name, beta(c, lam, y).coords, moved)
+    assert all(0 <= v < e for v, e in zip(back, c.gamma_lattice.leads()))

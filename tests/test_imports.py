@@ -196,6 +196,8 @@ DEFAULT_ONLY_ALLOWED = {
         "the exact reference peel, compared with peel_batch in every mode",
     "wordmetric.peel.side":
         "the exact reference peel, compared with peel_batch on both sides",
+    "wordmetric.digits_to_point.order":
+        "the exact reference exp map, compared with digit_coords in both orders",
     "wordmetric.peel_batch.mode":
         "the float peel, compared with the exact peel in every mode",
     "wordmetric.peel_batch.side":
