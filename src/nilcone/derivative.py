@@ -258,12 +258,13 @@ class ConvergenceRow:
 
 def _median(a: np.ndarray) -> float:
     """np.median of a 1-d array by one selection at the middle, where
-    np.median also selects the end to find NaNs: NaN selects last."""
+    np.median also selects the end to find NaNs: NaN selects last.  The
+    selection is made in place, so a is left reordered."""
     h = a.size // 2
-    p = np.partition(a, h)
-    if np.isnan(p[h:].max()):
+    a.partition(h)
+    if np.isnan(a[h:].max()):
         return math.nan
-    return float(p[h] if a.size % 2 else (p[:h].max() + p[h]) / 2)
+    return float(a[h] if a.size % 2 else (a[:h].max() + a[h]) / 2)
 
 
 def _csv_rows(row_type, rows) -> tuple[list[str], list[list]]:

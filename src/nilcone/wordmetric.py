@@ -31,11 +31,17 @@ The Cayley ball runs on the digits alone.  For each generator s the
 digits of c * s (a generator step) are the right-peel polynomials
 composed with the exp map times s.  Exp map and steps are evaluated on
 int64 digit arrays; an evaluation or a packed row key that could pass
-int64 is refused with CapExceeded.  On a 2-core x86 machine (Python
-3.11, numpy 2.4) the heisenberg3 ball profile and Guivarc'h constants
-take 0.08 s + 0.06 s at radius 24 (141,225 states), where the rational
-breadth-first search took 13-18 s, and the radius-48 profile (2,268,225
-states) takes about 1 s with a peak resident set of 204 MiB.
+int64 is refused with CapExceeded.  No pass over the ball copies it
+whole: a grow step holds the candidates and one packed-key index over
+them and the last two layers, and the Guivarc'h constants the exp
+numerators, one array per layer, and one index over them.  On a 2-core
+x86 machine (Python 3.11, numpy 2.4) the heisenberg3 ball profile and
+Guivarc'h constants take 0.06 s + 0.02 s at radius 24 (141,225
+states), where the rational breadth-first search took 13-18 s.  At
+radius 48 (2,268,225 states, a 52 MiB ball) the profile takes about 1 s
+and the constants 0.3-0.45 s, each in a fresh process, with a peak
+resident set of 142-149 MiB after the profile and 205-211 MiB after
+the constants (190 MiB and 458 MiB with whole-ball copies).
 """
 
 from __future__ import annotations
@@ -460,35 +466,47 @@ class _DigitPolys:
 class _RowIndex:
     """Exact lookup of int64 rows: one packed int64 key per row, sorted.
 
-    Tables are read one column at a time.  On a heisenberg3 grow table of
-    44,556 x 3 (2-core x86, numpy 2.4), numpy's axis-0 min and max took
-    1.6 ms row-major against 0.05 ms per column, and its axis-1 range test
+    The rows come as a sequence of (n_i, m) blocks, such as a ball's
+    layers or its last layers and the candidates; a table position counts
+    rows through the blocks in order.  Each block is packed straight into
+    the one key array, so no table of the rows is formed, and blocks are
+    read one column at a time.  On a heisenberg3 grow step of 44,556 rows
+    (2-core x86, numpy 2.4), numpy's axis-0 min and max took 1.6 ms
+    row-major against 0.05 ms per column, and its axis-1 range test
     1.8 ms against 0.12 ms.  Keys are sorted by the default argsort, 1.0 ms
     against 2.5 ms for a stable one, so the order of equal keys is
     unspecified (it varies with numpy version and CPU) and nothing reads it.
     """
 
-    def __init__(self, table: np.ndarray):
-        self.lo = [int(c.min()) for c in table.T]
-        self.hi = [int(c.max()) for c in table.T]
+    def __init__(self, blocks):
+        cols = [[b[:, v] for b in blocks if len(b)] for v in range(blocks[0].shape[1])]
+        self.lo = [min((int(c.min()) for c in col), default=0) for col in cols]
+        self.hi = [max((int(c.max()) for c in col), default=-1) for col in cols]
         self.span = [h - lo + 1 for lo, h in zip(self.lo, self.hi)]
         if math.prod(self.span) >= INT64_LIMIT:
             raise CapExceeded(f"packed row keys over spans {self.span} would pass int64")
-        keys = self._pack(table.T)
+        keys = np.empty(sum(len(b) for b in blocks), dtype=np.int64)
+        start = 0
+        for b in blocks:
+            self._pack([b[:, v] for v in range(b.shape[1])], keys[start:start + len(b)])
+            start += len(b)
         self.order = np.argsort(keys)
         self.keys = keys[self.order]
 
-    def _pack(self, cols) -> np.ndarray:
-        key = cols[0] - self.lo[0]
+    def _pack(self, cols, key: np.ndarray) -> np.ndarray:
+        """The keys of rows given by their columns, each inside [lo, hi],
+        into key, with one scratch column."""
+        np.subtract(cols[0], self.lo[0], out=key)
+        part = np.empty_like(key)
         for c, lo, s in zip(cols[1:], self.lo[1:], self.span[1:]):
-            key = key * s + (c - lo)
+            key *= s
+            key += np.subtract(c, lo, out=part)
         return key
 
     def first_rows(self) -> np.ndarray:
         """Smallest table position of each distinct key, in key order."""
-        new = np.ones(len(self.keys), dtype=bool)
-        new[1:] = self.keys[1:] != self.keys[:-1]
-        return np.minimum.reduceat(self.order, np.flatnonzero(new))
+        starts = np.flatnonzero(np.concatenate(([True], self.keys[1:] != self.keys[:-1])))
+        return np.minimum.reduceat(self.order, starts)
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Table position of each row, or -1 where the table lacks it; valid
@@ -496,7 +514,7 @@ class _RowIndex:
         out = np.full(len(rows), -1, dtype=np.int64)
         inside = np.flatnonzero(np.all([(c >= lo) & (c <= hi) for c, lo, hi
                                         in zip(rows.T, self.lo, self.hi)], axis=0))
-        keys = self._pack([c[inside] for c in rows.T])
+        keys = self._pack([c[inside] for c in rows.T], np.empty(len(inside), dtype=np.int64))
         pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         hit = self.keys[pos] == keys
         out[inside[hit]] = self.order[pos[hit]]
@@ -544,13 +562,16 @@ class _DigitBall:
             front, n_gens = self.layers[-1], len(self.steps)
             cand = np.empty((len(front) * n_gens, self.lat.dim), dtype=np.int64, order="F")
             for i, s in enumerate(self.steps):  # row r * n_gens + i is front[r] * s_i
-                cand[i::n_gens] = s.numerators(front) // np.array(s.dens)
+                np.floor_divide(s.numerators(front), s.dens, out=cand[i::n_gens])
             seen = self.layers[-2:] if self.symmetric else self.layers
-            table = np.concatenate(seen + [cand])
-            first = _RowIndex(table).first_rows()
-            n_seen = len(table) - len(cand)
-            keep = np.sort(first[first >= n_seen]) - n_seen
-            layer = np.array([c[keep] for c in cand.T]).T  # column-major
+            first = _RowIndex(seen + [cand]).first_rows()
+            n_seen = sum(len(x) for x in seen)
+            keep = first[first >= n_seen]
+            keep.sort()
+            keep -= n_seen
+            layer = np.empty((len(keep), self.lat.dim), dtype=np.int64, order="F")
+            for k in range(self.lat.dim):
+                np.take(cand[:, k], keep, out=layer[:, k])
             if self.size + len(layer) > STATE_CAP:
                 raise CapExceeded(
                     f"ball at radius {self.radius + 1} exceeds {STATE_CAP} states")
@@ -561,7 +582,7 @@ class _DigitBall:
         """Word length of each digit row inside the ball, or -1."""
         if self._index is None or self._index[0] != self.radius:
             ends = np.cumsum([len(x) for x in self.layers])
-            self._index = (self.radius, _RowIndex(np.concatenate(self.layers)), ends)
+            self._index = (self.radius, _RowIndex(self.layers), ends)
         _, index, ends = self._index
         pos = index.find(rows)
         return np.where(pos >= 0, np.searchsorted(ends, pos, side="right"), -1)
@@ -569,16 +590,29 @@ class _DigitBall:
     def quasi_norms(self, nums: np.ndarray) -> np.ndarray:
         """max_k |x_k|^(1/d_k) per row of exp numerators, as quasi_norm_m.
 
-        The power is Python's float ** on each distinct value, so every
-        row gets the bits quasi_norm_m gives its Fraction coordinates.
+        Each root is Python's float ** on a numerator over its denominator,
+        so every row gets the bits quasi_norm_m gives its Fraction
+        coordinates.  np.power would not: at exponent 1/2 it takes a
+        correctly rounded square root where libm's pow is not always
+        correctly rounded (1,638 of the integers below 2M differ), and at
+        1/3 and 1/4 numpy's AVX-512 (SVML) loop differs from pow in 5-6% of
+        them (x86 with AVX-512, numpy 2.4; with AVX-512 switched off by
+        NPY_DISABLE_CPU_FEATURES they agree).  A column's roots are tabled
+        over 0..max|numerator| where that range is no longer than the
+        column, and over its distinct values (np.unique) where it is.
         """
         qn = np.zeros(len(nums), dtype=np.float64)
         degrees = get_group(self.lat.group).degrees
         for k, (den, d) in enumerate(zip(self.exp.dens, degrees)):
-            vals, inv = np.unique(np.abs(nums[:, k]), return_inverse=True)
-            roots = np.array([(v / den) ** (1.0 / d) for v in vals.tolist()],
-                             dtype=np.float64)
-            np.maximum(qn, roots[inv.reshape(-1)], out=qn)
+            col = np.abs(nums[:, k])
+            top = int(col.max(initial=0))
+            if top < len(col):
+                vals = range(top + 1)
+            else:
+                vals, col = np.unique(col, return_inverse=True)
+                vals = vals.tolist()
+            roots = np.array([(v / den) ** (1.0 / d) for v in vals], dtype=np.float64)
+            np.maximum(qn, roots[col], out=qn)
         return qn
 
 
@@ -600,9 +634,9 @@ def ball_points(lat: LatticeSpec, radius: int) -> list[tuple]:
     """
     ball = _ball(lat)
     ball.grow(radius)
-    nums = ball.exp.numerators(np.concatenate(ball.layers[:radius + 1]))
     return [tuple(Fraction(v, d) for v, d in zip(row, ball.exp.dens))
-            for row in nums.tolist()]
+            for layer in ball.layers[:radius + 1]
+            for row in ball.exp.numerators(layer).tolist()]
 
 
 def word_norms(lat: LatticeSpec, digit_rows, radius_cap: int) -> np.ndarray:
@@ -617,7 +651,7 @@ def word_norms(lat: LatticeSpec, digit_rows, radius_cap: int) -> np.ndarray:
     while (out < 0).any() and ball.radius < radius_cap and len(ball.layers[-1]):
         ball.grow(ball.radius + 1)
         miss = np.flatnonzero(out < 0)
-        out[miss[_RowIndex(ball.layers[-1]).find(rows[miss]) >= 0]] = ball.radius
+        out[miss[_RowIndex(ball.layers[-1:]).find(rows[miss]) >= 0]] = ball.radius
     return out
 
 
@@ -690,26 +724,35 @@ def guivarch_constants(lat: LatticeSpec, radius: int) -> GuivarchConstants:
     """
     if radius < 1:
         raise StructuralError(f"Guivarc'h radius must be >= 1, got {radius}")
-    grp = get_group(lat.group)
+    d = get_group(lat.group).abelian_dim  # degree one comes first
     ball = _ball(lat)
     ball.grow(radius)
     layers = ball.layers[1:radius + 1]
-    dist = np.repeat(np.arange(1.0, len(layers) + 1), [len(x) for x in layers])
-    nums = ball.exp.numerators(np.concatenate(layers))
-    qn = ball.quasi_norms(nums)
-    c_low = float(np.max(qn / dist))
-    c_high = float(np.max(dist / (qn + 1.0)))
+    blocks = []  # blocks[r - 1]: the exp numerators of layer r
+    c_low = c_high = 0.0
+    for r, layer in enumerate(layers, 1):
+        blocks.append(ball.exp.numerators(layer))
+        # the ratios of one word length r are monotone in the quasi-norm,
+        # so its extremes give the bits of the whole layer's maximum ratio
+        qn = ball.quasi_norms(blocks[-1])
+        c_low = max(c_low, float(qn.max()) / r)
+        c_high = max(c_high, r / (float(qn.min()) + 1.0))
     # A lookup among the ball's exp coordinates can only hit lattice
-    # points, and a warmer shared cache cannot change the answer.
-    rows = np.flatnonzero(np.any([c != 0 for c in nums.T[grp.abelian_dim:]], axis=0))
-    proj = nums[rows]
-    proj[:, :grp.abelian_dim] = 0  # degree one comes first
-    hit = _RowIndex(nums).find(proj)
-    found = hit >= 0
-    com_ratio = (float(np.max(dist[hit[found]] / dist[rows[found]]))
-                 if found.any() else None)
+    # points, and a warmer shared cache cannot change the answer.  Table
+    # positions grow with word length, so the farthest hit is the last.
+    index = _RowIndex(blocks)
+    ends = np.cumsum([len(x) for x in layers])
+    ratios = []  # per layer r with a hit: the farthest hit's word length over r
+    for r, block in enumerate(blocks, 1):
+        rows = np.flatnonzero(np.any([c != 0 for c in block.T[d:]], axis=0))
+        proj = np.zeros((len(rows), lat.dim), dtype=np.int64, order="F")
+        for k in range(d, lat.dim):
+            np.take(block[:, k], rows, out=proj[:, k])
+        last = index.find(proj).max(initial=-1)
+        if last >= 0:
+            ratios.append((int(np.searchsorted(ends, last, side="right")) + 1) / r)
     return GuivarchConstants(radius=radius, c_low=c_low, c_high=c_high,
-                             com_ratio=com_ratio)
+                             com_ratio=max(ratios, default=None))
 
 
 # A name stays bound to one set of structure constants (bch.get_group),

@@ -5,6 +5,7 @@ import itertools
 import math
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,6 +258,75 @@ def test_guivarch_stability_across_radii():
     assert abs(a.c_high - b.c_high) <= 1.0
 
 
+def _whole_ball_guivarch(lat, radius):
+    """Guivarc'h constants by the whole-ball formula: the exp numerators
+    and a float word length of every state, one quasi-norm per state from
+    Python's ** on each distinct |numerator| (np.unique), the maxima of the
+    two ratio arrays, and a dict lookup of each commutator projection
+    among the ball's numerators.  As (c_low, c_high, com_ratio) in hex."""
+    grp = get_group(lat.group)
+    ball = _ball(lat)
+    ball.grow(radius)
+    layers = ball.layers[1:radius + 1]
+    dist = np.repeat(np.arange(1.0, len(layers) + 1), [len(x) for x in layers])
+    nums = ball.exp.numerators(np.concatenate(layers))
+    qn = np.zeros(len(nums))
+    for k, (den, deg) in enumerate(zip(ball.exp.dens, grp.degrees)):
+        vals, inv = np.unique(np.abs(nums[:, k]), return_inverse=True)
+        roots = np.array([(v / den) ** (1.0 / deg) for v in vals.tolist()])
+        np.maximum(qn, roots[inv.reshape(-1)], out=qn)
+    d = grp.abelian_dim
+    rows = [tuple(row) for row in nums.tolist()]
+    where = {row: i for i, row in enumerate(rows)}
+    hits = [(where[proj], i) for i, row in enumerate(rows) if any(row[d:])
+            for proj in [(0,) * d + row[d:]] if proj in where]
+    ratios = [dist[j] / dist[i] for j, i in hits]
+    return [float(np.max(qn / dist)).hex(), float(np.max(dist / (qn + 1.0))).hex(),
+            float(max(ratios)).hex() if ratios else None]
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("heisenberg3", 18), ("heisenberg3", 24), ("engel4", 8), ("heisenberg5", 6)])
+def test_guivarch_constants_match_the_whole_ball_formula(name, radius, monkeypatch):
+    # the word-ball radii, past the pins' 3-6: per-layer extremes, tabled
+    # roots and per-layer lookups give the whole-ball formula's bits; the
+    # balls are cached apart, so later tests still find them cold
+    monkeypatch.setattr(wordmetric, "_BALL_CACHES", {})
+    lat = builtin_lattice(name)
+    gc = guivarch_constants(lat, radius)
+    assert [gc.c_low.hex(), gc.c_high.hex(),
+            None if gc.com_ratio is None else gc.com_ratio.hex()] == _whole_ball_guivarch(
+                lat, radius)
+
+
+def test_ball_passes_hold_no_whole_ball_copy(monkeypatch):
+    # heisenberg3 at radius 24, traced: growing layer 24 from a radius-23
+    # ball takes at most 64 bytes per candidate row (the candidates, the
+    # packed keys with their order and the first rows; a concatenated
+    # table of the last layers and the candidates adds 36 more), and
+    # Guivarc'h constants on the grown ball take at most 80 bytes per state
+    # (the exp numerators and one key index; whole-ball copies of word
+    # lengths, quasi-norms, projections and sort temporaries took 151)
+    monkeypatch.setattr(wordmetric, "_BALL_CACHES", {})
+    lat = builtin_lattice("heisenberg3")
+    ball = _ball(lat)
+    ball.grow(23)
+    cands = len(ball.layers[-1]) * len(ball.steps)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ball.grow(24)
+        grow = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        guivarch_constants(lat, 24)
+        guivarch = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grow <= 64 * cands
+    assert guivarch <= 80 * ball.size
+
+
 def test_state_cap_raises(monkeypatch):
     lat = builtin_lattice("heisenberg5")
     monkeypatch.setattr(wordmetric, "STATE_CAP", 50)
@@ -400,6 +470,14 @@ def test_ball_points_follow_the_first_seen_search(name, radius):
 _key_rows = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=300)
 
 
+def _blocks(rows, rng):
+    """The rows as a few column-major blocks cut at random, some empty:
+    table positions count through them in order."""
+    cuts = sorted(rng.randint(0, len(rows)) for _ in range(rng.randint(0, 4)))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return [np.asfortranarray(table[a:b]) for a, b in zip([0] + cuts, cuts + [len(rows)])]
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=_key_rows, perm=st.randoms(use_true_random=False))
 def test_row_index_first_rows_is_the_first_position_of_each_row(rows, perm):
@@ -411,8 +489,7 @@ def test_row_index_first_rows_is_the_first_position_of_each_row(rows, perm):
     first = {}
     for i, row in enumerate(rows):
         first.setdefault(row, i)
-    table = np.asfortranarray(np.array(rows, dtype=np.int64))
-    got = _RowIndex(table).first_rows().tolist()
+    got = _RowIndex(_blocks(rows, perm)).first_rows().tolist()
     assert len(got) == len(first)
     assert {rows[i]: i for i in got} == first
 
@@ -424,11 +501,12 @@ _query_values = st.integers(-4, 4) | st.sampled_from([-(1 << 63), (1 << 63) - 1]
 @given(rows=_key_rows, perm=st.randoms(use_true_random=False),
        queries=st.lists(st.tuples(*[_query_values] * 3), max_size=60))
 def test_row_index_find_matches_a_dict(rows, perm, queries):
-    # a table of distinct rows; queries inside and outside its packed span
+    # a table of distinct rows in blocks; queries inside and outside its
+    # packed span
     rows = list(dict.fromkeys(rows))
     perm.shuffle(rows)
     where = {row: i for i, row in enumerate(rows)}
-    index = _RowIndex(np.asfortranarray(np.array(rows, dtype=np.int64)))
+    index = _RowIndex(_blocks(rows, perm))
     queries = queries + rows[:5]
     got = index.find(np.array(queries, dtype=np.int64).reshape(-1, 3)).tolist()
     assert got == [where.get(q, -1) for q in queries]
