@@ -5,16 +5,16 @@ bracket depth r, so log(exp(u)exp(v)) is a polynomial map.  The
 coefficients are computed once per algebra as exact rational
 polynomials in the 2m coordinate variables, and kept as one
 ratlin.IntPolys table of the nonlinear terms (GroupLaw.table), the linear
-part added apart.  Rational operands (Fractions, ints, bools, numpy
-integers) are multiplied through it on the exact lane's point, integer
-numerators over one denominator (GroupLaw.exact_mul), and GroupLaw.mul
-builds the product's Fractions only at its return: 6.7-8.9 us a call on
-2-core x86 (Python 3.11), 8.0-11.6 us while the table was read term by
-term.  An operand with a float coordinate is multiplied through the
-table's float coefficients, term by term, as kernels.bch_batch does on
-float columns.
+part added apart.  GroupLaw.mul is exact: its operands (Fractions, ints,
+bools, numpy integers, floats read by their exact values) are multiplied
+through the table on the exact lane's point, integer numerators over one
+denominator (GroupLaw.exact_mul), and the product's Fractions are built
+only at its return: 6.7-8.9 us a call on 2-core x86 (Python 3.11),
+8.0-11.6 us while the table was read term by term.  Float products run
+on the same table through kernels.bch_batch, a one-row array for one
+point.
 
-A group element is its coordinate tuple (GroupPoint only wraps it), and
+A group element is its coordinate tuple (a GroupPoint is a tuple), and
 every product is GroupLaw.mul, inv, pow or comm on coordinates.
 """
 
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from hashlib import sha256
-from math import factorial, lcm, prod
-from numbers import Rational
+from math import factorial, lcm
 
 from .algebra import (
     BUILTIN_ALGEBRAS,
@@ -40,7 +39,6 @@ from .algebra import (
 from .ratlin import IntPolys, Poly, fractions, numerators, poly_axpy, poly_mul
 
 MAX_STEP = 6
-_EXACT = frozenset((Fraction, int))  # tested before the slower numbers.Rational
 
 
 def _poly_bracket(tensor: Tensor, dim: int, u: list[Poly], v: list[Poly]) -> list[Poly]:
@@ -114,7 +112,7 @@ class GroupLaw:
 
     ``law`` is "group" for the original bracket or "graded" for the
     associated graded one.  Coordinates are exponential coordinates in
-    the adapted basis; scalars may be Fractions (exact) or floats.
+    the adapted basis, any rationals (floats are read exactly).
     """
 
     law: str
@@ -131,16 +129,8 @@ class GroupLaw:
         return (Fraction(0),) * self.dim
 
     def mul(self, a, b) -> tuple:
-        vals = (*a, *b)
-        if _EXACT.issuperset(map(type, vals)) or all(isinstance(x, Rational) for x in vals):
-            return fractions(*self.exact_mul(*numerators(vals)))
-        out = []
-        for k, terms in enumerate(self.table.flat):
-            acc = a[k] + b[k]
-            for _, coef, factors in terms:  # left to right, as bch_batch
-                acc = acc + prod((vals[v] for v in factors), start=coef)
-            out.append(acc)
-        return tuple(out)
+        """The exact product of a and b, as Fractions."""
+        return fractions(*self.exact_mul(*numerators((*a, *b))))
 
     def exact_mul(self, vals: list[int], d: int) -> tuple[list[int], int]:
         """The product of the exact lane's points a and b, given as their
@@ -268,14 +258,13 @@ def get_group(name_or_spec) -> NilpotentGroup:
     return grp
 
 
-@dataclass(frozen=True)
-class GroupPoint:
-    """A group element as its exponential coordinates in the adapted basis;
-    its group and its law (original or graded) are the caller's."""
+class GroupPoint(tuple):
+    """A group element: its exponential coordinates in the adapted basis,
+    as a tuple; its group and its law (original or graded) are the caller's."""
 
-    coords: tuple
+    __slots__ = ()
 
-
-def coords_of(g) -> tuple:
-    """The coordinates of a GroupPoint or of any sequence, as a tuple."""
-    return g.coords if isinstance(g, GroupPoint) else tuple(g)
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as a plain tuple, for readers outside the package."""
+        return tuple(self)

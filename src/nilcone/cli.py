@@ -93,16 +93,15 @@ def _finite_float(text: str) -> float:
     return val
 
 
-def _parse_scalar(tok: str):
+def _parse_scalar(tok: str) -> Fraction:
     try:
         return Fraction(tok)
     except ZeroDivisionError:
         raise StructuralError(f"coordinate {tok.strip()!r} has a zero denominator") from None
     except ValueError:
-        val = float(tok)
-    if not math.isfinite(val):
-        raise StructuralError(f"coordinate {tok.strip()!r} is not finite")
-    return val
+        float(tok)  # a token that is no number: float()'s own ValueError
+    # float() reads no finite decimal that Fraction() refuses: nan and inf
+    raise StructuralError(f"coordinate {tok.strip()!r} is not finite")
 
 
 @contextlib.contextmanager
@@ -352,7 +351,7 @@ def _cmd_derivative_phi(args) -> int:
     grp = cp.ambient()
     g = _parse_point(grp, "--g", args.g, finite=True) if args.g else None
     deriv = build_phi(cp, args.samples, args.seed, side=args.side)
-    img = None if g is None else phi_apply(deriv, g).coords
+    img = None if g is None else phi_apply(deriv, g)
     if img is not None and not all(math.isfinite(c) for c in img):
         raise StructuralError(f"--g {args.g!r}: its image {img} is not finite")
     path = reports.write_json(

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import ratlin
 from .algebra import StructuralError, bracket
-from .bch import GroupPoint, NilpotentGroup, coords_of, get_group
+from .bch import GroupPoint, NilpotentGroup, get_group
 from .kernels import BLOCK_ROWS, Workspace, bch_batch, workspace
 from .wordmetric import (
     LatticeSpec,
@@ -93,7 +93,7 @@ def validate_automorphism(group: NilpotentGroup, auto: AutomorphismSpec,
                     f"matrix is not a Lie algebra automorphism at pair ({i},{j})")
     ratlin.mat_inv(auto.matrix)  # raises if singular
     for g in lattice.generators:
-        if not member(lattice, auto.apply(g.coords)):
+        if not member(lattice, auto.apply(g)):
             raise StructuralError("automorphism does not preserve the lattice on generators")
 
 
@@ -192,14 +192,14 @@ def reduce_to_domain(coupling: CouplingSpec, omega) -> tuple[GroupPoint, GroupPo
     lam-action applied to omega lands on x in the domain.  Exact for
     rational input.
     """
-    digits, x = _reduce(coupling, ratlin.numerators(coords_of(omega)))
+    digits, x = _reduce(coupling, ratlin.numerators(omega))
     return GroupPoint(ratlin.fractions(*x)), digits_to_point(coupling.lambda_lattice, digits)
 
 
 def _lambda_moved(coupling: CouplingSpec, lam, omega):
     """omega * twist^{-1}(lam)^{-1}, both split at once."""
     law = coupling.ambient().law_group
-    vals, d = ratlin.numerators(coords_of(omega) + coords_of(lam))
+    vals, d = ratlin.numerators((*omega, *lam))
     om, lm = vals[:law.dim], vals[law.dim:]
     if coupling.twist is not None:
         lm, den = coupling.twist.inverse().table.exact(lm, d)
@@ -213,7 +213,7 @@ def lambda_action(coupling: CouplingSpec, lam, omega) -> tuple:
 
 
 def in_domain(coupling: CouplingSpec, coords) -> bool:
-    w, d = _twisted(coupling.twist, ratlin.numerators(coords_of(coords)))
+    w, d = _twisted(coupling.twist, ratlin.numerators(coords))
     return all(0 <= n and n * e.denominator < e.numerator * d
                for n, e in zip(w, coupling.lambda_lattice.leads()))
 
@@ -221,7 +221,7 @@ def in_domain(coupling: CouplingSpec, coords) -> bool:
 def _moved(coupling: CouplingSpec, gamma, x):
     """gamma * x, both split at once."""
     law = coupling.ambient().law_group
-    return law.exact_mul(*ratlin.numerators(coords_of(gamma) + coords_of(x)))
+    return law.exact_mul(*ratlin.numerators((*gamma, *x)))
 
 
 def alpha(coupling: CouplingSpec, gamma, x) -> GroupPoint:
@@ -275,8 +275,7 @@ class CouplingKernels:
 
     def alpha_digits(self, gamma_coords, x: np.ndarray):
         """Digits of alpha(gamma, x_i) and the induced-action images."""
-        g = np.asarray([float(c) for c in gamma_coords], dtype=np.float64)
-        return self.reduce(bch_batch(self.table, g[None], x))
+        return self.reduce(bch_batch(self.table, [gamma_coords], x))
 
     def alpha_coords(self, gamma: np.ndarray, x: np.ndarray, work: Workspace) -> np.ndarray:
         """Coordinates of alpha(gamma_i, x_i) for a (1, m) or an (n, m)
@@ -452,14 +451,13 @@ def integrability_estimate(coupling: CouplingSpec, s, samples: int, seed: int,
     """Monte Carlo mean word norm of alpha(s, .) with a normal CI."""
     ck = coupling_kernels(coupling)
     x = domain_samples(coupling, samples, seed)
-    coords = coords_of(s)
-    digits, _ = ck.alpha_digits(coords, x)
+    digits, _ = ck.alpha_digits(s, x)
     norms = _word_norm_proxy(coupling, digits)
     mean = float(norms.mean())
     sd = float(norms.std(ddof=1)) if samples > 1 else 0.0
     half = 1.96 * sd / np.sqrt(samples)
     return IntegrabilityReport(
-        generator=label or ",".join(str(c) for c in coords),
+        generator=label or ",".join(str(c) for c in s),
         mean=mean, ci_low=mean - half, ci_high=mean + half,
         max_norm=float(norms.max()), samples=samples, seed=seed,
     )
@@ -503,7 +501,7 @@ def verify_coupling(coupling: CouplingSpec, samples: int, seed: int,
 
     ok = True
     for _ in range(min(samples, 64)):
-        g, l, w = rand_point(2).coords, rand_point(2, coupling.lambda_lattice), rand_x()
+        g, l, w = rand_point(2), rand_point(2, coupling.lambda_lattice), rand_x()
         lhs = lambda_action(coupling, l, law.mul(g, w))
         rhs = law.mul(g, lambda_action(coupling, l, w))
         if lhs != rhs:
@@ -515,14 +513,14 @@ def verify_coupling(coupling: CouplingSpec, samples: int, seed: int,
     for _ in range(min(samples, 64)):
         w = tuple(Fraction(rng.randrange(-2048, 2048), 256) for _ in range(grp.dim))
         x, lam = reduce_to_domain(coupling, w)
-        if lambda_action(coupling, lam, w) != x.coords:
+        if lambda_action(coupling, lam, w) != x:
             ok = False
             break
-        if not in_domain(coupling, x.coords):
+        if not in_domain(coupling, x):
             ok = False
             break
-        x2, lam2 = reduce_to_domain(coupling, x.coords)
-        if x2.coords != x.coords or any(c != 0 for c in lam2.coords):
+        x2, lam2 = reduce_to_domain(coupling, x)
+        if x2 != x or any(lam2):
             ok = False
             break
     checks.append(("reduce_reconstruction_idempotent", ok, "exact"))
@@ -531,9 +529,9 @@ def verify_coupling(coupling: CouplingSpec, samples: int, seed: int,
     for _ in range(triple_count):
         g1, g2, x = rand_point(), rand_point(), rand_x()
         x2 = induced_action(coupling, g2, x)
-        lhs = alpha(coupling, law.mul(g1.coords, g2.coords), x)
-        rhs = law.mul(alpha(coupling, g1, x2).coords, alpha(coupling, g2, x).coords)
-        if lhs.coords != tuple(rhs):
+        lhs = alpha(coupling, law.mul(g1, g2), x)
+        rhs = law.mul(alpha(coupling, g1, x2), alpha(coupling, g2, x))
+        if lhs != rhs:
             ok = False
             break
     checks.append(("cocycle_identity", ok, f"exact on {triple_count} triples"))
@@ -545,13 +543,13 @@ def verify_coupling(coupling: CouplingSpec, samples: int, seed: int,
     for _ in range(triple_count):
         g, x = rand_point(1), rand_x()
         x2 = induced_action(coupling, g, x)
-        if not all(0 <= c < e for c, e in zip(x2.coords, y_leads)):
+        if not all(0 <= c < e for c, e in zip(x2, y_leads)):
             continue
         if not all(0 <= c < e for c, e in zip(x, y_leads)):
             continue
         qualify += 1
         lam = alpha(coupling, g, x)
-        if beta(coupling, lam, x).coords == g.coords:
+        if beta(coupling, lam, x) == g:
             agree += 1
     checks.append(("beta_inverts_alpha", agree == qualify,
                    f"{agree}/{qualify} qualifying"))

@@ -25,7 +25,7 @@ from functools import cache
 import numpy as np
 
 from .algebra import StructuralError, bracket
-from .bch import GroupPoint, NilpotentGroup, coords_of, get_group
+from .bch import GroupPoint, NilpotentGroup, get_group
 from .coupling import (
     DEFAULT_WORKERS,
     CouplingKernels,
@@ -74,10 +74,6 @@ def strictly_decreasing(values) -> bool:
     return all(b < a for a, b in zip(v, v[1:]))
 
 
-def _float_coords(g) -> np.ndarray:
-    return np.asarray([float(c) for c in coords_of(g)], dtype=np.float64)
-
-
 def _graded_dist(grp: NilpotentGroup, points: np.ndarray, target: np.ndarray,
                  work: Workspace | None = None, out: np.ndarray | None = None
                  ) -> np.ndarray:
@@ -105,7 +101,7 @@ def _cocycle_blocks(ck: CouplingKernels, gamma, blocks, side: str):
     """The cocycle (side "alpha" or "beta") at gamma over blocks of at most
     BLOCK_ROWS sample rows, in order, each on the shared workspace: per
     block, its slice of the sample rows, lam (in work.a) and work."""
-    g = _float_coords(gamma)[None]
+    g = np.asarray([gamma], dtype=np.float64)
     cocycle = ck.alpha_coords if side == "alpha" else ck.beta_coords
     start = 0
     for x in blocks:
@@ -219,7 +215,7 @@ def build_phi(coupling: CouplingSpec, samples: int, seed: int,
     grp = coupling.ambient()
     x = domain_samples(coupling, samples, seed, DEFAULT_WORKERS, _TAG_MEAN_AB, side=side)
     ck = coupling_kernels(coupling)
-    images = [_abelian_mean_ci(ck, grp, s.coords,
+    images = [_abelian_mean_ci(ck, grp, s,
                                (x[i:i + BLOCK_ROWS] for i in range(0, samples, BLOCK_ROWS)),
                                samples, side)
               for s in generating_set(grp)]
@@ -241,8 +237,7 @@ def phi_batch(deriv: PansuDerivative, points) -> np.ndarray:
 
 def phi_apply(deriv: PansuDerivative, g) -> GroupPoint:
     """Image of a graded-group point under the derivative map."""
-    img = phi_batch(deriv, _float_coords(g)[None, :])[0]
-    return GroupPoint(tuple(img.tolist()))
+    return GroupPoint(phi_batch(deriv, [g])[0].tolist())
 
 
 # ---------------------------------------------------------------- reports
@@ -376,7 +371,7 @@ def iterate_diagnostics(coupling: CouplingSpec, gamma, n_list, samples: int,
     proxy distance of the rescaled cocycle to the mean.
     """
     grp = coupling.ambient()
-    gcoords = _float_coords(gamma)
+    gcoords = np.asarray(gamma, dtype=np.float64)
     abar = mean_abelianization(coupling, gamma, samples, seed)
     target = np.asarray(abar.vector, dtype=np.float64)
     d = grp.abelian_dim  # degree one comes first
@@ -425,7 +420,7 @@ def _lattice_word(lattice, terms) -> GroupPoint:
 def gamma_sequence(grad, lattice, g, n: int) -> GroupPoint:
     """The depth-n lattice approximant: the Mal'cev rounding of delta_n g,
     computed exactly."""
-    dil = tuple(Fraction(c) * n ** deg for c, deg in zip(coords_of(g), grad.degrees))
+    dil = tuple(Fraction(c) * n ** deg for c, deg in zip(g, grad.degrees))
     return round_to_lattice(lattice, dil)
 
 
@@ -454,14 +449,15 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
     by a fixed lattice word to exercise sequence-independence.
     """
     grp = coupling.ambient()
-    target_coords = _float_coords(phi_apply(deriv, g) if target is None else target)
+    target_coords = np.asarray(phi_apply(deriv, g) if target is None else target,
+                               dtype=np.float64)
     lattice = coupling.gamma_lattice
     pert = (None if perturb_digits is None
-            else digits_to_point(lattice, perturb_digits).coords)
+            else digits_to_point(lattice, perturb_digits))
     ck = coupling_kernels(coupling)
 
     def row_at(n: int, i: int) -> ConvergenceRow:
-        gam = gamma_sequence(grp.grad, lattice, g, n).coords
+        gam = gamma_sequence(grp.grad, lattice, g, n)
         if pert is not None:
             gam = grp.law_group.mul(pert, gam)
         dist = _scaled_dist(ck, grp, lane_coords(lattice, gam),
@@ -473,7 +469,7 @@ def main_theorem_experiment(coupling: CouplingSpec, deriv: PansuDerivative,
     return ConvergenceReport(
         experiment="main-theorem", rows=rows, seed=seed, eps=eps,
         meta={"coupling": coupling.name,
-              "g": ",".join(str(float(c)) for c in coords_of(g))},
+              "g": ",".join(str(float(c)) for c in g)},
     )
 
 
@@ -493,7 +489,7 @@ def homomorphism_check(deriv: PansuDerivative, pairs) -> DefectReport:
     """Compare the image of a product with the product of images."""
     grp = get_group(deriv.group)
     table = grp.law_graded.table
-    gh = np.asarray([(_float_coords(g), _float_coords(h)) for g, h in pairs])
+    gh = np.asarray(list(pairs), dtype=np.float64)
     k = gh.shape[0]
     g, h = gh.reshape(k, 2, grp.dim).transpose(1, 0, 2)
     imgs = phi_batch(deriv, np.concatenate([bch_batch(table, g, h), g, h]))
@@ -505,7 +501,7 @@ def homomorphism_check(deriv: PansuDerivative, pairs) -> DefectReport:
 def inverse_check(phi: PansuDerivative, psi: PansuDerivative, points) -> DefectReport:
     """Round-trip defect of the two derivative maps."""
     grp = get_group(phi.group)
-    pts = np.asarray([_float_coords(g) for g in points]).reshape(-1, grp.dim)
+    pts = np.asarray(list(points), dtype=np.float64).reshape(-1, grp.dim)
     back = phi_batch(psi, phi_batch(phi, pts))
     worst = float(_graded_dist(grp, back, pts).max(initial=0.0))
     return DefectReport(max_defect=worst, count=pts.shape[0])
@@ -647,7 +643,7 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
         raise BoxError("box is not inside the fundamental domain")
     rng = np.random.Generator(np.random.PCG64(seed_lineage(seed, _TAG_RECUR)))
     x = rng.uniform(lo, hi, size=(samples, grp.dim))
-    target = _float_coords(g)
+    target = np.asarray(g, dtype=np.float64)
     perts = np.asarray(
         [[float(c) for c in p] for p in ball_points(coupling.gamma_lattice, max_word_len)],
         dtype=np.float64,
@@ -658,7 +654,7 @@ def recurrence_search(coupling: CouplingSpec, g, delta: float, box_a,
     try:
         for n in range(1, horizon + 1):
             gam = gamma_sequence(grp.grad, coupling.gamma_lattice, g, n)
-            cands = bch_batch(tab, lane_coords(coupling.gamma_lattice, gam.coords)[None],
+            cands = bch_batch(tab, lane_coords(coupling.gamma_lattice, gam)[None],
                               perts)
             scaled = dilate_batch(grp.degrees, 1.0 / n, cands)
             near = cands[_graded_dist(grp, scaled, target) < delta]
@@ -713,7 +709,6 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
     samples, after rescaling both by the largest exponent.
     """
     grp = coupling.ambient()
-    graded = grp.law_graded
     deriv = build_phi(coupling, 1 << 14, seed)
     images = deriv.table.entries
     lattice = coupling.gamma_lattice
@@ -723,12 +718,12 @@ def arbitrary_element_experiment(coupling: CouplingSpec, word, n_list,
         terms = [(idx, sched(n)) for idx, sched in word]
         big = max(e for _, e in terms)
         # refused before the target's float products can overflow
-        gam = lane_coords(lattice, _lattice_word(lattice, terms).coords)
-        tgt = (0.0,) * grp.dim
+        gam = lane_coords(lattice, _lattice_word(lattice, terms))
+        tgt = np.zeros((1, grp.dim))
         for idx, e in terms:
-            tgt = graded.mul(tgt, tuple(e * v for v in images[idx]))
+            tgt = bch_batch(grp.law_graded.table, tgt, [[e * v for v in images[idx]]])
         dist = _scaled_dist(ck, grp, gam, domain_blocks(coupling, samples, seed, _TAG_WORD, i),
-                            samples, big, dilate_batch(grp.degrees, 1.0 / big, [tgt]))
+                            samples, big, dilate_batch(grp.degrees, 1.0 / big, tgt))
         return _convergence_row(n, dist, eps, seed)
 
     rows = _depth_rows(n_list, row_at)

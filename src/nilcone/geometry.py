@@ -6,9 +6,9 @@ dilations).  Word metrics and lattice machinery are in wordmetric.py.
 
 horizontal_factorization writes a graded-group point as a word of
 dilated horizontal generators, one pass at a time on the float graded
-law.  The derivative map does not use it (it is linear in exponential
-coordinates, see derivative.py); it is an independent oracle that the
-derivative is checked against.
+law (kernels.bch_batch on one-row arrays).  The derivative map does not
+use it (it is linear in exponential coordinates, see derivative.py); it
+is an independent oracle that the derivative is checked against.
 """
 
 from __future__ import annotations
@@ -19,16 +19,18 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
 
+import numpy as np
+
 from .algebra import StructuralError
-from .bch import GroupPoint, NilpotentGroup, coords_of, get_group
+from .bch import GroupPoint, NilpotentGroup, get_group
+from .kernels import bch_batch
 from .ratlin import Mat, spanning_inverse
 
 
 def quasi_norm_m(grad, g) -> float:
     """Homogeneous quasi-norm max_i |x_i|**(1/d_i) for a Gradation."""
-    coords = coords_of(g)
     best = 0.0
-    for c, d in zip(coords, grad.degrees):
+    for c, d in zip(g, grad.degrees):
         v = abs(float(c)) ** (1.0 / d)
         if v > best:
             best = v
@@ -73,16 +75,8 @@ class Factorization:
 
 def generating_set(group: NilpotentGroup) -> list[GroupPoint]:
     """The 2d horizontal coordinate generators, inverses in the back half."""
-    d = group.abelian_dim
-    m = group.dim
-    out = []
-    for sign in (1, -1):
-        for j in range(d):
-            coords = tuple(
-                Fraction(sign) if k == j else Fraction(0) for k in range(m)
-            )
-            out.append(GroupPoint(coords))
-    return out
+    return [GroupPoint(Fraction(sign * (k == j)) for k in range(group.dim))
+            for sign in (1, -1) for j in range(group.abelian_dim)]
 
 
 def _letter(group: NilpotentGroup, idx: int, a: float) -> tuple:
@@ -112,7 +106,7 @@ def _gadgets(group: NilpotentGroup) -> dict[int, tuple[list[tuple], Mat]]:
     layer, and the exact inverse of the matrix whose columns are the
     words' layer vectors."""
     d = group.abelian_dim
-    gens = [s.coords for s in generating_set(group)]
+    gens = generating_set(group)
     out = {}
     for level in sorted(set(group.degrees) - {1}):
         cols = [k for k, deg in enumerate(group.degrees) if deg == level]
@@ -143,27 +137,26 @@ def horizontal_factorization(group, g, order: str = "asc",
     ``tol`` after ``max_passes`` passes.
     """
     group = get_group(group)
-    coords = coords_of(g)
-    if len(coords) != group.dim:
+    if len(g) != group.dim:
         raise StructuralError(f"expected {group.dim} coordinates for {group.name}")
     if order not in ("asc", "desc"):
         raise StructuralError(f"unknown factorization order {order!r}")
-    target = tuple(float(c) for c in coords)
+    target = np.asarray([g], dtype=np.float64)
     ab = [k for k, deg in enumerate(group.degrees) if deg == 1]
     if order == "desc":
         ab.reverse()
-    law = group.law_graded
+    tab = group.law_graded.table
     d = group.abelian_dim
     terms: list[tuple[int, float]] = []
-    acc = (0.0,) * group.dim
+    acc = np.zeros((1, group.dim))
 
     def emit(idx: int, a: float) -> None:
         nonlocal acc
         terms.append((idx, a))
-        acc = law.mul(acc, _letter(group, idx, a))
+        acc = bch_batch(tab, acc, [_letter(group, idx, a)])
 
     def residual() -> tuple[tuple, list[int]]:
-        r = law.mul(tuple(-c for c in acc), target)
+        r = tuple(bch_batch(tab, -acc, target)[0].tolist())
         return r, [k for k, c in enumerate(r) if not abs(c) <= tol]
 
     for _ in range(max_passes):

@@ -6,7 +6,8 @@ evaluates the law's one table (GroupLaw.table, which the exact lane
 multiplies by) through IntPolys.column: a loop over the terms of the
 law, each term formed by repeated multiplication of whole coordinate
 columns, so every row sees the same sequence of float operations
-whatever the batch size or memory layout, as a scalar float product does.
+whatever the batch size or memory layout: those of the table read term
+by term on floats, the tests' reference.
 
 Column order.  The kernels read and write whole coordinate columns
 x[:, v] of (n, m) batches, so the lane keeps its batches in Fortran
@@ -15,9 +16,9 @@ into the buffers its caller gives (out, and a scratch column for the
 terms of IntPolys.column); a caller that gives none gets fresh
 column-major arrays, made in the kernel's first lines.  bch_batch never
 copies its operands: a row-major caller gets the same bits through
-strided reads.  It is the one product: a (1, m) operand on either side
-acts on every row of the other, its coordinates as scalars, with no
-broadcast copy.
+strided reads.  It is the package's one float product, one point a
+one-row array: a (1, m) operand on either side acts on every row of the
+other, its coordinates as scalars, with no broadcast copy.
 
 Batch size and the workspace.  Each kernel call costs a few microseconds
 of numpy and Python overhead per coordinate whatever its row count, and
@@ -156,7 +157,12 @@ def dilate_batch(degrees, t: float, x: np.ndarray,
 def quasi_norm_batch(degrees, x: np.ndarray, out: np.ndarray | None = None,
                      scratch: np.ndarray | None = None) -> np.ndarray:
     """Homogeneous quasi-norm max_i |x_i|^(1/d_i) per row, into out with
-    scratch as the scratch column."""
+    scratch as the scratch column.
+
+    The roots are np.power's, whose loop follows numpy's CPU dispatch: at
+    exponents 1/3 and 1/4 the AVX-512 (SVML) loop differs from libm's pow
+    in about 5% of inputs, so on groups of degree 3 or more the bits can
+    differ between machines."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(len(x)) if out is None else out
     scratch = np.empty(len(x)) if scratch is None else scratch

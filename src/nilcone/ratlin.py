@@ -257,7 +257,7 @@ class IntPolys:
                 c = cols[v] if len(cols[v]) > 1 else cols[v][0]
                 if isinstance(t, np.ndarray):  # term, or an input column
                     t = np.multiply(t, c, out=term)
-                elif np.ndim(c):
+                elif isinstance(c, np.ndarray):
                     t = c if t == 1 else np.multiply(t, c, out=term)
                 else:
                     t = t * c

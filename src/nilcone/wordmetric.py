@@ -54,7 +54,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .algebra import StructuralError
-from .bch import GroupPoint, coords_of, get_group
+from .bch import GroupPoint, get_group
 from .kernels import Workspace
 from .ratlin import (INT64_LIMIT, CapExceeded, IntPolys, Poly, fractions, numerators,
                      poly_axpy, poly_mul)
@@ -180,10 +180,9 @@ def standard_lattice(group) -> LatticeSpec:
 
 def _split(lat: LatticeSpec, g) -> tuple[list[int], int]:
     """The exact lane's point of g, refused unless it has lat.dim coordinates."""
-    coords = coords_of(g)
-    if len(coords) != lat.dim:
+    if len(g) != lat.dim:
         raise StructuralError(f"expected {lat.dim} coordinates")
-    return numerators(coords)
+    return numerators(g)
 
 
 def peel_numerators(lat: LatticeSpec, vals: list[int], d: int, mode: str, side: str):
@@ -538,10 +537,10 @@ class _DigitBall:
         self.steps = []
         for s in lat.generators:
             if not member(lat, s):
-                raise StructuralError(f"generator {s.coords} is not a lattice point")
-            self.steps.append(polys.generator_step(coords_of(s)))
+                raise StructuralError(f"generator {s} is not a lattice point")
+            self.steps.append(polys.generator_step(s))
         law = get_group(lat.group).law_group
-        gens = {coords_of(s) for s in lat.generators}
+        gens = set(lat.generators)
         # A neighbour of layer r lies in layer r-1, r or r+1 when S = S^-1.
         self.symmetric = all(law.inv(s) in gens for s in gens)
         self.layers = [np.zeros((1, lat.dim), dtype=np.int64, order="F")]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from matrix_models import MODELS
 from nilcone.algebra import NilpotentAlgebraSpec, StructuralError
 from nilcone.bch import get_group
+from nilcone.kernels import bch_batch
 
 GROUPS = ("heisenberg3", "heisenberg5", "engel4", "free_nilpotent_2_3",
           "abelian2")
@@ -85,14 +86,18 @@ def test_mul_matches_term_by_term(name, tag):
             got = law.mul(x, y)
             assert got == term_by_term(law, x, y)
             assert all(type(v) is Fraction for v in got)
-        # Float operands: bitwise the loop above (repr of a float
-        # round-trips exactly and names the type).  With any float operand
-        # the product is the float product of the operands rounded to float.
+        # Float operands are read exactly: the product is the exact
+        # product of the floats' values.  The float product is bch_batch's,
+        # bitwise the loop above on floats (repr of a float round-trips
+        # exactly and names the type).
         fa = tuple(float(v) for v in a)
         fb = tuple(rng.uniform(-10.0, 10.0) for _ in range(grp.dim))
         for x, y in ((fa, fb), (a, fb), (fa, b), (e, fb)):
+            got = law.mul(x, y)
+            assert got == term_by_term(law, tuple(map(Fraction, x)), tuple(map(Fraction, y)))
+            assert all(type(v) is Fraction for v in got)
             fx, fy = tuple(map(float, x)), tuple(map(float, y))
-            assert list(map(repr, law.mul(x, y))) == \
+            assert list(map(repr, bch_batch(law.table, [fx], [fy])[0].tolist())) == \
                 list(map(repr, term_by_term(law, fx, fy)))
 
 
@@ -213,8 +218,9 @@ def test_rational_operands_of_any_type_take_the_exact_product():
     got = law.mul((np.int64(2), False, 0), (Fraction(1, 3), np.int64(-1), True))
     assert got == law.mul((2, 0, 0), (Fraction(1, 3), -1, 1))
     assert all(type(c) is Fraction for c in got)
-    # a float anywhere keeps the float product
+    # a float is read exactly, and the product is exact
     for a in ((1.0, 0, 0), (np.float64(1), np.int64(0), 0), (True, 0, 0.0)):
         got = law.mul(a, (0, 1, 0))
-        assert got == (1.0, 1.0, 0.5)
-        assert any(isinstance(c, float) for c in got), a
+        assert got == half and all(type(c) is Fraction for c in got), a
+    got = law.mul((0.1, 0, 0), (0, 1 / 3, 0))
+    assert got == (Fraction(0.1), Fraction(1 / 3), Fraction(0.1) * Fraction(1 / 3) / 2)

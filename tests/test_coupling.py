@@ -36,7 +36,7 @@ from nilcone.coupling import (
 )
 from nilcone import wordmetric
 from nilcone.bch import get_group
-from nilcone.derivative import gamma_sequence
+from nilcone.derivative import gamma_sequence, mean_abelianization
 from nilcone.kernels import BLOCK_ROWS, Workspace, workspace
 from nilcone.wordmetric import (
     LatticeSpec,
@@ -263,6 +263,20 @@ def _index4_coupling():
                   for row in ((2, 0, 0), (0, 1, 0), (0, 0, 2)))
     return CouplingSpec("heisenberg-index4", "heisenberg3", builtin_lattice("heisenberg3"),
                         LatticeSpec("heisenberg3-index4", "heisenberg3", basis, ()), None)
+
+
+def test_abelian_mean_ci_covers_the_exact_image_at_its_level():
+    # On the index-4 coupling the abelian image of e1 is 0 or 2 with
+    # probability 1/2 each: mean 1, sd 1.  Over 200 seeds the 95% CI must
+    # cover 1 about 190 times; the band is 190 +- 4 sigma, sigma =
+    # sqrt(200 * 0.95 * 0.05) = 3.08.  188 here; a half-width divided by
+    # n in place of sqrt(n) covers 9.
+    c = _index4_coupling()
+    covered = 0
+    for seed in range(200):
+        m = mean_abelianization(c, (1, 0, 0), 1024, seed)
+        covered += abs(m.vector[0] - 1) <= m.ci[0]
+    assert 178 <= covered <= 198
 
 
 @pytest.mark.parametrize("name", ("heisenberg-identity", "heisenberg-shear",

@@ -290,6 +290,31 @@ def _identity_engel_phi():
     return PansuDerivative(table=table, group="engel4")
 
 
+def test_graded_distance_and_the_dilation_phi_read_the_graded_law():
+    # engel4_sheared is the one builtin algebra whose graded law differs
+    # from its group law: on it the dilations are automorphisms of the
+    # graded law only, so reading law_group in _graded_dist or in
+    # homomorphism_check breaks both checks (0.21 and 1.30 here)
+    grp = get_group("engel4_sheared")
+    assert grp.law_group.table != grp.law_graded.table
+    rng = np.random.default_rng(3)
+    a, b = (rng.uniform(-1, 1, (64, grp.dim)) for _ in range(2))
+    d1 = _graded_dist(grp, a, b)
+    d3 = _graded_dist(grp, dilate_batch(grp.degrees, 3.0, a), dilate_batch(grp.degrees, 3.0, b))
+    assert np.abs(d3 - 3 * d1).max() <= 1e-12  # 8.9e-16
+    # delta_2 as the derivative map of the images +-2 e_j
+    d = grp.abelian_dim
+    entries = tuple(tuple(2.0 * sign * (k == j) for k in range(grp.dim))
+                    for sign in (1, -1) for j in range(d))
+    table = GeneratorImageTable(
+        coupling="dilation", side="alpha", entries=entries,
+        cis=tuple((0.0,) * grp.dim for _ in entries), samples=1, seed=0)
+    delta2 = PansuDerivative(table=table, group=grp.name)
+    assert np.array_equal(delta2.linear, np.diag([2.0 ** k for k in grp.degrees]))
+    # the cube root of a rounding error in the degree-3 coordinate: 8.2e-6
+    assert homomorphism_check(delta2, list(zip(a, b))).max_defect <= 1e-4
+
+
 def test_phi_engel_images_frozen_bitwise():
     # the identity map returns every point of the engel grid bit for bit
     phi = _identity_engel_phi()

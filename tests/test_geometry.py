@@ -142,7 +142,8 @@ def test_proxy_distance_left_invariance():
     for _ in range(20):
         g, h, k = (tuple(rng.uniform(-2, 2) for _ in range(3)) for _ in range(3))
         d0 = _graded_dist(grp, np.asarray([g]), np.asarray(h))
-        d1 = _graded_dist(grp, np.asarray([law.mul(k, g)]), np.asarray(law.mul(k, h)))
+        kg, kh = (np.asarray(law.mul(k, p), dtype=np.float64) for p in (g, h))
+        d1 = _graded_dist(grp, kg[None], kh)
         assert abs(d0[0] - d1[0]) <= 1e-9
 
 

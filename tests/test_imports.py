@@ -162,6 +162,15 @@ def test_benchmark_calls_bind_to_the_package_signatures():
     assert bad == []
 
 
+def test_no_module_unwraps_a_point():
+    # a point is its coordinate tuple: the package reads it as one, and
+    # GroupPoint.coords is kept only for readers outside the package
+    reads = [f"{path.name}:{node.lineno}" for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "coords"]
+    assert reads == []
+
+
 def test_no_module_reads_another_modules_private_names():
     # a private name is its module's own: another module that needs it
     # needs it public, or the name belongs in that module
